@@ -23,7 +23,7 @@ from .census import (
     write_scatter_csv,
 )
 from .clustering import clustering_report
-from .core import Graph, Hypergraph, profiles
+from .core import Hypergraph, profiles
 from .errors import GuardError, InputError
 from .io import read_edge_list, write_edge_list
 from .isomorphism import find_strong_copies, find_weak_copies
@@ -80,6 +80,11 @@ def _parse_powerlaw(spec: str) -> ProbSequence:
     return ProbSequence(M=max(levels), powerlaw=levels)
 
 
+def _read_probs(path: str) -> ProbSequence:
+    with open(path, "r", encoding="utf-8") as fh:
+        return ProbSequence.from_json(fh.read())
+
+
 def _numeric_sequence(args) -> Tuple[ProbSequence, Optional[Dict[int, int]]]:
     """Numeric probabilities from --counts (needs --n) or a --probs file."""
     if getattr(args, "counts", None):
@@ -88,8 +93,7 @@ def _numeric_sequence(args) -> Tuple[ProbSequence, Optional[Dict[int, int]]]:
             raise InputError("--counts requires --n")
         return from_edge_counts(args.n, counts), counts
     if getattr(args, "probs", None):
-        with open(args.probs, "r", encoding="utf-8") as fh:
-            p = ProbSequence.from_json(fh.read())
+        p = _read_probs(args.probs)
         if not p.is_numeric:
             raise InputError("this subcommand needs a numeric sequence")
         return p, None
@@ -100,8 +104,7 @@ def _powerlaw_sequence(args) -> ProbSequence:
     if getattr(args, "powerlaw", None):
         return _parse_powerlaw(args.powerlaw)
     if getattr(args, "probs", None):
-        with open(args.probs, "r", encoding="utf-8") as fh:
-            p = ProbSequence.from_json(fh.read())
+        p = _read_probs(args.probs)
         if p.is_numeric:
             raise InputError("this subcommand needs a power-law sequence")
         return p
@@ -144,8 +147,7 @@ def _verdict_dict(pattern: str, mode: str, v: ContainmentVerdict) -> dict:
 
 
 def _workers(args) -> int:
-    w = getattr(args, "parallel", None)
-    return w if w is not None else (os.cpu_count() or 1)
+    return args.parallel if args.parallel is not None else (os.cpu_count() or 1)
 
 
 def _pmap(fn, items: list, workers: int) -> list:
@@ -190,8 +192,6 @@ def cmd_ingest(args) -> int:
 
 def cmd_generate(args) -> int:
     p, counts = _numeric_sequence(args)
-    if args.n is None:
-        raise InputError("generate requires --n")
     files = []
     for i in range(args.samples):
         seed_i = args.seed + i
@@ -222,8 +222,7 @@ def cmd_thresholds(args) -> int:
     elif args.mode == "induced-weak":
         v = classify_induced_weak(pattern, p)
     elif args.mode == "2section":
-        g = Graph(pattern.n, pattern.edges)
-        v = classify_two_section(g, p)
+        v = classify_two_section(pattern, p)
     else:
         raise InputError(f"unknown mode {args.mode!r}")
     doc = _verdict_dict(args.pattern, args.mode, v)
@@ -265,8 +264,6 @@ def cmd_census(args) -> int:
 
 def cmd_origination(args) -> int:
     p, _ = _numeric_sequence(args)
-    if args.n is None:
-        raise InputError("origination requires --n")
     table = origination_distribution(args.k, p, args.n, weight_mode=args.weight_mode)
     ranks = rank_signatures(table)
     if args.format == "csv":
@@ -304,6 +301,8 @@ def cmd_clustering(args) -> int:
     else:
         if args.samples is None or args.seed is None:
             raise InputError("model clustering requires --samples and --seed")
+        if args.n is None:
+            raise InputError("model clustering requires --n")
         p, _ = _numeric_sequence(args)
         tasks = [(args.n, p, args.seed + i) for i in range(args.samples)]
         results = _pmap(_clustering_worker, tasks, _workers(args))
@@ -338,8 +337,7 @@ def cmd_mc_threshold(args) -> int:
     if args.powerlaw:
         p_sym = _parse_powerlaw(args.powerlaw)
     elif args.probs:
-        with open(args.probs, "r", encoding="utf-8") as fh:
-            loaded = ProbSequence.from_json(fh.read())
+        loaded = _read_probs(args.probs)
         if loaded.is_numeric:
             p_num = loaded
         else:
@@ -388,7 +386,6 @@ def _max_edge_size(value: str) -> int:
 
 def _add_common(sp, *, seed=False, fmt=False, max_edge=False) -> None:
     sp.add_argument("--out", default=".", help="output directory")
-    sp.add_argument("--parallel", type=int, default=None, help="worker cap")
     if seed:
         sp.add_argument("--seed", type=int, required=True, help="RNG seed (required)")
     if fmt:
@@ -434,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--induced", action="store_true", help="strong verdict as induced (needs p_r < 1)"
     )
     sp.add_argument("--out", default=None)
-    sp.add_argument("--parallel", type=int, default=None)
     sp.set_defaults(func=cmd_thresholds)
 
     sp = sub.add_parser("census", help="K_k census of an edge-list file")
@@ -463,6 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--probs")
     sp.add_argument("--samples", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--parallel", type=int, default=None, help="worker cap")
     _add_common(sp, max_edge=True)
     sp.set_defaults(func=cmd_clustering)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .core import Hypergraph
 
@@ -71,12 +71,7 @@ def hc_local(h: Hypergraph, v: int) -> float:
 
 def hc_global(h: Hypergraph) -> float:
     """Mean extra overlap over all intersecting edge pairs; 0 when none."""
-    total = 0.0
-    count = 0
-    for i, j in intersecting_pairs(h):
-        total += extra_overlap(h, i, j)
-        count += 1
-    return total / count if count else 0.0
+    return clustering_report(h)["hc_global"]
 
 
 def graph_cc(g: Hypergraph) -> Tuple[Optional[float], Optional[float]]:
@@ -89,19 +84,15 @@ def graph_cc(g: Hypergraph) -> Tuple[Optional[float], Optional[float]]:
     """
     if not g.is_uniform(2):
         raise ValueError("graph clustering needs a 2-uniform input")
-    adj: List[set] = [set() for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    eligible = [v for v in range(g.n) if len(adj[v]) >= 2]
+    eligible = [v for v in range(g.n) if len(g.neighbors(v)) >= 2]
     if not eligible:
         return None, None
     tri_sum = 0
     wedge_sum = 0
     local_sum = 0.0
     for v in eligible:
-        nb = sorted(adj[v])
-        tri = sum(1 for x, y in combinations(nb, 2) if y in adj[x])
+        nb = sorted(g.neighbors(v))
+        tri = sum(1 for x, y in combinations(nb, 2) if y in g.neighbors(x))
         wedges = comb(len(nb), 2)
         tri_sum += tri
         wedge_sum += wedges

@@ -49,17 +49,7 @@ class Embedding:
     witnesses: Optional[Tuple[int, ...]] = None
 
 
-def _two_section_adj(h: Hypergraph) -> List[set]:
-    adj: List[set] = [set() for _ in range(h.n)]
-    for e in h.edges:
-        for v in e:
-            adj[v].update(e)
-    for v in range(h.n):
-        adj[v].discard(v)
-    return adj
-
-
-def _pattern_order(pattern: Hypergraph, adj: List[set]) -> List[int]:
+def _pattern_order(pattern: Hypergraph) -> List[int]:
     """Vertex order: high (degree, incident-size profile) first, preferring
     vertices adjacent to already-ordered ones."""
     profile = {
@@ -77,7 +67,7 @@ def _pattern_order(pattern: Hypergraph, adj: List[set]) -> List[int]:
         for v in range(pattern.n):
             if v in placed:
                 continue
-            anchored = len(adj[v] & placed)
+            anchored = len(pattern.neighbors(v) & placed)
             key = (anchored, profile[v], -v)
             if best_key is None or key > best_key:
                 best, best_key = v, key
@@ -88,8 +78,10 @@ def _pattern_order(pattern: Hypergraph, adj: List[set]) -> List[int]:
 
 def _embeddings(
     pattern: Hypergraph, host: Hypergraph, weak: bool
-) -> Iterator[Embedding]:
-    """All injective embeddings (labelled), in deterministic order."""
+) -> Iterator[Tuple[int, ...]]:
+    """All injective labelled maps (mapping[i] = host vertex of pattern
+    vertex i), in deterministic order, under which every pattern edge's
+    image is a host edge (strong) or lies inside some host edge (weak)."""
     if pattern.n == 0:
         raise GuardError("pattern must have at least one vertex")
     if pattern.n > MAX_PATTERN_VERTICES:
@@ -99,11 +91,7 @@ def _embeddings(
     if pattern.n > host.n:
         return
 
-    pat_adj = _two_section_adj(pattern)
-    host_adj = _two_section_adj(host)
-    host_edge_sets = [set(e) for e in host.edges]
-
-    order = _pattern_order(pattern, pat_adj)
+    order = _pattern_order(pattern)
     rank = {v: i for i, v in enumerate(order)}
 
     # pattern edges become checkable at the step assigning their last vertex
@@ -118,79 +106,46 @@ def _embeddings(
     def sizes_desc(h: Hypergraph, v: int) -> List[int]:
         return sorted((len(h.edges[i]) for i in h.incidence[v]), reverse=True)
 
-    candidates: List[List[int]] = []
-    for w in range(pattern.n):
+    def compatible(have, need) -> bool:
         if weak:
-            need = sizes_desc(pattern, w)
-            cand = []
-            for u in range(host.n):
-                have = sizes_desc(host, u)
-                if len(have) >= len(need) and all(a >= b for a, b in zip(have, need)):
-                    cand.append(u)
-        else:
-            need_prof = strong_profile(pattern, w)
-            cand = []
-            for u in range(host.n):
-                have_prof = strong_profile(host, u)
-                if all(have_prof[s] >= c for s, c in need_prof.items()):
-                    cand.append(u)
-        candidates.append(cand)
+            return len(have) >= len(need) and all(a >= b for a, b in zip(have, need))
+        return all(have[s] >= c for s, c in need.items())
+
+    profile = sizes_desc if weak else strong_profile
+    host_profiles = [profile(host, u) for u in range(host.n)]
+    candidates = []
+    for w in range(pattern.n):
+        need = profile(pattern, w)
+        candidates.append([u for u in range(host.n) if compatible(host_profiles[u], need)])
 
     assigned: Dict[int, int] = {}
     used = set()
-    image: List[int] = []
 
-    def superset_edge_exists(img: tuple) -> bool:
+    def edge_fits(img: frozenset) -> bool:
+        if not weak:
+            return img in host.edge_set
         probe = min(img, key=lambda u: len(host.incidence[u]))
-        s = set(img)
-        return any(s <= host_edge_sets[ei] for ei in host.incidence[probe])
+        return any(img.issubset(host.edges[ei]) for ei in host.incidence[probe])
 
-    def resolve_witnesses() -> Optional[Tuple[int, ...]]:
-        s = set(assigned.values())
-        out = []
-        for f in pattern.edges:
-            img = {assigned[v] for v in f}
-            probe = min(img, key=lambda u: len(host.incidence[u]))
-            hit = None
-            for ei in host.incidence[probe]:
-                if host_edge_sets[ei] & s == img:
-                    hit = ei
-                    break
-            if hit is None:
-                return None
-            out.append(hit)
-        return tuple(out)
-
-    def backtrack(step: int) -> Iterator[Embedding]:
+    def backtrack(step: int) -> Iterator[Tuple[int, ...]]:
         if step == pattern.n:
-            if weak:
-                wit = resolve_witnesses()
-                if wit is not None:
-                    yield Embedding(tuple(assigned[v] for v in range(pattern.n)), wit)
-            else:
-                yield Embedding(tuple(assigned[v] for v in range(pattern.n)))
+            yield tuple(assigned[v] for v in range(pattern.n))
             return
         w = order[step]
-        placed_nb = [w2 for w2 in pat_adj[w] if w2 in assigned]
+        placed_nbs = [
+            host.neighbors(assigned[w2]) for w2 in pattern.neighbors(w) if w2 in assigned
+        ]
         for u in candidates[w]:
             if u in used:
                 continue
-            if any(u not in host_adj[assigned[w2]] for w2 in placed_nb):
+            if any(u not in nb for nb in placed_nbs):
                 continue
             assigned[w] = u
             used.add(u)
-            ok = True
-            for fi in edges_done_at[step]:
-                img = tuple(sorted(assigned[v] for v in pattern.edges[fi]))
-                if weak:
-                    if not superset_edge_exists(img):
-                        ok = False
-                        break
-                else:
-                    if frozenset(img) not in host.edge_set:
-                        ok = False
-                        break
-            if ok:
+            if all(
+                edge_fits(frozenset(assigned[v] for v in pattern.edges[fi]))
+                for fi in edges_done_at[step]
+            ):
                 yield from backtrack(step + 1)
             del assigned[w]
             used.discard(u)
@@ -198,15 +153,44 @@ def _embeddings(
     yield from backtrack(0)
 
 
+def _witnesses(
+    pattern: Hypergraph, host: Hypergraph, mapping: Tuple[int, ...]
+) -> Optional[Tuple[int, ...]]:
+    """Per pattern edge, a host edge whose intersection with the image of
+    the whole pattern equals the edge's image; None if some edge has none."""
+    s = set(mapping)
+    out = []
+    for f in pattern.edges:
+        img = {mapping[v] for v in f}
+        probe = min(img, key=lambda u: len(host.incidence[u]))
+        hit = next(
+            (ei for ei in host.incidence[probe] if s.intersection(host.edges[ei]) == img),
+            None,
+        )
+        if hit is None:
+            return None
+        out.append(hit)
+    return tuple(out)
+
+
+def _copies(pattern: Hypergraph, host: Hypergraph, weak: bool) -> Iterator[Embedding]:
+    """Copies as the find functions report them: a weak map counts only
+    when every pattern edge has a witness."""
+    for mapping in _embeddings(pattern, host, weak):
+        wit = _witnesses(pattern, host, mapping) if weak else None
+        if not weak or wit is not None:
+            yield Embedding(mapping, wit)
+
+
 def _dispatch(
     pattern: Hypergraph, host: Hypergraph, weak: bool, mode: str
 ) -> Union[bool, int, List[Embedding]]:
     if mode == "exists":
-        return next(_embeddings(pattern, host, weak), None) is not None
+        return next(_copies(pattern, host, weak), None) is not None
     if mode == "list":
-        return list(_embeddings(pattern, host, weak))
+        return list(_copies(pattern, host, weak))
     if mode == "count":
-        labelled = sum(1 for _ in _embeddings(pattern, host, weak))
+        labelled = sum(1 for _ in _copies(pattern, host, weak))
         return labelled // automorphism_count(pattern)
     raise ValueError(f"mode must be exists/count/list, got {mode!r}")
 
@@ -240,7 +224,7 @@ def automorphism_count(h: Hypergraph) -> int:
 def canonical_form(h: Hypergraph) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     """Canonical key (n, relabelled edges): equal iff hypergraphs isomorphic.
 
-    Brute force over vertex orderings restined to color classes from a short
+    Brute force over vertex orderings restricted to color classes from a short
     degree/size refinement; isolated vertices never need permuting.
     """
     active = [v for v in range(h.n) if h.incidence[v]]

@@ -10,6 +10,10 @@ Weights count labelled hypergraphs per signature by inclusion-exclusion
 over the set of uncovered vertex pairs: a selection avoiding a pair set T
 may only use subsets that are independent in the graph ([k], T), so the
 covering count is sum_T (-1)^|T| prod_r C(indep_r(T), e_r).
+
+The "aut" weights sum aut(H) over a signature class, which by Burnside's
+lemma is a sum over permutations of the hypergraphs each one fixes. Both
+modes share that one routine: the labelled weights are its identity term.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -70,13 +74,9 @@ def signature_lattice(k: int) -> Iterator[Signature]:
     yield from product(*(range(d + 1) for d in _dims(k)))
 
 
-def _pair_bits(k: int) -> Dict[Tuple[int, int], int]:
-    return {pr: i for i, pr in enumerate(combinations(range(k), 2))}
-
-
 def _subsets_by_size(k: int) -> Dict[int, List[Tuple[Tuple[int, ...], int]]]:
     """For each r: list of (subset, pair mask)."""
-    bits = _pair_bits(k)
+    bits = {pr: i for i, pr in enumerate(combinations(range(k), 2))}
     out: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {}
     for r in range(2, k + 1):
         rows = []
@@ -89,126 +89,93 @@ def _subsets_by_size(k: int) -> Dict[int, List[Tuple[Tuple[int, ...], int]]]:
     return out
 
 
-def _labelled_weights(k: int) -> Dict[Signature, int]:
-    npairs = math.comb(k, 2)
+def _orbits(
+    perm: Tuple[int, ...], rows: List[Tuple[Tuple[int, ...], int]]
+) -> List[Tuple[int, int]]:
+    """(orbit length, union pair mask) of each orbit of perm on the subsets
+    in rows."""
+    mask_of = dict(rows)
+    seen = set()
+    out = []
+    for sub, _ in rows:
+        if sub in seen:
+            continue
+        length, mask, cur = 0, 0, sub
+        while cur not in seen:
+            seen.add(cur)
+            length += 1
+            mask |= mask_of[cur]
+            cur = tuple(sorted(perm[v] for v in cur))
+        out.append((length, mask))
+    return out
+
+
+def _burnside_weights(
+    k: int, classes: List[Tuple[Tuple[int, ...], int]]
+) -> Dict[Signature, int]:
+    """Per signature, the sum over (permutation, class size) pairs of class
+    size times the number of labelled hypergraphs with that signature whose
+    2-section is K_k and which the permutation fixes; only positive sums
+    are kept.
+
+    A fixed hypergraph is a union of orbits of r-subsets. Per pair set T,
+    a knapsack over the orbits avoiding T counts selections by size, and
+    inclusion-exclusion over T keeps those covering every pair.
+    """
+    sizes = range(2, k + 1)
+    dims = _dims(k)
     subsets = _subsets_by_size(k)
-    nmask = 1 << npairs
-    sizes = list(range(2, k + 1))
+    pair_sets = np.arange(1 << math.comb(k, 2))
+    signs = np.array([1 - 2 * (bin(t).count("1") % 2) for t in pair_sets], dtype=np.int64)
 
-    signs = np.empty(nmask, dtype=np.int64)
-    allowed = np.empty((nmask, len(sizes)), dtype=np.int64)
-    masks_per_size = [np.array([m for _, m in subsets[r]], dtype=np.int64) for r in sizes]
-    for t in range(nmask):
-        signs[t] = -1 if bin(t).count("1") % 2 else 1
-        for ri, mlist in enumerate(masks_per_size):
-            allowed[t, ri] = int(np.count_nonzero((mlist & t) == 0))
+    def outer(coeffs: List[np.ndarray]) -> np.ndarray:
+        """Row-wise outer product: one row per pair set."""
+        acc = np.ones((len(pair_sets), 1), dtype=np.int64)
+        for c in coeffs:
+            acc = (acc[:, :, None] * c[:, None, :]).reshape(len(pair_sets), -1)
+        return acc
 
-    max_dim = max(_dims(k))
-    comb_table = np.zeros((max_dim + 1, max_dim + 1), dtype=np.int64)
-    for a in range(max_dim + 1):
-        for e in range(a + 1):
-            comb_table[a, e] = math.comb(a, e)
-
-    weights: Dict[Signature, int] = {}
-    for sig in signature_lattice(k):
-        terms = signs.copy()
-        for ri, e in enumerate(sig):
-            terms *= comb_table[allowed[:, ri], e]
-        w = int(terms.sum())
-        if w > 0:
-            weights[sig] = w
-    return weights
-
-
-# -- aut-literal weights (sum of aut(H) over the signature class) -----------
-
-
-def _partitions(k: int, cap: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
-    if k == 0:
-        yield ()
-        return
-    top = k if cap is None else min(cap, k)
-    for first in range(top, 0, -1):
-        for rest in _partitions(k - first, first):
-            yield (first,) + rest
+    total = 0
+    for perm, class_size in classes:
+        coeffs = []
+        for r, d in zip(sizes, dims):
+            coeff = np.zeros((len(pair_sets), d + 1), dtype=np.int64)
+            coeff[:, 0] = 1
+            for length, mask in _orbits(perm, subsets[r]):
+                free = (pair_sets & mask) == 0
+                coeff[:, length:] += free[:, None] * coeff[:, : d + 1 - length]
+            coeffs.append(coeff)
+        # the sum over pair sets is a matrix product of the outer products of
+        # the two halves of the sizes; the full pair set x lattice array
+        # (12 MB at k=5) would raise the allocator's mmap threshold and with
+        # it the process's later peak memory
+        half = len(coeffs) // 2
+        left = signs[:, None] * outer(coeffs[:half])
+        total = total + class_size * (left.T @ outer(coeffs[half:]))
+    total = total.reshape([d + 1 for d in dims])
+    return {sig: int(total[sig]) for sig in signature_lattice(k) if total[sig] > 0}
 
 
-def _cycle_rep(parts: Tuple[int, ...]) -> List[int]:
-    perm = list(range(sum(parts)))
-    start = 0
-    for ln in parts:
-        for i in range(ln):
-            perm[start + i] = start + (i + 1) % ln
-        start += ln
-    return perm
+def _labelled_weights(k: int) -> Dict[Signature, int]:
+    """Labelled hypergraphs per signature: the identity term alone."""
+    return _burnside_weights(k, [(tuple(range(k)), 1)])
 
 
-def _class_size(parts: Tuple[int, ...], k: int) -> int:
-    mult: Dict[int, int] = {}
-    for p in parts:
-        mult[p] = mult.get(p, 0) + 1
-    denom = math.prod(j**m * math.factorial(m) for j, m in mult.items())
-    return math.factorial(k) // denom
+def _conjugacy_classes(k: int) -> List[Tuple[Tuple[int, ...], int]]:
+    """(first permutation, class size) for each cycle type of S_k."""
+    points = [((v,), 0) for v in range(k)]
+    classes: Dict[Tuple[int, ...], list] = {}
+    for perm in permutations(range(k)):
+        cycle_type = tuple(sorted(length for length, _ in _orbits(perm, points)))
+        classes.setdefault(cycle_type, [perm, 0])[1] += 1
+    return [(perm, size) for perm, size in classes.values()]
 
 
 def _aut_weights(k: int) -> Dict[Signature, int]:
     """sum over labelled H in the signature class of aut(H), equal to
-    k! times the number of isomorphism classes (each orbit contributes k!)."""
-    npairs = math.comb(k, 2)
-    subsets = _subsets_by_size(k)
-    nmask = 1 << npairs
-    sizes = list(range(2, k + 1))
-    dims = _dims(k)
-    bits = _pair_bits(k)
-
-    total = np.zeros([d + 1 for d in dims], dtype=np.int64)
-    for parts in _partitions(k):
-        perm = _cycle_rep(parts)
-        csize = _class_size(parts, k)
-        # orbits of r-subsets under the representative permutation
-        orbit_info: Dict[int, List[Tuple[int, int]]] = {}  # r -> [(orbit len, orbit pair mask)]
-        for ri, r in enumerate(sizes):
-            seen = set()
-            orbits = []
-            for sub, _ in subsets[r]:
-                if sub in seen:
-                    continue
-                orbit = []
-                cur = sub
-                while cur not in seen:
-                    seen.add(cur)
-                    orbit.append(cur)
-                    cur = tuple(sorted(perm[v] for v in cur))
-                mask = 0
-                for member in orbit:
-                    for pr in combinations(member, 2):
-                        mask |= 1 << bits[pr]
-                orbits.append((len(orbit), mask))
-            orbit_info[r] = orbits
-
-        # per pair-set T: knapsack counts of orbit selections by total size
-        polys = np.zeros((nmask, len(sizes), max(dims) + 1), dtype=np.int64)
-        for t in range(nmask):
-            for ri, r in enumerate(sizes):
-                coeff = np.zeros(dims[ri] + 1, dtype=np.int64)
-                coeff[0] = 1
-                for olen, omask in orbit_info[r]:
-                    if omask & t:
-                        continue
-                    nxt = coeff.copy()
-                    nxt[olen:] += coeff[: dims[ri] + 1 - olen]
-                    coeff = nxt
-                polys[t, ri, : dims[ri] + 1] = coeff
-
-        signs = np.array(
-            [-1 if bin(t).count("1") % 2 else 1 for t in range(nmask)], dtype=np.int64
-        )
-        for sig in signature_lattice(k):
-            terms = signs.copy()
-            for ri, e in enumerate(sig):
-                terms *= polys[:, ri, e]
-            total[sig] += csize * int(terms.sum())
-    return {sig: int(total[sig]) for sig in signature_lattice(k) if total[sig] > 0}
+    k! times the number of isomorphism classes (each orbit contributes k!):
+    the Burnside sum over every conjugacy class of S_k."""
+    return _burnside_weights(k, _conjugacy_classes(k))
 
 
 # -- caching ----------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .core import Graph, Hypergraph
 from .errors import GuardError, InputError
-from .isomorphism import canonical_form
+from .isomorphism import _embeddings, canonical_form
 from .model import ProbSequence
 
 __all__ = [
@@ -353,49 +353,14 @@ def is_subedge_system(h1: Hypergraph, h2: Hypergraph) -> bool:
         return False
     if not h1.edges:
         return True
-    if max(len(e) for e in h1.edges) > max(len(e) for e in h2.edges):
-        return False
 
     h2_edge_sets = [set(e) for e in h2.edges]
-    h2_adj = [set() for _ in range(h2.n)]
-    for e in h2.edges:
-        for v in e:
-            h2_adj[v].update(e)
-    for v in range(h2.n):
-        h2_adj[v].discard(v)
-    h1_adj = [set() for _ in range(h1.n)]
-    for e in h1.edges:
-        for v in e:
-            h1_adj[v].update(e)
-    for v in range(h1.n):
-        h1_adj[v].discard(v)
 
-    def sizes_desc(h: Hypergraph, v: int) -> List[int]:
-        return sorted((len(h.edges[i]) for i in h.incidence[v]), reverse=True)
-
-    candidates = []
-    for w in range(h1.n):
-        need = sizes_desc(h1, w)
-        cand = []
-        for u in range(h2.n):
-            have = sizes_desc(h2, u)
-            if len(have) >= len(need) and all(a >= b for a, b in zip(have, need)):
-                cand.append(u)
-        candidates.append(cand)
-
-    order = sorted(range(h1.n), key=lambda w: -h1.degree(w))
-    edges_done_at: List[List[int]] = [[] for _ in range(h1.n)]
-    rank = {v: i for i, v in enumerate(order)}
-    for fi, f in enumerate(h1.edges):
-        edges_done_at[max(rank[v] for v in f)].append(fi)
-
-    assigned: Dict[int, int] = {}
-    used = set()
-
-    def matching_exists() -> bool:
+    def distinct_supersets(mapping: Tuple[int, ...]) -> bool:
+        """Bipartite matching of h1-edge images into distinct h2-edges."""
         allowed = []
         for f in h1.edges:
-            img = {assigned[v] for v in f}
+            img = {mapping[v] for v in f}
             allowed.append([j for j, es in enumerate(h2_edge_sets) if img <= es])
         match_r: Dict[int, int] = {}
 
@@ -411,31 +376,7 @@ def is_subedge_system(h1: Hypergraph, h2: Hypergraph) -> bool:
 
         return all(augment(i, set()) for i in range(len(h1.edges)))
 
-    def backtrack(step: int) -> bool:
-        if step == h1.n:
-            return matching_exists()
-        w = order[step]
-        placed_nb = [w2 for w2 in h1_adj[w] if w2 in assigned]
-        for u in candidates[w]:
-            if u in used:
-                continue
-            if any(u not in h2_adj[assigned[w2]] for w2 in placed_nb):
-                continue
-            assigned[w] = u
-            used.add(u)
-            ok = True
-            for fi in edges_done_at[step]:
-                img = {assigned[v] for v in h1.edges[fi]}
-                if not any(img <= es for es in h2_edge_sets):
-                    ok = False
-                    break
-            if ok and backtrack(step + 1):
-                return True
-            del assigned[w]
-            used.discard(u)
-        return False
-
-    return backtrack(0)
+    return any(distinct_supersets(m) for m in _embeddings(h1, h2, weak=True))
 
 
 def minimal_two_section_covers(g: Graph) -> List[Hypergraph]:

@@ -115,6 +115,13 @@ class TestThresholds:
         ) == 0
         assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["verdict"] == "aas_present"
 
+    def test_two_section_non_pair_edge_exit_2(self, tmp_path, capsys):
+        pat = _write(tmp_path / "hyper.edges", "0 1\n1 2 3\n")
+        assert main(
+            ["thresholds", "--pattern", pat, "--mode", "2section", "--powerlaw", "3=19/10"]
+        ) == 2
+        assert "2-uniform" in capsys.readouterr().err
+
     def test_verdict_file(self, triangle_file, tmp_path, capsys):
         out = tmp_path / "v"
         assert main(
@@ -193,6 +200,14 @@ class TestClustering:
             ["clustering", "--n", "50", "--counts", "2=30", "--samples", "2",
              "--out", str(tmp_path)]
         ) == 2
+
+    def test_model_mode_needs_n(self, tmp_path, capsys):
+        probs = _write(tmp_path / "p.json", '{"M": 2, "numeric": {"2": 0.1}}')
+        assert main(
+            ["clustering", "--probs", probs, "--samples", "2", "--seed", "1",
+             "--out", str(tmp_path)]
+        ) == 2
+        assert "--n" in capsys.readouterr().err
 
 
 class TestMcThreshold:

@@ -70,6 +70,18 @@ class TestFeasibleEnumeration:
     def test_k5_count(self):
         assert len(enumerate_feasible(5)) == 1422
 
+    def test_k5_aut_bounded_by_labelled(self):
+        # each class contributes 5! to its aut weight and between 1 and 5!
+        # labelled hypergraphs to its labelled weight
+        labelled = signature_weights(5)
+        aut = signature_weights(5, weight_mode="aut")
+        assert set(aut) == set(labelled)
+        for sig, a in aut.items():
+            assert a % 120 == 0
+            assert -(-labelled[sig] // 120) <= a // 120 <= labelled[sig]
+        assert aut[(0, 0, 0, 1)] == 120
+        assert aut[(10, 0, 0, 0)] == 120
+
     def test_k_out_of_range(self):
         with pytest.raises(InputError):
             enumerate_feasible(6)

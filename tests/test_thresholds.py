@@ -228,6 +228,14 @@ class TestSubedgeSystems:
         # three 2-edges cannot all shrink out of one 3-edge
         assert not is_subedge_system(TRIANGLE, Hypergraph(3, [(0, 1, 2)]))
 
+    def test_vertex_guard(self):
+        # the search engine itself accepts 12 vertices; subedge systems stop at 10
+        big = Hypergraph(11, [(0, 1)])
+        with pytest.raises(GuardError):
+            is_subedge_system(Hypergraph(2, [(0, 1)]), big)
+        with pytest.raises(GuardError):
+            is_subedge_system(big, big)
+
     def test_matches_brute_force(self):
         rng = random.Random(33)
         agree_true = 0
