@@ -9,13 +9,15 @@ distribution.
 from __future__ import annotations
 
 import csv
+import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 # two_section is not called here; the benchmark's traced run rebinds hnp.census.two_section
-from .core import Hypergraph, induced_weak, two_section
+from .core import Hypergraph, two_section
 from .errors import CliqueCapError, InputError
 from .model import ProbSequence
 from .signatures import (
@@ -40,26 +42,41 @@ __all__ = [
 DEFAULT_CLIQUE_CAP = 100_000_000
 
 
+def _check_k(k: int) -> None:
+    if k not in (3, 4, 5):
+        raise InputError(f"k must be 3, 4 or 5, got {k}")
+
+
 def _degeneracy_order(adj: List[frozenset]) -> List[int]:
-    """Repeated minimum-degree removal; ties go to the smallest id."""
+    """Repeated minimum-degree removal; ties go to the smallest id.
+
+    Bucket queue (Matula & Beck 1983): a min-heap of ids per degree whose
+    stale entries are skipped on pop; the minimum drops by at most 1 per
+    removal."""
     n = len(adj)
     deg = [len(a) for a in adj]
     removed = [False] * n
-    buckets: Dict[int, set] = {}
+    buckets: List[List[int]] = [[] for _ in range(max(deg, default=0) + 1)]
     for v in range(n):
-        buckets.setdefault(deg[v], set()).add(v)
+        buckets[deg[v]].append(v)  # ascending ids, so already a heap
     order = []
+    d = 0
     for _ in range(n):
-        d = min(b for b in buckets if buckets[b])
-        v = min(buckets[d])
-        buckets[d].discard(v)
+        while True:
+            b = buckets[d]
+            while b and deg[b[0]] != d:
+                heapq.heappop(b)
+            if b:
+                break
+            d += 1
+        v = heapq.heappop(b)
         removed[v] = True
         order.append(v)
         for u in adj[v]:
             if not removed[u]:
-                buckets[deg[u]].discard(u)
                 deg[u] -= 1
-                buckets.setdefault(deg[u], set()).add(u)
+                heapq.heappush(buckets[deg[u]], u)
+        d = max(d - 1, 0)
     return order
 
 
@@ -72,11 +89,10 @@ def list_k_cliques(
     Expansion pivots on a degeneracy ordering of the 2-section; exceeding
     the per-run cap raises CliqueCapError naming the cap.
     """
-    if k not in (3, 4, 5):
-        raise InputError(f"k must be 3, 4 or 5, got {k}")
+    _check_k(k)
     adj = [h.neighbors(v) for v in range(h.n)]
     order = _degeneracy_order(adj)
-    pos = {v: i for i, v in enumerate(order)}
+    pos = sorted(range(h.n), key=order.__getitem__)  # inverse of order
     emitted = 0
 
     def extend(clique: List[int], cands: List[int]) -> Iterator[Tuple[int, ...]]:
@@ -91,23 +107,32 @@ def list_k_cliques(
         for i, u in enumerate(cands):
             if len(cands) - i < need:
                 break
-            rest = [w for w in cands[i + 1 :] if w in adj[u]]
+            nu = adj[u]
+            rest = [w for w in cands[i + 1 :] if w in nu]
             if len(rest) >= need - 1:
                 yield from extend(clique + [u], rest)
 
     for v in order:
-        later = sorted((u for u in adj[v] if pos[u] > pos[v]), key=lambda u: pos[u])
+        pv = pos[v]
+        later = sorted((u for u in adj[v] if pos[u] > pv), key=pos.__getitem__)
         if len(later) >= k - 1:
             yield from extend([v], later)
 
 
 def observed_signature(h: Hypergraph, s: Sequence[int]) -> Signature:
     """Signature (e_2 ... e_k) of the weak subhypergraph induced on s,
-    ignoring size-1 edges. Assumes s induces a clique in the 2-section."""
+    ignoring size-1 edges. Assumes s induces a clique in the 2-section.
+
+    Only edges meeting s in two or more vertices count: those in the
+    incidence lists of some pair of s."""
     k = len(s)
-    sub, _ = induced_weak(h, s)
-    counts = Counter(len(e) for e in sub.edges)
-    return tuple(counts.get(r, 0) for r in range(2, k + 1))
+    if any(not 0 <= v < h.n for v in s):
+        raise ValueError(f"vertex subset not within 0..{h.n - 1}")
+    sset = frozenset(s)
+    inc = [frozenset(h.incidence[v]) for v in s]
+    ids = set().union(*(a & b for a, b in combinations(inc, 2)))
+    sizes = Counter(len(x) for x in {sset.intersection(h.edges[i]) for i in ids})
+    return tuple(sizes[r] for r in range(2, k + 1))
 
 
 def spearman_rank_correlation(xs: Sequence[int], ys: Sequence[int]) -> float:
@@ -184,6 +209,7 @@ def census(
     an implementation bug and raises AssertionError. n defaults to the
     host's vertex count for the theory side.
     """
+    _check_k(k)
     n_theory = h.n if n is None else n
     if table is None:
         table = origination_distribution(k, p, n_theory, weight_mode)

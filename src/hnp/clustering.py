@@ -14,6 +14,7 @@ coefficients.
 
 from __future__ import annotations
 
+from array import array
 from itertools import combinations
 from math import comb
 from typing import Dict, Iterator, Optional, Tuple
@@ -30,6 +31,15 @@ __all__ = [
 ]
 
 
+def _extra_overlap(nb, a: frozenset, b: frozenset) -> float:
+    """Extra overlap of the edges a, b; nb[v] is v's 2-section neighbour set."""
+    dij = a - b
+    dji = b - a
+    num = len([y for y in dji if not nb[y].isdisjoint(dij)])
+    num += len([x for x in dij if not nb[x].isdisjoint(dji)])
+    return num / (len(dij) + len(dji))
+
+
 def extra_overlap(h: Hypergraph, ei: int, ej: int) -> float:
     """Extra overlap of the edges with ids ei, ej (must differ).
 
@@ -38,13 +48,9 @@ def extra_overlap(h: Hypergraph, ei: int, ej: int) -> float:
     """
     if ei == ej:
         raise ValueError("extra overlap needs two distinct edges")
-    a = set(h.edges[ei])
-    b = set(h.edges[ej])
-    dij = a - b
-    dji = b - a
-    num = sum(1 for y in dji if not h.neighbors(y).isdisjoint(dij))
-    num += sum(1 for x in dij if not h.neighbors(x).isdisjoint(dji))
-    return num / (len(dij) + len(dji))
+    a = frozenset(h.edges[ei])
+    b = frozenset(h.edges[ej])
+    return _extra_overlap({v: h.neighbors(v) for v in a ^ b}, a, b)
 
 
 def intersecting_pairs(h: Hypergraph) -> Iterator[Tuple[int, int]]:
@@ -103,29 +109,40 @@ def graph_cc(g: Hypergraph) -> Tuple[Optional[float], Optional[float]]:
 def clustering_report(h: Hypergraph, bins: int = 100) -> Dict:
     """JSON-shaped summary: hc_global, number of intersecting pairs, a
     fixed-width histogram of local coefficients over all vertices, and the
-    count of nonzero locals."""
-    eo: Dict[Tuple[int, int], float] = {}
-    for i, j in intersecting_pairs(h):
-        eo[(i, j)] = extra_overlap(h, i, j)
+    count of nonzero locals.
+
+    One pass over the vertices. A pair's extra overlap is computed at its
+    smallest common vertex, as in intersecting_pairs, and kept until its
+    largest one."""
+    edge_sets = [frozenset(e) for e in h.edges]
+    nb = [h.neighbors(v) for v in range(h.n)]
+    # one value per intersecting pair, in intersecting_pairs order, summed by
+    # one sum() at the end: from Python 3.12 a running += would differ from it
+    overlaps = array("d")
+    shared: Dict[Tuple[int, int], float] = {}
     hist = [0] * bins
     nonzero = 0
     for v in range(h.n):
         ids = h.incidence[v]
-        if len(ids) <= 1:
-            c = 0.0
-        else:
-            # every pair of edges at v intersects, so each is in the index
-            total = sum(
-                eo[(i, j) if i < j else (j, i)] for i, j in combinations(ids, 2)
-            )
-            c = total / comb(len(ids), 2)
+        local = []
+        for i, j in combinations(ids, 2):
+            common = edge_sets[i] & edge_sets[j]
+            if min(common) == v:
+                x = _extra_overlap(nb, edge_sets[i], edge_sets[j])
+                overlaps.append(x)
+                if len(common) > 1:
+                    shared[(i, j)] = x
+            else:
+                x = shared.pop((i, j)) if max(common) == v else shared[(i, j)]
+            local.append(x)
+        c = sum(local) / comb(len(ids), 2) if len(ids) > 1 else 0.0
         if c > 0.0:
             nonzero += 1
         idx = min(int(c * bins), bins - 1)
         hist[idx] += 1
     return {
-        "hc_global": (sum(eo.values()) / len(eo)) if eo else 0.0,
-        "n_intersecting_pairs": len(eo),
+        "hc_global": (sum(overlaps) / len(overlaps)) if overlaps else 0.0,
+        "n_intersecting_pairs": len(overlaps),
         "hc_local_histogram": hist,
         "n_nonzero_local": nonzero,
     }

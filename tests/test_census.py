@@ -1,4 +1,6 @@
+import hashlib
 import random
+from importlib import import_module
 from itertools import combinations
 
 import pytest
@@ -16,6 +18,8 @@ from hnp import (
 )
 from hnp.census import spearman_rank_correlation, write_census_json
 from util import random_hypergraph
+
+census_mod = import_module("hnp.census")  # the package's `census` is the function
 
 
 def brute_cliques(h, k):
@@ -67,6 +71,23 @@ class TestListKCliques:
         with pytest.raises(InputError):
             list(list_k_cliques(Hypergraph(3, [(0, 1, 2)]), 6))
 
+    def test_emission_order_pinned(self):
+        # the unsorted sequence, hashed; a change in the degeneracy order or
+        # in the expansion order changes it
+        def digest(rows):
+            text = "\n".join(",".join(map(str, r)) for r in rows)
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        n = 3000
+        h = sample(n, from_edge_counts(n, {2: 3600, 3: 1300, 4: 630, 5: 340}), seed=2024)
+        assert (len(h.edges), digest(h.edges)) == (
+            6005, "83fc102d4e3abe024f69466345874cf6e7be96bd40c6410ac075a867baf2c860"
+        ), "the sampled host changed, not the clique order"
+        cliques = list(list_k_cliques(h, 4))
+        assert (len(cliques), digest(cliques)) == (
+            2418, "1f35a6f6af53e774c0233daa3f22e9beaf4f4c12e5c5e41b92ad1bf4b0f1ec46"
+        )
+
 
 class TestObservedSignature:
     def test_single_4_edge(self):
@@ -89,6 +110,16 @@ class TestObservedSignature:
         h = Hypergraph(6, [(0, 1, 2, 3, 4, 5)])
         assert observed_signature(h, (0, 1, 2, 3)) == (0, 0, 1)
 
+    def test_equal_intersections_count_once(self):
+        h = Hypergraph(6, [(0, 1, 4), (0, 1, 5), (0, 1, 2, 3)])
+        assert observed_signature(h, (0, 1, 2, 3)) == (1, 0, 1)
+
+    @pytest.mark.parametrize("bad", [(0, 1, 2, 4), (-1, 0, 1, 2)])
+    def test_vertex_out_of_range(self, bad):
+        h = Hypergraph(4, [(0, 1, 2, 3)])
+        with pytest.raises(ValueError):
+            observed_signature(h, bad)
+
 
 class TestSpearman:
     def test_perfect(self):
@@ -102,6 +133,17 @@ class TestSpearman:
 
 
 class TestCensus:
+    @pytest.mark.parametrize("k", [2, 6])
+    def test_k_checked_first(self, k, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("origination table built before the k check")
+
+        monkeypatch.setattr(census_mod, "origination_distribution", no_table)
+        h = Hypergraph(5, [(0, 1, 2, 3, 4)])
+        p = from_edge_counts(100, {2: 10, 3: 5, 4: 3, 5: 2})
+        with pytest.raises(InputError, match=f"k must be 3, 4 or 5, got {k}"):
+            census(h, k, p, n=100)
+
     def test_single_5_edge(self):
         h = Hypergraph(5, [(0, 1, 2, 3, 4)])
         p = from_edge_counts(100, {2: 10, 3: 5, 4: 3, 5: 2})

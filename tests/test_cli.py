@@ -146,6 +146,15 @@ class TestCensus:
         assert (out / "census_observed.csv").exists()
         assert (out / "scatter.csv").exists()
 
+    @pytest.mark.parametrize("k", ["2", "6"])
+    def test_bad_k_exit_2(self, k, tmp_path, capsys):
+        inp = _write(tmp_path / "five.edges", "0 1 2 3 4\n")
+        assert main(
+            ["census", "--input", inp, "--k", k, "--counts", "2=10,3=5,4=3,5=2",
+             "--n", "100", "--out", str(tmp_path / "out")]
+        ) == 2
+        assert capsys.readouterr().err == f"error: k must be 3, 4 or 5, got {k}\n"
+
     def test_clique_cap_exit_3(self, tmp_path):
         inp = _write(tmp_path / "five.edges", "0 1 2 3 4\n")
         assert main(

@@ -1,9 +1,11 @@
 """Brute-force oracles, independent of the library's search code."""
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import combinations, permutations
+from math import comb
 
-from hnp import Hypergraph
+from hnp import Hypergraph, extra_overlap, intersecting_pairs
+from hnp.core import induced_weak
 
 
 def brute_aut(h: Hypergraph) -> int:
@@ -116,10 +118,69 @@ def oracle_graph_cc(g: Hypergraph):
     eligible = [v for v in range(g.n) if len(adj[v]) >= 2]
     if not eligible:
         return None, None
-    from math import comb
-
     local = [tri_at[v] / comb(len(adj[v]), 2) for v in eligible]
     c_avg = sum(local) / len(eligible)
     wedges = sum(comb(len(adj[v]), 2) for v in eligible)
     c_glob = sum(tri_at[v] for v in eligible) / wedges
     return c_avg, c_glob
+
+
+def brute_degeneracy_order(adj):
+    """Repeated minimum-degree removal by scanning every bucket; ties go to
+    the smallest id."""
+    n = len(adj)
+    deg = [len(a) for a in adj]
+    removed = [False] * n
+    buckets = {}
+    for v in range(n):
+        buckets.setdefault(deg[v], set()).add(v)
+    order = []
+    for _ in range(n):
+        d = min(b for b in buckets if buckets[b])
+        v = min(buckets[d])
+        buckets[d].discard(v)
+        removed[v] = True
+        order.append(v)
+        for u in adj[v]:
+            if not removed[u]:
+                buckets[deg[u]].discard(u)
+                deg[u] -= 1
+                buckets.setdefault(deg[u], set()).add(u)
+    return order
+
+
+def brute_observed_signature(h: Hypergraph, s):
+    """Signature (e_2 ... e_k) read off the weak substructure induced on s."""
+    k = len(s)
+    sub, _ = induced_weak(h, s)
+    counts = Counter(len(e) for e in sub.edges)
+    return tuple(counts.get(r, 0) for r in range(2, k + 1))
+
+
+def brute_clustering_report(h: Hypergraph, bins: int = 100):
+    """clustering_report in two passes: the extra overlap of every
+    intersecting pair into a dict, then each vertex's local mean from it."""
+    eo = {}
+    for i, j in intersecting_pairs(h):
+        eo[(i, j)] = extra_overlap(h, i, j)
+    hist = [0] * bins
+    nonzero = 0
+    for v in range(h.n):
+        ids = h.incidence[v]
+        if len(ids) <= 1:
+            c = 0.0
+        else:
+            total = sum(
+                eo[(i, j) if i < j else (j, i)] for i, j in combinations(ids, 2)
+            )
+            c = total / comb(len(ids), 2)
+        if c > 0.0:
+            nonzero += 1
+        idx = min(int(c * bins), bins - 1)
+        hist[idx] += 1
+    return {
+        "hc_global": (sum(eo.values()) / len(eo)) if eo else 0.0,
+        "n_intersecting_pairs": len(eo),
+        "hc_local_histogram": hist,
+        "n_nonzero_local": nonzero,
+    }
