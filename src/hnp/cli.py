@@ -221,10 +221,8 @@ def cmd_thresholds(args) -> int:
         v = classify_weak(pattern, p)
     elif args.mode == "induced-weak":
         v = classify_induced_weak(pattern, p)
-    elif args.mode == "2section":
-        v = classify_two_section(pattern, p)
     else:
-        raise InputError(f"unknown mode {args.mode!r}")
+        v = classify_two_section(pattern, p)
     doc = _verdict_dict(args.pattern, args.mode, v)
     if args.out:
         _write_json(doc, _out_path(args, "verdict.json"))
@@ -483,10 +481,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GuardError as exc:

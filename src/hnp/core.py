@@ -8,6 +8,7 @@ concurrent reads.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from itertools import combinations
 from typing import Dict, Iterable, Optional, Tuple
@@ -32,7 +33,7 @@ class Hypergraph:
     or mentions an id outside 0..n-1 raises ValueError.
     """
 
-    __slots__ = ("n", "edges", "incidence", "_edge_set", "_edge_index", "_neighbors")
+    __slots__ = ("n", "edges", "incidence", "_edge_set", "_neighbors")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()) -> None:
         if n < 0:
@@ -58,7 +59,6 @@ class Hypergraph:
                 inc[v].append(i)
         self.incidence: Tuple[Tuple[int, ...], ...] = tuple(tuple(x) for x in inc)
         self._edge_set: Optional[frozenset] = None
-        self._edge_index: Optional[Dict[Tuple[int, ...], int]] = None
         self._neighbors: Dict[int, frozenset] = {}
 
     # -- basic accessors -------------------------------------------------
@@ -75,10 +75,13 @@ class Hypergraph:
         return self._edge_set
 
     def edge_index(self, e: Iterable[int]) -> int:
-        """Id of the edge equal (as a set) to e; KeyError if absent."""
-        if self._edge_index is None:
-            self._edge_index = {edge: i for i, edge in enumerate(self.edges)}
-        return self._edge_index[tuple(sorted(e))]
+        """Id of the edge equal (as a set) to e, by binary search over the
+        edges' (size, tuple) order; KeyError if absent."""
+        t = tuple(sorted(e))
+        i = bisect_left(self.edges, (len(t), t), key=lambda x: (len(x), x))
+        if i == len(self.edges) or self.edges[i] != t:
+            raise KeyError(t)
+        return i
 
     def neighbors(self, v: int) -> frozenset:
         """Vertices sharing at least one edge with v, excluding v (cached)."""

@@ -295,6 +295,25 @@ def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> bool:
     return canonical_form(h1) == canonical_form(h2)
 
 
+def _edge_subsets(h: Hypergraph) -> Iterator[List[Tuple[int, ...]]]:
+    """The chosen edges of every nonempty edge subset of h, lazily, in mask
+    order (bit i of the mask selects h.edges[i]). The size guard is
+    checked on the call, before the first subset is asked for."""
+    if h.n > MAX_ENUM_VERTICES:
+        raise GuardError(f"{h.n} vertices, guard is {MAX_ENUM_VERTICES}")
+    m = len(h.edges)
+    if m > MAX_ENUM_EDGES:
+        raise GuardError(f"{m} edges, practical guard is {MAX_ENUM_EDGES}")
+    return ([h.edges[i] for i in range(m) if mask >> i & 1] for mask in range(1, 1 << m))
+
+
+def _compacted(edges: List[Tuple[int, ...]]) -> Hypergraph:
+    """The given edges on their own support, relabelled in sorted order."""
+    support = sorted(set().union(*edges))
+    remap = {v: i for i, v in enumerate(support)}
+    return Hypergraph(len(support), [tuple(remap[v] for v in e) for e in edges])
+
+
 def enumerate_strong_subgraphs(
     h: Hypergraph, require_edges: bool = False
 ) -> List[Hypergraph]:
@@ -304,27 +323,17 @@ def enumerate_strong_subgraphs(
     With require_edges=True only classes with at least one edge and no
     isolated vertices are returned (the forms the threshold theorems need).
     """
-    if h.n > MAX_ENUM_VERTICES:
-        raise GuardError(f"{h.n} vertices, guard is {MAX_ENUM_VERTICES}")
-    if len(h.edges) > MAX_ENUM_EDGES:
-        raise GuardError(f"{len(h.edges)} edges, practical guard is {MAX_ENUM_EDGES}")
+    subsets = _edge_subsets(h)
     classes: Dict[tuple, Hypergraph] = {}
     if not require_edges:
         for v in range(1, h.n + 1):
             classes[(v, ())] = Hypergraph(v)
-    m = len(h.edges)
-    for mask in range(1, 1 << m):
-        chosen = [h.edges[i] for i in range(m) if mask >> i & 1]
-        support = sorted(set().union(*chosen))
-        remap = {v: i for i, v in enumerate(support)}
-        base = Hypergraph(len(support), [tuple(remap[v] for v in e) for e in chosen])
-        _, canon_edges = canonical_form(base)
-        key = (len(support), canon_edges)
-        if key not in classes:
-            classes[key] = base
+    for chosen in subsets:
+        base = _compacted(chosen)
+        key = canonical_form(base)
+        classes.setdefault(key, base)
         if not require_edges:
-            for extra in range(1, h.n - len(support) + 1):
-                key2 = (len(support) + extra, canon_edges)
-                if key2 not in classes:
-                    classes[key2] = Hypergraph(len(support) + extra, base.edges)
+            for order in range(base.n + 1, h.n + 1):
+                if (order, key[1]) not in classes:
+                    classes[(order, key[1])] = Hypergraph(order, base.edges)
     return [classes[k] for k in sorted(classes)]

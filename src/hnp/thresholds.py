@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .core import Graph, Hypergraph
 from .errors import GuardError, InputError
+from .isomorphism import MAX_ENUM_VERTICES, _compacted, _edge_subsets
 from .isomorphism import _embeddings, canonical_form
 from .model import ProbSequence
 
@@ -42,8 +43,6 @@ __all__ = [
 
 Exponent = Optional[Fraction]  # None = -infinity
 
-MAX_CLASSIFY_VERTICES = 10
-MAX_CLASSIFY_EDGES = 16
 MAX_SUBEDGE_VERTICES = 10
 MAX_COVER_VERTICES = 7
 
@@ -97,24 +96,28 @@ def strong_exponent(h: Hypergraph, p: ProbSequence) -> Exponent:
     return total
 
 
+def _dominant_level(p: ProbSequence, r: int) -> Tuple[Optional[int], Exponent]:
+    """The i in 0..M-r maximizing the exponent i - alpha_{r+i} of
+    n^i p_{r+i} (ties broken toward smaller i) and that maximum;
+    (None, None) when every level from r up is identically zero."""
+    _require_powerlaw(p)
+    if not 1 <= r <= p.M:
+        raise InputError(f"size {r} outside 1..M={p.M}")
+    best_i, best = None, None
+    for i in range(p.M - r + 1):
+        a = p.alpha(r + i)
+        if a is not None and _lt(best, i - a):
+            best_i, best = i, i - a
+    return best_i, best
+
+
 def covering_weight_exponent(p: ProbSequence, r: int) -> Exponent:
     """Exact exponent of the covering-weight tail: max_i (i - alpha_{r+i}).
 
     Shared by the power-weighted and binomial-weighted tails, which have
     the same growth order.
     """
-    _require_powerlaw(p)
-    if not 1 <= r <= p.M:
-        raise InputError(f"size {r} outside 1..M={p.M}")
-    best: Exponent = None
-    for i in range(p.M - r + 1):
-        a = p.alpha(r + i)
-        if a is None:
-            continue
-        val = Fraction(i) - a
-        if _lt(best, val):
-            best = val
-    return best
+    return _dominant_level(p, r)[1]
 
 
 def weak_exponent(h: Hypergraph, p: ProbSequence) -> Exponent:
@@ -147,11 +150,7 @@ def _family_minimum(
     """
     if h.n < 1:
         raise InputError("pattern must have at least one vertex")
-    if h.n > MAX_CLASSIFY_VERTICES:
-        raise GuardError(f"{h.n} vertices, guard is {MAX_CLASSIFY_VERTICES}")
-    m = len(h.edges)
-    if m > MAX_CLASSIFY_EDGES:
-        raise GuardError(f"{m} edges, practical guard is {MAX_CLASSIFY_EDGES}")
+    subsets = _edge_subsets(h)
 
     per_size: Dict[int, Exponent] = {}
     for r in set(len(e) for e in h.edges):
@@ -165,10 +164,8 @@ def _family_minimum(
 
     best: Exponent = Fraction(1)
     best_wit = Hypergraph(1)
-    for mask in range(1, 1 << m):
-        chosen = [h.edges[i] for i in range(m) if mask >> i & 1]
-        support = set().union(*chosen)
-        val: Exponent = Fraction(len(support))
+    for chosen in subsets:
+        val: Exponent = Fraction(len(set().union(*chosen)))
         for e in chosen:
             contrib = per_size[len(e)]
             if contrib is None:
@@ -176,10 +173,7 @@ def _family_minimum(
                 break
             val += contrib
         if _lt(val, best):
-            best = val
-            sup = sorted(support)
-            remap = {v: i for i, v in enumerate(sup)}
-            best_wit = Hypergraph(len(sup), [tuple(remap[v] for v in e) for e in chosen])
+            best, best_wit = val, _compacted(chosen)
     return best, best_wit
 
 
@@ -261,18 +255,7 @@ def classify_weak(h: Hypergraph, p: ProbSequence) -> ContainmentVerdict:
 def pad_amount(p: ProbSequence, r: int) -> int:
     """Number of fresh vertices to add to a size-r edge: the i maximizing
     the exponent of n^i p_{r+i} (ties broken toward smaller i)."""
-    _require_powerlaw(p)
-    if not 1 <= r <= p.M:
-        raise InputError(f"size {r} outside 1..M={p.M}")
-    best_i = None
-    best: Exponent = None
-    for i in range(p.M - r + 1):
-        a = p.alpha(r + i)
-        if a is None:
-            continue
-        val = Fraction(i) - a
-        if best_i is None or _lt(best, val):
-            best_i, best = i, val
+    best_i, _ = _dominant_level(p, r)
     if best_i is None:
         raise InputError(f"no nonzero level at or above size {r}")
     return best_i
@@ -301,8 +284,8 @@ def classify_induced_weak(h: Hypergraph, p: ProbSequence) -> ContainmentVerdict:
     """
     _require_powerlaw(p)
     k = h.n
-    if k > MAX_CLASSIFY_VERTICES:
-        raise GuardError(f"{k} vertices, guard is {MAX_CLASSIFY_VERTICES}")
+    if k > MAX_ENUM_VERTICES:
+        raise GuardError(f"{k} vertices, guard is {MAX_ENUM_VERTICES}")
     counts = h.size_counts()
     nonedge_sizes = [r for r in range(1, k + 1) if counts.get(r, 0) < math.comb(k, r)]
     if not nonedge_sizes:
@@ -384,9 +367,13 @@ def minimal_two_section_covers(g: Graph) -> List[Hypergraph]:
     subedge-system order, whose 2-section contains every edge of g.
 
     Candidate hyperedges are the "closed" vertex subsets (equal to the
-    union of the g-edges they contain); covers are enumerated by branching
-    on the first uncovered g-edge, pruned to irredundant ones, reduced
-    modulo isomorphism, and filtered by pairwise subedge domination.
+    union of the g-edges they contain). Covers are enumerated by branching
+    on the first uncovered g-edge, and only into irredundant partial covers
+    (every member covers a g-edge no other member covers); subsets of an
+    irredundant cover are irredundant, so exactly the irredundant covers
+    are reached. They are reduced modulo isomorphism, each class
+    represented by the first of its covers the branching reaches, and
+    filtered by subedge domination. Classes come in canonical-form order.
     """
     if not g.is_uniform(2):
         raise InputError("2-section cover search needs a 2-uniform input")
@@ -412,49 +399,38 @@ def minimal_two_section_covers(g: Graph) -> List[Hypergraph]:
                 candidates.append((frozenset(sub), covered))
 
     all_edges = frozenset(range(m))
-    covers: set = set()
+    covers: Dict[frozenset, None] = {}  # insertion-ordered: first reached first
 
-    def rec(chosen: Tuple[int, ...], covered: frozenset) -> None:
+    def rec(chosen: Tuple[int, ...], covered: frozenset, once: frozenset) -> None:
+        """once: the g-edges covered by exactly one member of chosen. A new
+        member covers the uncovered target, so it always has a g-edge of
+        its own and is never in chosen already."""
         if covered == all_edges:
-            covers.add(frozenset(chosen))
+            covers[frozenset(chosen)] = None
             return
         target = min(all_edges - covered)
-        for ci, (s, cov) in enumerate(candidates):
-            if target in cov and ci not in chosen:
-                rec(chosen + (ci,), covered | cov)
+        for ci, (_, cov) in enumerate(candidates):
+            if target in cov:
+                once2 = (once - cov) | (cov - covered)
+                if all(candidates[c][1] & once2 for c in chosen):
+                    rec(chosen + (ci,), covered | cov, once2)
 
-    rec((), frozenset())
+    rec((), frozenset(), frozenset())
 
     reps: Dict[tuple, Hypergraph] = {}
     for cover in covers:
-        cov_sets = [candidates[ci][1] for ci in cover]
-        redundant = False
-        for i, cs in enumerate(cov_sets):
-            others = set().union(*(c for j, c in enumerate(cov_sets) if j != i)) if len(cov_sets) > 1 else set()
-            if cs <= others:
-                redundant = True
-                break
-        if redundant:
-            continue
-        hyp = Hypergraph(g.n, [tuple(sorted(candidates[ci][0])) for ci in cover])
-        key = canonical_form(hyp)
-        if key not in reps:
-            reps[key] = hyp
+        hyp = Hypergraph(g.n, [candidates[ci][0] for ci in cover])
+        reps.setdefault(canonical_form(hyp), hyp)
 
-    classes = list(reps.items())
-    keep: List[Hypergraph] = []
-    for key, hyp in classes:
-        dominated = False
-        for key2, hyp2 in classes:
-            if key2 == key:
-                continue
-            if is_subedge_system(hyp2, hyp) and not is_subedge_system(hyp, hyp2):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(hyp)
-    keep.sort(key=canonical_form)
-    return keep
+    # distinct classes are not isomorphic, and two hypergraphs on g.n
+    # vertices that are subedge systems of each other are, so one
+    # direction of the test decides domination
+    keep = [
+        key
+        for key, hyp in reps.items()
+        if not any(k2 != key and is_subedge_system(h2, hyp) for k2, h2 in reps.items())
+    ]
+    return [reps[key] for key in sorted(keep)]
 
 
 def classify_two_section(g: Graph, p: ProbSequence) -> ContainmentVerdict:

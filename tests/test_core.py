@@ -52,6 +52,30 @@ class TestHypergraph:
         assert a == b and hash(a) == hash(b)
         assert a != Hypergraph(4, [(0, 1), (1, 2)])
 
+    def test_edge_index_round_trip_and_absent_edges(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            h = random_hypergraph(rng, n, rng.randint(0, 12))
+            for i, e in enumerate(h.edges):
+                shuffled = list(e)
+                rng.shuffle(shuffled)
+                assert h.edge_index(shuffled) == i
+            size = rng.randint(1, n)
+            absent = tuple(rng.sample(range(n), size))
+            if frozenset(absent) not in h.edge_set:
+                with pytest.raises(KeyError):
+                    h.edge_index(absent)
+            with pytest.raises(KeyError):
+                h.edge_index(range(n + 1))  # larger than any edge
+            with pytest.raises(KeyError):
+                h.edge_index((n,))  # vertex outside 0..n-1
+        h = Hypergraph(4, [(0, 1), (2, 3), (0, 1, 2)])
+        with pytest.raises(KeyError):
+            h.edge_index((1, 2))  # absent, same size as two edges
+        with pytest.raises(KeyError):
+            h.edge_index((0, 1, 2, 3))  # absent, larger than every edge
+
     def test_graph_requires_pairs(self):
         with pytest.raises(ValueError):
             Graph(3, [(0, 1, 2)])

@@ -1,10 +1,17 @@
 """Brute-force oracles, independent of the library's search code."""
 
 from collections import Counter, defaultdict
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
-from hnp import Hypergraph, extra_overlap, intersecting_pairs
+from hnp import (
+    Hypergraph,
+    canonical_form,
+    extra_overlap,
+    intersecting_pairs,
+    is_subedge_system,
+)
 from hnp.core import induced_weak
 
 
@@ -184,3 +191,94 @@ def brute_clustering_report(h: Hypergraph, bins: int = 100):
         "hc_local_histogram": hist,
         "n_nonzero_local": nonzero,
     }
+
+
+def _levels(p, r):
+    """(i, i - alpha_{r+i}) for every nonzero level r+i <= M."""
+    return [(i, i - p.alpha(r + i)) for i in range(p.M - r + 1) if p.alpha(r + i) is not None]
+
+
+def brute_covering_weight(p, r):
+    """max_i (i - alpha_{r+i}); None when every level from r up is zero."""
+    return max((val for _, val in _levels(p, r)), default=None)
+
+
+def brute_pad_amount(p, r):
+    """The smallest i attaining brute_covering_weight; None when there is none."""
+    best = brute_covering_weight(p, r)
+    return min((i for i, val in _levels(p, r) if val == best), default=None)
+
+
+def brute_family_minimum(h: Hypergraph, p, weak: bool):
+    """(minimum exponent, witness) over every nonempty edge subset in mask
+    order, the single-vertex class capping it at 1; the witness is the
+    first strict minimum, on its own support relabelled in sorted order."""
+    per_size = {}
+    for r in set(len(e) for e in h.edges):
+        if r > p.M:
+            per_size[r] = None
+        elif weak:
+            per_size[r] = brute_covering_weight(p, r)
+        else:
+            a = p.alpha(r)
+            per_size[r] = None if a is None else -a
+    minus_inf = float("-inf")
+    best, best_wit = Fraction(1), Hypergraph(1)
+    m = len(h.edges)
+    for mask in range(1, 1 << m):
+        chosen = [h.edges[i] for i in range(m) if mask >> i & 1]
+        support = set().union(*chosen)
+        sizes = [per_size[len(e)] for e in chosen]
+        val = minus_inf if None in sizes else len(support) + sum(sizes)
+        if val < best:
+            best = val
+            remap = {v: i for i, v in enumerate(sorted(support))}
+            best_wit = Hypergraph(len(support), [tuple(remap[v] for v in e) for e in chosen])
+    return (None if best == minus_inf else best), best_wit
+
+
+def brute_two_section_covers(g: Hypergraph):
+    """Minimal 2-section covers by the unpruned search: every cover of the
+    g-edges by closed vertex subsets, in branching order (first uncovered
+    g-edge, candidates by size then lexicographic), then redundant covers
+    dropped, one cover per isomorphism class kept (the first reached), and
+    classes dominated in the strict subedge order dropped."""
+    pairs = [set(e) for e in g.edges]
+    candidates = []
+    for size in range(2, g.n + 1):
+        for sub in combinations(range(g.n), size):
+            covered = frozenset(i for i, pr in enumerate(pairs) if pr <= set(sub))
+            if covered and set().union(*(pairs[i] for i in covered)) == set(sub):
+                candidates.append((sub, covered))
+    all_edges = frozenset(range(len(pairs)))
+    covers = {}
+
+    def rec(chosen, covered):
+        if covered == all_edges:
+            covers[frozenset(chosen)] = None
+            return
+        target = min(all_edges - covered)
+        for ci, (_, cov) in enumerate(candidates):
+            if target in cov and ci not in chosen:
+                rec(chosen + (ci,), covered | cov)
+
+    rec((), frozenset())
+    reps = {}
+    for cover in covers:
+        cov_sets = [candidates[ci][1] for ci in cover]
+        if any(
+            cs <= set().union(*(c for j, c in enumerate(cov_sets) if j != i))
+            for i, cs in enumerate(cov_sets)
+        ):
+            continue
+        hyp = Hypergraph(g.n, [candidates[ci][0] for ci in cover])
+        reps.setdefault(canonical_form(hyp), hyp)
+    keep = [
+        key
+        for key, hyp in reps.items()
+        if not any(
+            is_subedge_system(h2, hyp) and not is_subedge_system(hyp, h2)
+            for h2 in reps.values()
+        )
+    ]
+    return [reps[key] for key in sorted(keep)]
