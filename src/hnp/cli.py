@@ -375,11 +375,22 @@ def cmd_mc_threshold(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _max_edge_size(value: str) -> int:
-    v = int(value)
-    if v < 2:
-        raise argparse.ArgumentTypeError("max edge size must be >= 2")
-    return v
+def _int_at_least(lo: int):
+    """argparse type: an int that is at least lo, else a usage error."""
+
+    def parse(value: str) -> int:
+        v = int(value)
+        if v < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {v}")
+        return v
+
+    parse.__name__ = "int"  # argparse names the type in its bad-value message
+    return parse
+
+
+_max_edge_size = _int_at_least(2)
+_vertex_count = _int_at_least(0)
+_trial_count = _int_at_least(1)
 
 
 def _add_common(sp, *, seed=False, fmt=False, max_edge=False) -> None:
@@ -409,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_ingest)
 
     sp = sub.add_parser("generate", help="sample model hypergraphs to files")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_vertex_count, required=True)
     sp.add_argument("--counts", help="expected edge counts, e.g. 2=5975,3=2128")
     sp.add_argument("--probs", help="ProbSequence JSON file")
     sp.add_argument("--samples", type=int, default=1)
@@ -436,14 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--counts", help="counts for the theory side")
     sp.add_argument("--probs")
-    sp.add_argument("--n", type=int, default=None, help="theory n (default: input n)")
+    sp.add_argument("--n", type=_vertex_count, default=None, help="theory n (default: input n)")
     sp.add_argument("--clique-cap", type=int, default=100_000_000)
     _add_common(sp, fmt=True, max_edge=True)
     sp.set_defaults(func=cmd_census)
 
     sp = sub.add_parser("origination", help="theoretical signature distribution")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_vertex_count, required=True)
     sp.add_argument("--counts")
     sp.add_argument("--probs")
     sp.add_argument("--weight-mode", choices=("labelled", "aut"), default="labelled")
@@ -452,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("clustering", help="extra-overlap clustering coefficients")
     sp.add_argument("--input", help="edge-list file (else model mode)")
-    sp.add_argument("--n", type=int, default=None)
+    sp.add_argument("--n", type=_vertex_count, default=None)
     sp.add_argument("--counts")
     sp.add_argument("--probs")
     sp.add_argument("--samples", type=int, default=None)
@@ -464,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mc-threshold", help="Monte Carlo presence frequency")
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--mode", choices=("strong", "weak"), default="strong")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--trials", type=int, required=True)
+    sp.add_argument("--n", type=_vertex_count, required=True)
+    sp.add_argument("--trials", type=_trial_count, required=True)
     sp.add_argument("--powerlaw")
     sp.add_argument("--probs")
     sp.add_argument("--counts")

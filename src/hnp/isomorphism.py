@@ -80,8 +80,15 @@ def _embeddings(
     pattern: Hypergraph, host: Hypergraph, weak: bool
 ) -> Iterator[Tuple[int, ...]]:
     """All injective labelled maps (mapping[i] = host vertex of pattern
-    vertex i), in deterministic order, under which every pattern edge's
-    image is a host edge (strong) or lies inside some host edge (weak)."""
+    vertex i), in ascending host-id order at every step, under which every
+    pattern edge's image is a host edge (strong) or lies inside some host
+    edge (weak).
+
+    A pattern vertex with an already placed pattern neighbour draws its
+    candidates from the host neighbourhoods of the placed neighbours'
+    images; only a vertex with none (the first of each connected
+    component, and isolated vertices) scans every host vertex. Host
+    incidence profiles are computed for visited candidates only."""
     if pattern.n == 0:
         raise GuardError("pattern must have at least one vertex")
     if pattern.n > MAX_PATTERN_VERTICES:
@@ -93,6 +100,10 @@ def _embeddings(
 
     order = _pattern_order(pattern)
     rank = {v: i for i, v in enumerate(order)}
+    # per step, the pattern neighbours placed before it
+    anchors = [
+        [w2 for w2 in pattern.neighbors(w) if rank[w2] < step] for step, w in enumerate(order)
+    ]
 
     # pattern edges become checkable at the step assigning their last vertex
     edges_done_at: List[List[int]] = [[] for _ in range(pattern.n)]
@@ -106,17 +117,17 @@ def _embeddings(
     def sizes_desc(h: Hypergraph, v: int) -> List[int]:
         return sorted((len(h.edges[i]) for i in h.incidence[v]), reverse=True)
 
-    def compatible(have, need) -> bool:
-        if weak:
-            return len(have) >= len(need) and all(a >= b for a, b in zip(have, need))
-        return all(have[s] >= c for s, c in need.items())
-
     profile = sizes_desc if weak else strong_profile
-    host_profiles = [profile(host, u) for u in range(host.n)]
-    candidates = []
-    for w in range(pattern.n):
-        need = profile(pattern, w)
-        candidates.append([u for u in range(host.n) if compatible(host_profiles[u], need)])
+    need = [profile(pattern, w) for w in range(pattern.n)]
+    host_profiles: Dict[int, Union[Counter, List[int]]] = {}
+
+    def compatible(u: int, w: int) -> bool:
+        have = host_profiles.get(u)
+        if have is None:
+            have = host_profiles[u] = profile(host, u)
+        if weak:
+            return len(have) >= len(need[w]) and all(a >= b for a, b in zip(have, need[w]))
+        return all(have[s] >= c for s, c in need[w].items())
 
     assigned: Dict[int, int] = {}
     used = set()
@@ -132,13 +143,13 @@ def _embeddings(
             yield tuple(assigned[v] for v in range(pattern.n))
             return
         w = order[step]
-        placed_nbs = [
-            host.neighbors(assigned[w2]) for w2 in pattern.neighbors(w) if w2 in assigned
-        ]
-        for u in candidates[w]:
-            if u in used:
-                continue
-            if any(u not in nb for nb in placed_nbs):
+        if anchors[step]:
+            placed = [host.neighbors(assigned[a]) for a in anchors[step]]
+            pool = sorted(frozenset.intersection(*placed))
+        else:
+            pool = range(host.n)
+        for u in pool:
+            if u in used or not compatible(u, w):
                 continue
             assigned[w] = u
             used.add(u)

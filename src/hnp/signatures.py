@@ -18,9 +18,11 @@ modes share that one routine: the labelled weights are its identity term.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
@@ -48,6 +50,8 @@ Signature = Tuple[int, ...]
 
 MIN_K = 2
 MAX_K = 5
+
+CACHE_FORMAT = 2  # version of the on-disk weight table layout
 
 _memo: Dict[Tuple[int, str], Dict[Signature, int]] = {}
 
@@ -189,6 +193,56 @@ def _default_cache_dir() -> str:
     return os.path.join(base, "hnp")
 
 
+def _rows_digest(rows: list) -> str:
+    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _read_cache(path: str, k: int, weight_mode: str) -> Optional[Dict[Signature, int]]:
+    """The weights stored at path, or None unless the file is a complete
+    table for (k, weight_mode): format, k, mode, row count and row digest
+    all match, and every signature is a point of the k lattice."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        rows = data["weights"]
+        header = (data["format"], data["k"], data["weight_mode"], data["rows"])
+        if header != (CACHE_FORMAT, k, weight_mode, len(rows)):
+            return None
+        if data["sha256"] != _rows_digest(rows):
+            return None
+        weights = {tuple(row["signature"]): int(row["weight"]) for row in rows}
+    except (OSError, KeyError, TypeError, ValueError):
+        return None
+    if len(weights) != len(rows) or not weights.keys() <= set(signature_lattice(k)):
+        return None
+    return weights
+
+
+def _write_cache(path: str, k: int, weight_mode: str, weights: Dict[Signature, int]) -> None:
+    """Write the table to a temp file in path's directory, then rename it
+    over path, so a reader never sees a partial file."""
+    rows = [{"signature": list(s), "weight": w} for s, w in sorted(weights.items())]
+    data = {
+        "format": CACHE_FORMAT,
+        "k": k,
+        "weight_mode": weight_mode,
+        "rows": len(rows),
+        "sha256": _rows_digest(rows),
+        "weights": rows,
+    }
+    cdir = os.path.dirname(path)
+    os.makedirs(cdir, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=cdir, prefix=os.path.basename(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def signature_weights(
     k: int, weight_mode: str = "labelled", cache_dir: Optional[str] = None
 ) -> Dict[Signature, int]:
@@ -197,7 +251,8 @@ def signature_weights(
     weight_mode "labelled" counts labelled hypergraphs (the default, and
     the weighting the origination distribution uses); "aut" sums aut(H)
     over the class instead. Results are cached to disk after the first
-    computation.
+    computation; a cache file that is not a complete, intact table for
+    (k, weight_mode) is recomputed and rewritten.
     """
     _check_k(k)
     if weight_mode not in ("labelled", "aut"):
@@ -207,27 +262,14 @@ def signature_weights(
         return _memo[key]
     cdir = cache_dir if cache_dir is not None else _default_cache_dir()
     path = os.path.join(cdir, f"signatures_k{k}_{weight_mode}.json")
-    if os.path.exists(path):
+    weights = _read_cache(path, k, weight_mode)
+    if weights is None:
+        weights = _labelled_weights(k) if weight_mode == "labelled" else _aut_weights(k)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            weights = {tuple(row["signature"]): int(row["weight"]) for row in data}
-            if weights:
-                _memo[key] = weights
-                return weights
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            pass  # stale cache, recompute
-    weights = _labelled_weights(k) if weight_mode == "labelled" else _aut_weights(k)
+            _write_cache(path, k, weight_mode, weights)
+        except OSError:
+            pass  # cache is best-effort
     _memo[key] = weights
-    try:
-        os.makedirs(cdir, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                [{"signature": list(s), "weight": w} for s, w in sorted(weights.items())],
-                fh,
-            )
-    except OSError:
-        pass  # cache is best-effort
     return weights
 
 

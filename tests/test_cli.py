@@ -230,3 +230,47 @@ class TestMcThreshold:
         assert doc["trials"] == 4
         assert 0.0 <= doc["presence_frequency"] <= 1.0
         assert doc["symbolic"]["verdict"] == "aas_present"
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--n", "-5", "--counts", "2=3", "--seed", "1"],
+            ["origination", "--k", "4", "--n", "-5", "--counts", "2=3"],
+            ["census", "--input", "x.edges", "--k", "4", "--n", "-5"],
+            ["clustering", "--n", "-5", "--counts", "2=3", "--samples", "1", "--seed", "1"],
+            ["mc-threshold", "--pattern", "x.edges", "--n", "-5", "--trials", "2",
+             "--seed", "1", "--counts", "2=3"],
+        ],
+    )
+    def test_negative_n_exit_2(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "argument --n: must be >= 0, got -5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exit_2(self, trials, triangle_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["mc-threshold", "--pattern", triangle_file, "--n", "40", "--trials", trials,
+                 "--seed", "3", "--powerlaw", "2=7/10", "--out", str(tmp_path)]
+            )
+        assert exc.value.code == 2
+        assert f"argument --trials: must be >= 1, got {trials}" in capsys.readouterr().err
+        assert not (tmp_path / "mc_threshold.json").exists()
+
+    def test_non_integer_named_as_int(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--n", "ten", "--counts", "2=3", "--seed", "1",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "argument --n: invalid int value: 'ten'" in capsys.readouterr().err
+
+    def test_max_edge_size_below_two_exit_2(self, triangle_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest", "--input", triangle_file, "--max-edge-size", "1",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "must be >= 2, got 1" in capsys.readouterr().err

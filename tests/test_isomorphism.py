@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -10,7 +11,9 @@ from hnp import (
     enumerate_strong_subgraphs,
     find_strong_copies,
     find_weak_copies,
+    from_edge_counts,
     is_isomorphic,
+    sample,
 )
 from util import (
     brute_aut,
@@ -24,6 +27,8 @@ from util import (
 TRIANGLE = Hypergraph(3, [(0, 1), (1, 2), (0, 2)])
 PATH3 = Hypergraph(3, [(0, 1), (1, 2)])
 EDGE2 = Hypergraph(2, [(0, 1)])
+DIAMOND = Hypergraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+LOOSE_TRIANGLE = Hypergraph(6, [(0, 1, 2), (2, 3, 4), (4, 5, 0)])
 
 
 class TestStrongCopies:
@@ -182,3 +187,52 @@ class TestIsomorphic:
             rng.shuffle(perm)
             relabelled = Hypergraph(h.n, [[perm[v] for v in e] for e in h.edges])
             assert is_isomorphic(h, relabelled)
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(map(str, lines)).encode()).hexdigest()
+
+
+class TestListOrderPinned:
+    # the whole list output (mappings, witnesses and their order), hashed;
+    # a change in the candidate order of the search changes it
+    HOSTS = {
+        1: (1216, "3f33e950cfcc7f6b05019b212b278f3e33e1ec636c2ef66fc304715cc0707cec"),
+        2: (1253, "cea4213ce7be404719c19c5a40763b62c517ae3fdf7efde264147be7787e3912"),
+    }
+    PINNED = {
+        1: {
+            ("triangle", "strong"): (198, "ad7174d5a8c40c4a18467455f0fe7fe8771a6718f99e22b35be0d33fe6e00cf2"),
+            ("triangle", "weak"): (2262, "e150332b27be83ed4e0a719b40137a79d2df07580ccd38bc8f9cdefe315cbb0e"),
+            ("diamond", "strong"): (40, "8e53b35a77d5a9929f92f94370ec092e8fbecdbac408ea8223062352c57a69a5"),
+            ("diamond", "weak"): (1164, "4ac7bf1edbda3152d268a3b1244acfca79ac8bded1edf176be91cfad9303e410"),
+            ("loose_triangle", "strong"): (156, "a0dee7d7f32826725b0f603be880ebebb6830042d7c4ad40bf3ea3838b38ecbc"),
+            ("loose_triangle", "weak"): (876, "556568d1ceafe20664333c7c8584992fae99eed96e6ceae4f094fcbeb9e3c8d2"),
+        },
+        2: {
+            ("triangle", "strong"): (216, "c1429f5f8ad001e0e30a0530dfa81dee243bfcc733ea471b351983337485499a"),
+            ("triangle", "weak"): (2598, "177c105d3b823fdc1cc8432e588e6d3d29c672ad58da25c168ffef719a658f8d"),
+            ("diamond", "strong"): (8, "8182f345dda45f107408639ae664ab27014c61f61a114775acf67cc001b4a13c"),
+            ("diamond", "weak"): (1616, "d0bb058efbaa0fcf6d030b336025e73302000d7b381f86fe50a02df25b52a06b"),
+            ("loose_triangle", "strong"): (138, "2b5ac880e5044f6e8d495be26013fb18ae68b70097c12c221ed50220be196d66"),
+            ("loose_triangle", "weak"): (954, "62fcf3df2cd59c20e272fe55e9bdfe9385dd08fec50e300b0c7bbb990a65b7b4"),
+        },
+    }
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_list_output_pinned(self, seed):
+        n = 300
+        host = sample(n, from_edge_counts(n, {2: 900, 3: 300, 4: 60}), seed=seed)
+        assert (len(host.edges), _digest(host.edges)) == self.HOSTS[seed], (
+            "the sampled host changed, not the search"
+        )
+        got = {}
+        for label, pattern in (
+            ("triangle", TRIANGLE),
+            ("diamond", DIAMOND),
+            ("loose_triangle", LOOSE_TRIANGLE),
+        ):
+            for kind, fn in (("strong", find_strong_copies), ("weak", find_weak_copies)):
+                out = fn(pattern, host, mode="list")
+                got[label, kind] = (len(out), _digest((e.mapping, e.witnesses) for e in out))
+        assert got == self.PINNED[seed]

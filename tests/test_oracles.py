@@ -1,6 +1,6 @@
-"""Property tests of clique listing, signatures and the clustering report
-against the oracles in util.py and against networkx, on random small
-hypergraphs."""
+"""Property tests of clique listing, signatures, the clustering report and
+pattern search against the oracles in util.py and against networkx, on
+random small hypergraphs."""
 
 from importlib import import_module
 from unittest import mock
@@ -11,17 +11,24 @@ from hypothesis import strategies as st
 
 from hnp import (
     Hypergraph,
+    automorphism_count,
     clustering_report,
+    find_strong_copies,
+    find_weak_copies,
     from_edge_counts,
     list_k_cliques,
     observed_signature,
     sample,
     two_section,
 )
+from hnp.isomorphism import _pattern_order
 from util import (
+    brute_aut,
     brute_clustering_report,
     brute_degeneracy_order,
     brute_observed_signature,
+    brute_strong_maps,
+    brute_weak_maps,
 )
 
 census_mod = import_module("hnp.census")  # the package's `census` is the function
@@ -98,3 +105,52 @@ def test_cliques_match_networkx_on_sampled_host():
     for k in KS:
         got = sorted(list_k_cliques(h, k))
         assert got and got == _networkx_cliques(h, k)
+
+
+@st.composite
+def patterns(draw):
+    """Small patterns that exercise every search step without a placed
+    neighbour: up to two components, each with size-1 edges allowed, plus
+    isolated vertices."""
+    edges, n = [], 0
+    for _ in range(draw(st.integers(1, 2))):
+        size = draw(st.integers(1, 3))
+        vertex = st.integers(0, size - 1)
+        part = draw(st.lists(st.sets(vertex, min_size=1, max_size=3), max_size=3))
+        edges += [{v + n for v in e} for e in part]
+        n += size
+    n += draw(st.integers(0, 1))
+    return Hypergraph(n, edges)
+
+
+def _check_list(find, brute, pattern, host):
+    found = find(pattern, host, mode="list")
+    maps = [e.mapping for e in found]
+    assert set(maps) == brute(pattern, host)
+    # every step visits host ids in ascending order
+    order = _pattern_order(pattern)
+    keys = [tuple(m[v] for v in order) for m in maps]
+    assert keys == sorted(set(keys))
+    return found
+
+
+@settings(deadline=None)
+@given(patterns(), hypergraphs(max_n=6))
+def test_strong_list_matches_oracle(pattern, host):
+    found = _check_list(find_strong_copies, brute_strong_maps, pattern, host)
+    assert all(e.witnesses is None for e in found)
+
+
+@settings(deadline=None)
+@given(patterns(), hypergraphs(max_n=6))
+def test_weak_list_matches_oracle(pattern, host):
+    for e in _check_list(find_weak_copies, brute_weak_maps, pattern, host):
+        image = set(e.mapping)
+        for f, wid in zip(pattern.edges, e.witnesses):
+            assert image.intersection(host.edges[wid]) == {e.mapping[v] for v in f}
+
+
+@settings(deadline=None)
+@given(patterns())
+def test_automorphism_count_matches_oracle(pattern):
+    assert automorphism_count(pattern) == brute_aut(pattern)

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter, defaultdict
 from itertools import combinations, permutations
@@ -16,7 +17,7 @@ from hnp import (
     rank_signatures,
     signature_weights,
 )
-from hnp.signatures import lattice_size
+from hnp.signatures import _rows_digest, lattice_size
 
 
 def _brute_k4():
@@ -130,6 +131,55 @@ class TestCache:
         sigmod._memo.pop((3, "labelled"), None)
         w = signature_weights(3, cache_dir=str(d))
         assert w[(3, 0)] == 1
+
+    @staticmethod
+    def _reload(d):
+        import hnp.signatures as sigmod
+
+        sigmod._memo.pop((3, "labelled"), None)
+        return signature_weights(3, cache_dir=str(d))
+
+    def _assert_recomputed_and_rewritten(self, d, want):
+        path = d / "signatures_k3_labelled.json"
+        assert self._reload(d) == want
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        assert stored["rows"] == len(want) == len(stored["weights"])
+        assert self._reload(d) == want  # the rewritten file is accepted
+        assert not [p for p in d.iterdir() if p.name != path.name]  # no temp file left
+
+    def test_one_row_file_recomputed(self, tmp_path):
+        want = self._reload(tmp_path / "fresh")
+        d = tmp_path / "one_row"
+        d.mkdir()
+        (d / "signatures_k3_labelled.json").write_text(
+            '[{"signature":[1,0,0],"weight":999}]', encoding="utf-8"
+        )
+        self._assert_recomputed_and_rewritten(d, want)
+
+    def test_truncated_file_recomputed(self, tmp_path):
+        want = self._reload(tmp_path)
+        path = tmp_path / "signatures_k3_labelled.json"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[: len(text) // 2], encoding="utf-8")
+        self._assert_recomputed_and_rewritten(tmp_path, want)
+
+    def test_wrong_digest_recomputed(self, tmp_path):
+        want = self._reload(tmp_path)
+        path = tmp_path / "signatures_k3_labelled.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["weights"][0]["weight"] += 1
+        path.write_text(json.dumps(data), encoding="utf-8")
+        self._assert_recomputed_and_rewritten(tmp_path, want)
+
+    def test_partial_table_with_its_own_digest_recomputed(self, tmp_path):
+        want = self._reload(tmp_path)
+        path = tmp_path / "signatures_k3_labelled.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        rows = data["weights"][:1]
+        rows[0]["signature"] = [1, 0, 0]  # not a point of the k=3 lattice
+        data.update(weights=rows, rows=1, sha256=_rows_digest(rows))
+        path.write_text(json.dumps(data), encoding="utf-8")
+        self._assert_recomputed_and_rewritten(tmp_path, want)
 
 
 class TestOrigination:

@@ -47,6 +47,28 @@ def brute_weak_labelled(pattern: Hypergraph, host: Hypergraph) -> int:
     return count
 
 
+def brute_strong_maps(pattern: Hypergraph, host: Hypergraph) -> set:
+    """The labelled maps brute_strong_labelled counts, as image tuples
+    (img[i] = host vertex of pattern vertex i)."""
+    edge_sets = set(frozenset(e) for e in host.edges)
+    return {
+        img
+        for img in permutations(range(host.n), pattern.n)
+        if all(frozenset(img[v] for v in e) in edge_sets for e in pattern.edges)
+    }
+
+
+def brute_weak_maps(pattern: Hypergraph, host: Hypergraph) -> set:
+    """The labelled maps brute_weak_labelled counts, as image tuples."""
+    out = set()
+    for img in permutations(range(host.n), pattern.n):
+        s = set(img)
+        weak_edges = {frozenset(v for v in e if v in s) for e in host.edges}
+        if all(frozenset(img[v] for v in f) in weak_edges for f in pattern.edges):
+            out.add(img)
+    return out
+
+
 def brute_strong_count(pattern: Hypergraph, host: Hypergraph) -> int:
     return brute_strong_labelled(pattern, host) // brute_aut(pattern)
 
