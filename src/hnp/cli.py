@@ -309,7 +309,7 @@ def cmd_clustering(args) -> int:
             "n": args.n,
             "samples": args.samples,
             "seed": args.seed,
-            "hc_global_mean": statistics.fmean(values) if values else 0.0,
+            "hc_global_mean": statistics.fmean(values),
             "hc_global_stdev": statistics.stdev(values) if len(values) > 1 else 0.0,
             "per_sample": [
                 {"seed": args.seed + i, "hc_global": hc, "n_intersecting_pairs": np_}
@@ -356,7 +356,7 @@ def cmd_mc_threshold(args) -> int:
         for i in range(args.trials)
     ]
     hits = _pmap(_mc_worker, tasks, _workers(args))
-    freq = sum(hits) / len(hits) if hits else 0.0
+    freq = sum(hits) / len(hits)
     doc = {
         "pattern": args.pattern,
         "mode": args.mode,
@@ -388,11 +388,6 @@ def _int_at_least(lo: int):
     return parse
 
 
-_max_edge_size = _int_at_least(2)
-_vertex_count = _int_at_least(0)
-_trial_count = _int_at_least(1)
-
-
 def _add_common(sp, *, seed=False, fmt=False, max_edge=False) -> None:
     sp.add_argument("--out", default=".", help="output directory")
     if seed:
@@ -402,7 +397,7 @@ def _add_common(sp, *, seed=False, fmt=False, max_edge=False) -> None:
     if max_edge:
         sp.add_argument(
             "--max-edge-size",
-            type=_max_edge_size,
+            type=_int_at_least(2),
             default=None,
             help="drop larger edges (must be >= 2)",
         )
@@ -420,10 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_ingest)
 
     sp = sub.add_parser("generate", help="sample model hypergraphs to files")
-    sp.add_argument("--n", type=_vertex_count, required=True)
+    sp.add_argument("--n", type=_int_at_least(0), required=True)
     sp.add_argument("--counts", help="expected edge counts, e.g. 2=5975,3=2128")
     sp.add_argument("--probs", help="ProbSequence JSON file")
-    sp.add_argument("--samples", type=int, default=1)
+    sp.add_argument("--samples", type=_int_at_least(0), default=1)
     _add_common(sp, seed=True)
     sp.set_defaults(func=cmd_generate)
 
@@ -447,14 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--counts", help="counts for the theory side")
     sp.add_argument("--probs")
-    sp.add_argument("--n", type=_vertex_count, default=None, help="theory n (default: input n)")
-    sp.add_argument("--clique-cap", type=int, default=100_000_000)
+    sp.add_argument("--n", type=_int_at_least(0), default=None, help="theory n (default: input n)")
+    sp.add_argument("--clique-cap", type=_int_at_least(0), default=100_000_000)
     _add_common(sp, fmt=True, max_edge=True)
     sp.set_defaults(func=cmd_census)
 
     sp = sub.add_parser("origination", help="theoretical signature distribution")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--n", type=_vertex_count, required=True)
+    sp.add_argument("--n", type=_int_at_least(0), required=True)
     sp.add_argument("--counts")
     sp.add_argument("--probs")
     sp.add_argument("--weight-mode", choices=("labelled", "aut"), default="labelled")
@@ -463,10 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("clustering", help="extra-overlap clustering coefficients")
     sp.add_argument("--input", help="edge-list file (else model mode)")
-    sp.add_argument("--n", type=_vertex_count, default=None)
+    sp.add_argument("--n", type=_int_at_least(0), default=None)
     sp.add_argument("--counts")
     sp.add_argument("--probs")
-    sp.add_argument("--samples", type=int, default=None)
+    sp.add_argument("--samples", type=_int_at_least(1), default=None)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--parallel", type=int, default=None, help="worker cap")
     _add_common(sp, max_edge=True)
@@ -475,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mc-threshold", help="Monte Carlo presence frequency")
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--mode", choices=("strong", "weak"), default="strong")
-    sp.add_argument("--n", type=_vertex_count, required=True)
-    sp.add_argument("--trials", type=_trial_count, required=True)
+    sp.add_argument("--n", type=_int_at_least(0), required=True)
+    sp.add_argument("--trials", type=_int_at_least(1), required=True)
     sp.add_argument("--powerlaw")
     sp.add_argument("--probs")
     sp.add_argument("--counts")

@@ -18,14 +18,10 @@ modes share that one routine: the labelled weights are its identity term.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
@@ -50,8 +46,6 @@ Signature = Tuple[int, ...]
 
 MIN_K = 2
 MAX_K = 5
-
-CACHE_FORMAT = 2  # version of the on-disk weight table layout
 
 _memo: Dict[Tuple[int, str], Dict[Signature, int]] = {}
 
@@ -182,95 +176,22 @@ def _aut_weights(k: int) -> Dict[Signature, int]:
     return _burnside_weights(k, _conjugacy_classes(k))
 
 
-# -- caching ----------------------------------------------------------------
-
-
-def _default_cache_dir() -> str:
-    env = os.environ.get("HNP_CACHE_DIR")
-    if env:
-        return env
-    base = os.environ.get("XDG_CACHE_HOME", os.path.join(os.path.expanduser("~"), ".cache"))
-    return os.path.join(base, "hnp")
-
-
-def _rows_digest(rows: list) -> str:
-    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _read_cache(path: str, k: int, weight_mode: str) -> Optional[Dict[Signature, int]]:
-    """The weights stored at path, or None unless the file is a complete
-    table for (k, weight_mode): format, k, mode, row count and row digest
-    all match, and every signature is a point of the k lattice."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        rows = data["weights"]
-        header = (data["format"], data["k"], data["weight_mode"], data["rows"])
-        if header != (CACHE_FORMAT, k, weight_mode, len(rows)):
-            return None
-        if data["sha256"] != _rows_digest(rows):
-            return None
-        weights = {tuple(row["signature"]): int(row["weight"]) for row in rows}
-    except (OSError, KeyError, TypeError, ValueError):
-        return None
-    if len(weights) != len(rows) or not weights.keys() <= set(signature_lattice(k)):
-        return None
-    return weights
-
-
-def _write_cache(path: str, k: int, weight_mode: str, weights: Dict[Signature, int]) -> None:
-    """Write the table to a temp file in path's directory, then rename it
-    over path, so a reader never sees a partial file."""
-    rows = [{"signature": list(s), "weight": w} for s, w in sorted(weights.items())]
-    data = {
-        "format": CACHE_FORMAT,
-        "k": k,
-        "weight_mode": weight_mode,
-        "rows": len(rows),
-        "sha256": _rows_digest(rows),
-        "weights": rows,
-    }
-    cdir = os.path.dirname(path)
-    os.makedirs(cdir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cdir, prefix=os.path.basename(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def signature_weights(
-    k: int, weight_mode: str = "labelled", cache_dir: Optional[str] = None
-) -> Dict[Signature, int]:
+def signature_weights(k: int, weight_mode: str = "labelled") -> Dict[Signature, int]:
     """Weights of all feasible signatures on k vertices.
 
     weight_mode "labelled" counts labelled hypergraphs (the default, and
     the weighting the origination distribution uses); "aut" sums aut(H)
-    over the class instead. Results are cached to disk after the first
-    computation; a cache file that is not a complete, intact table for
-    (k, weight_mode) is recomputed and rewritten.
+    over the class instead. Computed exactly in-process (k=5 takes tens
+    of milliseconds) and kept for the life of the process; nothing is
+    read from or written to disk.
     """
     _check_k(k)
     if weight_mode not in ("labelled", "aut"):
         raise InputError(f"weight_mode must be labelled or aut, got {weight_mode!r}")
     key = (k, weight_mode)
-    if key in _memo:
-        return _memo[key]
-    cdir = cache_dir if cache_dir is not None else _default_cache_dir()
-    path = os.path.join(cdir, f"signatures_k{k}_{weight_mode}.json")
-    weights = _read_cache(path, k, weight_mode)
-    if weights is None:
-        weights = _labelled_weights(k) if weight_mode == "labelled" else _aut_weights(k)
-        try:
-            _write_cache(path, k, weight_mode, weights)
-        except OSError:
-            pass  # cache is best-effort
-    _memo[key] = weights
-    return weights
+    if key not in _memo:
+        _memo[key] = _labelled_weights(k) if weight_mode == "labelled" else _aut_weights(k)
+    return _memo[key]
 
 
 def enumerate_feasible(k: int) -> set:
@@ -320,7 +241,6 @@ def origination_distribution(
     p: ProbSequence,
     n: int,
     weight_mode: str = "labelled",
-    cache_dir: Optional[str] = None,
 ) -> OriginationTable:
     """Distribution of the originating signature for a uniformly random
     K_k copy in the 2-section.
@@ -328,7 +248,8 @@ def origination_distribution(
     Unnormalized mass per feasible signature e is
     weight(e) * prod_r q_r^{e_r} (1 - q_r)^{C(k,r) - e_r}, with q_r the
     probability that a fixed r-set extends to an edge; masses are computed
-    in log space and normalized over all feasible signatures.
+    in log space and normalized over all feasible signatures. The weights
+    are signature_weights(k, weight_mode), computed in-process.
     """
     _check_k(k)
     if not p.is_numeric:
@@ -339,7 +260,7 @@ def origination_distribution(
     if all(v == 0.0 for v in q.values()):
         raise InputError("all extension probabilities at sizes 2..k are zero; "
                          "origination distribution is undefined")
-    weights = signature_weights(k, weight_mode, cache_dir)
+    weights = signature_weights(k, weight_mode)
     dims = _dims(k)
     logs: Dict[Signature, float] = {}
     for sig, w in weights.items():

@@ -261,6 +261,26 @@ class TestCountArguments:
         assert f"argument --trials: must be >= 1, got {trials}" in capsys.readouterr().err
         assert not (tmp_path / "mc_threshold.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["clustering", "--n", "50", "--counts", "2=30", "--samples", "0", "--seed", "1"],
+             "argument --samples: must be >= 1, got 0"),
+            (["clustering", "--n", "50", "--counts", "2=30", "--samples", "-1", "--seed", "1"],
+             "argument --samples: must be >= 1, got -1"),
+            (["generate", "--n", "30", "--counts", "2=20", "--samples", "-2", "--seed", "1"],
+             "argument --samples: must be >= 0, got -2"),
+            (["census", "--input", "x.edges", "--k", "4", "--clique-cap", "-1"],
+             "argument --clique-cap: must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_counts_exit_2(self, argv, message, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_integer_named_as_int(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--n", "ten", "--counts", "2=3", "--seed", "1",

@@ -1,11 +1,12 @@
-"""Property tests of clique listing, signatures, the clustering report and
-pattern search against the oracles in util.py and against networkx, on
+"""Property tests of clique listing, signatures, the clustering report,
+graph clustering coefficients and pattern search against the oracles in util.py and against networkx, on
 random small hypergraphs."""
 
 from importlib import import_module
 from unittest import mock
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from hnp import (
     find_strong_copies,
     find_weak_copies,
     from_edge_counts,
+    graph_cc,
     list_k_cliques,
     observed_signature,
     sample,
@@ -105,6 +107,33 @@ def test_cliques_match_networkx_on_sampled_host():
     for k in KS:
         got = sorted(list_k_cliques(h, k))
         assert got and got == _networkx_cliques(h, k)
+
+
+@st.composite
+def graphs(draw, max_n=12):
+    """Random simple graphs as 2-uniform hypergraphs, isolated vertices
+    allowed."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Hypergraph(n, edges)
+
+
+@settings(deadline=None)
+@given(graphs())
+def test_graph_cc_matches_networkx(g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges)
+    eligible = [v for v in range(g.n) if nxg.degree(v) >= 2]
+    if not eligible:
+        assert graph_cc(g) == (None, None)
+        return
+    local = nx.clustering(nxg)
+    c, c_prime = graph_cc(g)
+    # the mean's summation order is not part of the definition
+    assert c == pytest.approx(sum(local[v] for v in eligible) / len(eligible), rel=1e-12)
+    assert c_prime == nx.transitivity(nxg)
 
 
 @st.composite

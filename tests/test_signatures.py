@@ -1,10 +1,11 @@
-import json
+import hashlib
 import math
 from collections import Counter, defaultdict
 from itertools import combinations, permutations
 
 import pytest
 
+import hnp.signatures as sigmod
 from hnp import (
     InputError,
     OriginationTable,
@@ -17,7 +18,8 @@ from hnp import (
     rank_signatures,
     signature_weights,
 )
-from hnp.signatures import _rows_digest, lattice_size
+from hnp.cli import main
+from hnp.signatures import lattice_size
 
 
 def _brute_k4():
@@ -110,76 +112,41 @@ class TestWeights:
             labelled_weight((7, 0, 0))
 
 
-class TestCache:
-    def test_disk_round_trip(self, tmp_path):
-        import hnp.signatures as sigmod
+class TestWeightTablesPinned:
+    @pytest.mark.parametrize(
+        "mode, k, rows, digest",
+        [
+            ("labelled", 2, 1, "748268a0190b1d5f3d1a886b7a91505e625750072b44c814c089bbb2c4ee2cd8"),
+            ("labelled", 3, 5, "8b9518b294c3e7d6e0074ce83853f26ffa06706a1ff52ec59c7eefc6c347894f"),
+            ("labelled", 4, 60, "a837fade63e7c44370dc367c12bd980f65383b8f43ff7cc05cd522083b87117c"),
+            ("labelled", 5, 1422, "50eb026c7d57ac7afbe441637ee8a9ea0de311c80f64d6c9b230cf5b2bed7659"),
+            ("aut", 2, 1, "005a54e47e72af5e2aae4d65929ce2afb68ab32a088e7316e95f07035f980e95"),
+            ("aut", 3, 5, "790c7d6a855b9afb58816c8a1c126ed160bedf5f8a84c6f5016794fe5f5bac1b"),
+            ("aut", 4, 60, "bf75f52aed0a5c5723ec731d882405df1c7ee268884a811cad52fa22cce67460"),
+            ("aut", 5, 1422, "850829c3af923e34bb262782293826b076789ece648c679b3ef071e66316ce7d"),
+        ],
+    )
+    def test_table_digest(self, mode, k, rows, digest, monkeypatch):
+        monkeypatch.setattr(sigmod, "_memo", {})  # computed here, not reused
+        table = sorted(signature_weights(k, mode).items())
+        assert (len(table), hashlib.sha256(repr(table).encode()).hexdigest()) == (rows, digest)
 
-        d = str(tmp_path / "cache")
-        sigmod._memo.pop((3, "labelled"), None)
-        w1 = signature_weights(3, cache_dir=d)
-        assert (tmp_path / "cache" / "signatures_k3_labelled.json").exists()
-        sigmod._memo.pop((3, "labelled"), None)
-        w2 = signature_weights(3, cache_dir=d)  # served from disk this time
-        assert w1 == w2
 
-    def test_corrupt_cache_recomputed(self, tmp_path):
-        import hnp.signatures as sigmod
-
-        d = tmp_path / "cache2"
-        d.mkdir()
-        (d / "signatures_k3_labelled.json").write_text("not json", encoding="utf-8")
-        sigmod._memo.pop((3, "labelled"), None)
-        w = signature_weights(3, cache_dir=str(d))
-        assert w[(3, 0)] == 1
-
-    @staticmethod
-    def _reload(d):
-        import hnp.signatures as sigmod
-
-        sigmod._memo.pop((3, "labelled"), None)
-        return signature_weights(3, cache_dir=str(d))
-
-    def _assert_recomputed_and_rewritten(self, d, want):
-        path = d / "signatures_k3_labelled.json"
-        assert self._reload(d) == want
-        stored = json.loads(path.read_text(encoding="utf-8"))
-        assert stored["rows"] == len(want) == len(stored["weights"])
-        assert self._reload(d) == want  # the rewritten file is accepted
-        assert not [p for p in d.iterdir() if p.name != path.name]  # no temp file left
-
-    def test_one_row_file_recomputed(self, tmp_path):
-        want = self._reload(tmp_path / "fresh")
-        d = tmp_path / "one_row"
-        d.mkdir()
-        (d / "signatures_k3_labelled.json").write_text(
-            '[{"signature":[1,0,0],"weight":999}]', encoding="utf-8"
-        )
-        self._assert_recomputed_and_rewritten(d, want)
-
-    def test_truncated_file_recomputed(self, tmp_path):
-        want = self._reload(tmp_path)
-        path = tmp_path / "signatures_k3_labelled.json"
-        text = path.read_text(encoding="utf-8")
-        path.write_text(text[: len(text) // 2], encoding="utf-8")
-        self._assert_recomputed_and_rewritten(tmp_path, want)
-
-    def test_wrong_digest_recomputed(self, tmp_path):
-        want = self._reload(tmp_path)
-        path = tmp_path / "signatures_k3_labelled.json"
-        data = json.loads(path.read_text(encoding="utf-8"))
-        data["weights"][0]["weight"] += 1
-        path.write_text(json.dumps(data), encoding="utf-8")
-        self._assert_recomputed_and_rewritten(tmp_path, want)
-
-    def test_partial_table_with_its_own_digest_recomputed(self, tmp_path):
-        want = self._reload(tmp_path)
-        path = tmp_path / "signatures_k3_labelled.json"
-        data = json.loads(path.read_text(encoding="utf-8"))
-        rows = data["weights"][:1]
-        rows[0]["signature"] = [1, 0, 0]  # not a point of the k=3 lattice
-        data.update(weights=rows, rows=1, sha256=_rows_digest(rows))
-        path.write_text(json.dumps(data), encoding="utf-8")
-        self._assert_recomputed_and_rewritten(tmp_path, want)
+class TestNothingWritten:
+    def test_weights_and_origination_write_no_file(self, tmp_path, monkeypatch):
+        home = tmp_path / "home"
+        home.mkdir()
+        for var in ("HOME", "XDG_CACHE_HOME", "HNP_CACHE_DIR"):
+            monkeypatch.setenv(var, str(home))
+        monkeypatch.setattr(sigmod, "_memo", {})
+        p = from_edge_counts(400, {2: 474, 3: 169, 4: 82, 5: 44})
+        signature_weights(5, "aut")
+        origination_distribution(4, p, 400)
+        out = tmp_path / "out"
+        assert main(["origination", "--k", "5", "--n", "400",
+                     "--counts", "2=474,3=169,4=82,5=44", "--out", str(out)]) == 0
+        assert (out / "origination.json").exists()
+        assert list(home.iterdir()) == []
 
 
 class TestOrigination:
