@@ -14,14 +14,13 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 # two_section is not called here; the benchmark's traced run rebinds hnp.census.two_section
 from .core import Hypergraph, two_section
 from .errors import CliqueCapError, InputError
 from .model import ProbSequence
 from .signatures import (
-    OriginationTable,
     Signature,
     origination_distribution,
     rank_signatures,
@@ -80,43 +79,106 @@ def _degeneracy_order(adj: List[frozenset]) -> List[int]:
     return order
 
 
+# Incidence sets of vertices above this degree are frozen once per walk,
+# and so is the intersection of two such sets: a hub lies in thousands of
+# cliques, and rebuilding its set for each of them was most of the census on
+# heavy-tailed hosts. Below the cut, the edges two vertices share are found
+# from their incidence tuples in at most 2 * 16 set operations, so nothing
+# is kept for them. A set for every vertex would hold 24 MB on a
+# 50440-vertex H(n, p) host at 10x the paper's counts, where no vertex is
+# above the cut.
+_HUB_DEGREE = 16
+
+
+def _signed_cliques(
+    h: Hypergraph, k: int, cap: int
+) -> Iterator[Tuple[Tuple[int, ...], Dict[int, int]]]:
+    """Every k-set forming a clique in two_section(h), each exactly once,
+    as a sorted tuple in deterministic order, with the edges that meet it
+    in two or more vertices: a dict from edge id to the bitmask of the
+    clique vertices the edge contains (bit j is the j-th vertex the walk
+    added, not the j-th of the tuple).
+
+    Expansion follows a degeneracy ordering of the 2-section, each vertex
+    extended by its later neighbours in that order. A node whose children
+    are cliques intersects the incidences of its k-1 vertices pairwise
+    once; each clique adds only its last vertex's k-1 intersections.
+    Exceeding the cap raises CliqueCapError naming the cap."""
+    _check_k(k)
+    adj = [h.neighbors(v) for v in range(h.n)]
+    order = _degeneracy_order(adj)
+    pos = sorted(range(h.n), key=order.__getitem__)  # inverse of order
+    inc = h.incidence
+    hub = [frozenset(ids) if len(ids) > _HUB_DEGREE else None for ids in inc]
+    hub_pairs: Dict[Tuple[int, int], frozenset] = {}
+    bit = [1 << j for j in range(k)]
+    emitted = 0
+
+    def shared(a: int, b: int):
+        """Ids of the edges containing both a and b."""
+        sa, sb = hub[a], hub[b]
+        if sa is None:
+            if sb is None:
+                return set(inc[a]).intersection(inc[b])
+            return sb.intersection(inc[a])
+        if sb is None:
+            return sa.intersection(inc[b])
+        key = (a, b) if a < b else (b, a)
+        ab = hub_pairs.get(key)
+        if ab is None:
+            ab = hub_pairs[key] = sa & sb
+        return ab
+
+    def extend(clique: List[int], cands: List[int]):
+        nonlocal emitted
+        need = k - len(clique)
+        if need > 1:
+            for i, u in enumerate(cands):
+                if len(cands) - i < need:
+                    break
+                nu = adj[u]
+                rest = [w for w in cands[i + 1 :] if w in nu]
+                if len(rest) >= need - 1:
+                    yield from extend(clique + [u], rest)
+            return
+        # every candidate closes a clique: one flat loop over them
+        meets: Dict[int, int] = {}
+        for b in range(1, k - 1):
+            for a in range(b):
+                ab = bit[a] | bit[b]
+                for i in shared(clique[a], clique[b]):
+                    meets[i] = meets.get(i, 0) | ab
+        with_last = [(v, bit[a] | bit[k - 1]) for a, v in enumerate(clique)]
+        for u in cands:
+            emitted += 1
+            if emitted > cap:
+                raise CliqueCapError(cap)
+            m = meets.copy()
+            for v, au in with_last:
+                for i in shared(v, u):
+                    m[i] = m.get(i, 0) | au
+            yield tuple(sorted(clique + [u])), m
+
+    for v in order:
+        pv = pos[v]
+        later = [u for u in adj[v] if pos[u] > pv]
+        if len(later) >= k - 1:
+            later.sort(key=pos.__getitem__)
+            yield from extend([v], later)
+
+
 def list_k_cliques(
     h: Hypergraph, k: int, cap: int = DEFAULT_CLIQUE_CAP
 ) -> Iterator[Tuple[int, ...]]:
     """Every k-set forming a clique in two_section(h), each exactly once, as
     sorted tuples in deterministic order.
 
-    Expansion pivots on a degeneracy ordering of the 2-section; exceeding
-    the per-run cap raises CliqueCapError naming the cap.
+    Expansion pivots on a degeneracy ordering of the 2-section (the walk
+    census signs the cliques in); exceeding the per-run cap raises
+    CliqueCapError naming the cap.
     """
-    _check_k(k)
-    adj = [h.neighbors(v) for v in range(h.n)]
-    order = _degeneracy_order(adj)
-    pos = sorted(range(h.n), key=order.__getitem__)  # inverse of order
-    emitted = 0
-
-    def extend(clique: List[int], cands: List[int]) -> Iterator[Tuple[int, ...]]:
-        nonlocal emitted
-        if len(clique) == k:
-            emitted += 1
-            if emitted > cap:
-                raise CliqueCapError(cap)
-            yield tuple(sorted(clique))
-            return
-        need = k - len(clique)
-        for i, u in enumerate(cands):
-            if len(cands) - i < need:
-                break
-            nu = adj[u]
-            rest = [w for w in cands[i + 1 :] if w in nu]
-            if len(rest) >= need - 1:
-                yield from extend(clique + [u], rest)
-
-    for v in order:
-        pv = pos[v]
-        later = sorted((u for u in adj[v] if pos[u] > pv), key=pos.__getitem__)
-        if len(later) >= k - 1:
-            yield from extend([v], later)
+    for s, _ in _signed_cliques(h, k, cap):
+        yield s
 
 
 def observed_signature(h: Hypergraph, s: Sequence[int]) -> Signature:
@@ -200,7 +262,6 @@ def census(
     n: Optional[int] = None,
     weight_mode: str = "labelled",
     cap: int = DEFAULT_CLIQUE_CAP,
-    table: Optional[OriginationTable] = None,
 ) -> CensusReport:
     """Aggregate observed signatures over all K_k copies and join them with
     the origination distribution.
@@ -211,21 +272,25 @@ def census(
     """
     _check_k(k)
     n_theory = h.n if n is None else n
-    if table is None:
-        table = origination_distribution(k, p, n_theory, weight_mode)
+    table = origination_distribution(k, p, n_theory, weight_mode)
     theory_rank = dict(rank_signatures(table))
 
+    # a clique's signature counts the distinct vertex sets e & s by size;
+    # the walk gives each e & s as a bitmask over s
+    popcount = [bin(m).count("1") for m in range(1 << k)]
     tallies: Counter = Counter()
-    total = 0
-    for s in list_k_cliques(h, k, cap):
-        sig = observed_signature(h, s)
+    for s, meets in _signed_cliques(h, k, cap):
+        sizes = [0] * (k + 1)
+        for m in set(meets.values()):
+            sizes[popcount[m]] += 1
+        sig = tuple(sizes[2:])
         if sig not in table.entries:
             raise AssertionError(
                 f"observed signature {sig} on clique {s} is not feasible; "
                 f"this indicates a bug in the census pipeline"
             )
         tallies[sig] += 1
-        total += 1
+    total = sum(tallies.values())
 
     observed = sorted(tallies)
     by_count = sorted(observed, key=lambda sig: (-tallies[sig], sig))

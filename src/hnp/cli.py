@@ -8,11 +8,12 @@ codes: 0 success, 2 input error, 3 guard/budget exceeded.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
+import math
 import os
 import statistics
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -146,16 +147,28 @@ def _verdict_dict(pattern: str, mode: str, v: ContainmentVerdict) -> dict:
     }
 
 
+def _wilson_interval(hits: int, trials: int) -> Tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
+    z = 1.959963984540054  # two-sided 95% standard normal quantile
+    phat = hits / trials
+    z2n = z * z / trials
+    centre = (phat + z2n / 2) / (1 + z2n)
+    half = z / (1 + z2n) * math.sqrt(phat * (1 - phat) / trials + z2n / (4 * trials))
+    return max(0.0, centre - half), min(1.0, centre + half)
+
+
 def _workers(args) -> int:
     return args.parallel if args.parallel is not None else (os.cpu_count() or 1)
 
 
 def _pmap(fn, items: list, workers: int) -> list:
     """Order-preserving map, optionally across processes; results are
-    independent of the worker count."""
-    if workers <= 1 or len(items) <= 1:
+    independent of the worker count. At most one worker per item: the pool
+    starts all of its workers at the first submit."""
+    workers = min(workers, len(items))
+    if workers <= 1:
         return [fn(x) for x in items]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
+    with ProcessPoolExecutor(max_workers=workers) as ex:
         chunk = max(1, len(items) // (workers * 4))
         return list(ex.map(fn, items, chunksize=chunk))
 
@@ -357,6 +370,7 @@ def cmd_mc_threshold(args) -> int:
     ]
     hits = _pmap(_mc_worker, tasks, _workers(args))
     freq = sum(hits) / len(hits)
+    low, high = _wilson_interval(sum(hits), len(hits))
     doc = {
         "pattern": args.pattern,
         "mode": args.mode,
@@ -364,6 +378,7 @@ def cmd_mc_threshold(args) -> int:
         "trials": args.trials,
         "seed": args.seed,
         "presence_frequency": freq,
+        "presence_wilson_95": {"low": low, "high": high},
         "symbolic": symbolic,
     }
     if args.out:
@@ -463,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--probs")
     sp.add_argument("--samples", type=_int_at_least(1), default=None)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--parallel", type=int, default=None, help="worker cap")
+    sp.add_argument("--parallel", type=_int_at_least(1), default=None, help="worker cap")
     _add_common(sp, max_edge=True)
     sp.set_defaults(func=cmd_clustering)
 
@@ -476,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--probs")
     sp.add_argument("--counts")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--parallel", type=int, default=None)
+    sp.add_argument("--parallel", type=_int_at_least(1), default=None, help="worker cap")
     sp.add_argument("--seed", type=int, required=True)
     sp.set_defaults(func=cmd_mc_threshold)
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import hnp.cli
 from hnp.cli import main
 
 
@@ -204,6 +205,35 @@ class TestClustering:
         assert len(doc["per_sample"]) == 2
         assert doc["per_sample"][0]["seed"] == 5
 
+    @pytest.mark.parametrize("parallel", [["--parallel", "5000"], []])
+    def test_workers_capped_at_samples(self, parallel, tmp_path, monkeypatch):
+        # the pool forks all of its workers at the first submit, so the
+        # count it is given is the count of processes started
+        started = []
+
+        class FakeExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(hnp.cli, "ProcessPoolExecutor", FakeExecutor)
+        monkeypatch.setattr(hnp.cli.os, "cpu_count", lambda: 64)
+        out = tmp_path / "cm"
+        assert main(
+            ["clustering", "--n", "50", "--counts", "2=30,3=5", "--samples", "2",
+             "--seed", "5", "--out", str(out)] + parallel
+        ) == 0
+        assert started == [2]
+        assert len(json.loads((out / "clustering.json").read_text())["per_sample"]) == 2
+
     def test_model_mode_needs_seed(self, tmp_path):
         assert main(
             ["clustering", "--n", "50", "--counts", "2=30", "--samples", "2",
@@ -230,6 +260,32 @@ class TestMcThreshold:
         assert doc["trials"] == 4
         assert 0.0 <= doc["presence_frequency"] <= 1.0
         assert doc["symbolic"]["verdict"] == "aas_present"
+        wilson = doc["presence_wilson_95"]
+        assert 0.0 <= wilson["low"] <= doc["presence_frequency"] <= wilson["high"] <= 1.0
+
+    @pytest.mark.parametrize(
+        "hits, low, high",
+        [
+            # 95% Wilson bounds for 10 trials; the closed forms at 0 and
+            # all hits are z^2 / (n + z^2) and n / (n + z^2)
+            (0, 0.0, 3.841459 / 13.841459),
+            (5, 0.236593, 0.763407),
+            (10, 10 / 13.841459, 1.0),
+        ],
+    )
+    def test_wilson_interval(self, hits, low, high, triangle_file, tmp_path, monkeypatch,
+                             capsys):
+        # trials use seeds 3..12; the first `hits` of them find the pattern
+        monkeypatch.setattr(hnp.cli, "_mc_worker", lambda task: task[3] < 3 + hits)
+        assert main(
+            ["mc-threshold", "--pattern", triangle_file, "--n", "40", "--trials", "10",
+             "--seed", "3", "--counts", "2=30", "--parallel", "1"]
+        ) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["presence_frequency"] == hits / 10
+        got = doc["presence_wilson_95"]
+        assert got["low"] == pytest.approx(low, abs=1e-6)
+        assert got["high"] == pytest.approx(high, abs=1e-6)
 
 
 class TestCountArguments:
@@ -279,6 +335,21 @@ class TestCountArguments:
             main(argv + ["--out", str(tmp_path)])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["clustering", "--n", "50", "--counts", "2=30", "--samples", "2", "--seed", "1"],
+            ["mc-threshold", "--pattern", "x.edges", "--n", "40", "--trials", "2",
+             "--seed", "1", "--counts", "2=3"],
+        ],
+    )
+    def test_parallel_below_one_exit_2(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--parallel", "0", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "argument --parallel: must be >= 1, got 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_non_integer_named_as_int(self, tmp_path, capsys):

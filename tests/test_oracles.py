@@ -1,8 +1,10 @@
-"""Property tests of clique listing, signatures, the clustering report,
-graph clustering coefficients and pattern search against the oracles in util.py and against networkx, on
-random small hypergraphs."""
+"""Property tests of clique listing, signatures, census tallies, the
+clustering report, graph clustering coefficients and pattern search against
+the oracles in util.py and against networkx, on random small hypergraphs."""
 
+from collections import Counter
 from importlib import import_module
+from itertools import combinations
 from unittest import mock
 
 import networkx as nx
@@ -11,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hnp import (
+    CliqueCapError,
     Hypergraph,
     automorphism_count,
+    census,
     clustering_report,
     find_strong_copies,
     find_weak_copies,
@@ -38,11 +42,11 @@ KS = (3, 4, 5)
 
 
 @st.composite
-def hypergraphs(draw, max_n=9):
+def hypergraphs(draw, min_n=1, max_n=9):
     """Random hypergraphs with size-1 edges, edges nested in other edges,
     and edges A + {x}, A + {y} that meet any set containing A but not x, y
     in the same intersection A."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     vertex = st.integers(0, n - 1)
     edges = draw(st.lists(st.sets(vertex, min_size=1, max_size=6), max_size=12))
     edges += [{v} for v in draw(st.lists(vertex, max_size=3))]
@@ -78,6 +82,48 @@ def test_signatures_match_oracle(h, data):
             assert observed_signature(h, s) == brute_observed_signature(h, s)
     s = data.draw(st.lists(st.integers(0, h.n - 1), max_size=h.n, unique=True))
     assert observed_signature(h, s) == brute_observed_signature(h, s)
+
+
+@st.composite
+def hub_hypergraphs(draw):
+    """hypergraphs() on 7 to 9 vertices plus edges through one or two hubs,
+    vertices of degree above the census's hub cut: each added edge is the
+    hubs plus a set of at most three other vertices."""
+    base = draw(hypergraphs(min_n=7))
+    hubs = set(range(draw(st.integers(1, 2))))
+    rest = range(len(hubs), base.n)
+    tails = [set(c) for r in range(4) for c in combinations(rest, r)]
+    m = draw(st.integers(census_mod._HUB_DEGREE + 1, len(tails)))
+    added = [hubs | t for t in draw(st.permutations(tails))[:m]]
+    h = Hypergraph(base.n, list(base.edges) + added)
+    assert min(h.degree(v) for v in hubs) > census_mod._HUB_DEGREE
+    return h
+
+
+CENSUS_P = from_edge_counts(100, {2: 10, 3: 5, 4: 3, 5: 2})
+
+
+@settings(deadline=None)
+@given(st.one_of(hypergraphs(), hub_hypergraphs()))
+def test_census_tallies_match_oracle(h):
+    for k in KS:
+        want = Counter(brute_observed_signature(h, s) for s in list_k_cliques(h, k))
+        report = census(h, k, CENSUS_P, n=100)
+        assert {row.signature: row.observed_count for row in report.rows} == want
+        assert report.total_cliques == sum(want.values())
+
+
+@settings(deadline=None)
+@given(st.one_of(hypergraphs(), hub_hypergraphs()), st.data())
+def test_census_cap_raises_exactly_past_the_clique_count(h, data):
+    for k in KS:
+        count = sum(1 for _ in list_k_cliques(h, k))
+        cap = data.draw(st.integers(max(0, count - 2), count + 1))
+        if count > cap:
+            with pytest.raises(CliqueCapError, match=str(cap)):
+                census(h, k, CENSUS_P, n=100, cap=cap)
+        else:
+            assert census(h, k, CENSUS_P, n=100, cap=cap).total_cliques == count
 
 
 @settings(deadline=None)
