@@ -13,11 +13,10 @@ import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 # two_section is not called here; the benchmark's traced run rebinds hnp.census.two_section
-from .core import Hypergraph, two_section
+from .core import Hypergraph, induced_weak, two_section
 from .errors import CliqueCapError, InputError
 from .model import ProbSequence
 from .signatures import (
@@ -79,7 +78,7 @@ def _degeneracy_order(adj: List[frozenset]) -> List[int]:
     return order
 
 
-# Incidence sets of vertices above this degree are frozen once per walk,
+# Incidence sets of vertices above this degree are frozen once per census,
 # and so is the intersection of two such sets: a hub lies in thousands of
 # cliques, and rebuilding its set for each of them was most of the census on
 # heavy-tailed hosts. Below the cut, the edges two vertices share are found
@@ -90,74 +89,39 @@ def _degeneracy_order(adj: List[frozenset]) -> List[int]:
 _HUB_DEGREE = 16
 
 
-def _signed_cliques(
+def _clique_groups(
     h: Hypergraph, k: int, cap: int
-) -> Iterator[Tuple[Tuple[int, ...], Dict[int, int]]]:
+) -> Iterator[Tuple[List[int], List[int]]]:
     """Every k-set forming a clique in two_section(h), each exactly once,
-    as a sorted tuple in deterministic order, with the edges that meet it
-    in two or more vertices: a dict from edge id to the bitmask of the
-    clique vertices the edge contains (bit j is the j-th vertex the walk
-    added, not the j-th of the tuple).
+    grouped by the walk node it closes: for each node whose children are
+    cliques, the node's k-1 vertices in the order the walk added them, and
+    the later vertices that each close a clique with them.
 
     Expansion follows a degeneracy ordering of the 2-section, each vertex
-    extended by its later neighbours in that order. A node whose children
-    are cliques intersects the incidences of its k-1 vertices pairwise
-    once; each clique adds only its last vertex's k-1 intersections.
-    Exceeding the cap raises CliqueCapError naming the cap."""
+    extended by its later neighbours in that order. A group that takes the
+    clique count past the cap raises CliqueCapError naming the cap."""
     _check_k(k)
     adj = [h.neighbors(v) for v in range(h.n)]
     order = _degeneracy_order(adj)
     pos = sorted(range(h.n), key=order.__getitem__)  # inverse of order
-    inc = h.incidence
-    hub = [frozenset(ids) if len(ids) > _HUB_DEGREE else None for ids in inc]
-    hub_pairs: Dict[Tuple[int, int], frozenset] = {}
-    bit = [1 << j for j in range(k)]
     emitted = 0
-
-    def shared(a: int, b: int):
-        """Ids of the edges containing both a and b."""
-        sa, sb = hub[a], hub[b]
-        if sa is None:
-            if sb is None:
-                return set(inc[a]).intersection(inc[b])
-            return sb.intersection(inc[a])
-        if sb is None:
-            return sa.intersection(inc[b])
-        key = (a, b) if a < b else (b, a)
-        ab = hub_pairs.get(key)
-        if ab is None:
-            ab = hub_pairs[key] = sa & sb
-        return ab
 
     def extend(clique: List[int], cands: List[int]):
         nonlocal emitted
         need = k - len(clique)
-        if need > 1:
-            for i, u in enumerate(cands):
-                if len(cands) - i < need:
-                    break
-                nu = adj[u]
-                rest = [w for w in cands[i + 1 :] if w in nu]
-                if len(rest) >= need - 1:
-                    yield from extend(clique + [u], rest)
-            return
-        # every candidate closes a clique: one flat loop over them
-        meets: Dict[int, int] = {}
-        for b in range(1, k - 1):
-            for a in range(b):
-                ab = bit[a] | bit[b]
-                for i in shared(clique[a], clique[b]):
-                    meets[i] = meets.get(i, 0) | ab
-        with_last = [(v, bit[a] | bit[k - 1]) for a, v in enumerate(clique)]
-        for u in cands:
-            emitted += 1
+        if need == 1:
+            emitted += len(cands)
             if emitted > cap:
                 raise CliqueCapError(cap)
-            m = meets.copy()
-            for v, au in with_last:
-                for i in shared(v, u):
-                    m[i] = m.get(i, 0) | au
-            yield tuple(sorted(clique + [u])), m
+            yield clique, cands
+            return
+        for i, u in enumerate(cands):
+            if len(cands) - i < need:
+                break
+            nu = adj[u]
+            rest = [w for w in cands[i + 1 :] if w in nu]
+            if len(rest) >= need - 1:
+                yield from extend(clique + [u], rest)
 
     for v in order:
         pv = pos[v]
@@ -173,28 +137,20 @@ def list_k_cliques(
     """Every k-set forming a clique in two_section(h), each exactly once, as
     sorted tuples in deterministic order.
 
-    Expansion pivots on a degeneracy ordering of the 2-section (the walk
-    census signs the cliques in); exceeding the per-run cap raises
-    CliqueCapError naming the cap.
+    Expansion pivots on a degeneracy ordering of the 2-section; exceeding
+    the per-run cap raises CliqueCapError naming the cap.
     """
-    for s, _ in _signed_cliques(h, k, cap):
-        yield s
+    for prefix, closers in _clique_groups(h, k, cap):
+        for u in closers:
+            yield tuple(sorted(prefix + [u]))
 
 
 def observed_signature(h: Hypergraph, s: Sequence[int]) -> Signature:
-    """Signature (e_2 ... e_k) of the weak subhypergraph induced on s,
-    ignoring size-1 edges. Assumes s induces a clique in the 2-section.
-
-    Only edges meeting s in two or more vertices count: those in the
-    incidence lists of some pair of s."""
-    k = len(s)
-    if any(not 0 <= v < h.n for v in s):
-        raise ValueError(f"vertex subset not within 0..{h.n - 1}")
-    sset = frozenset(s)
-    inc = [frozenset(h.incidence[v]) for v in s]
-    ids = set().union(*(a & b for a, b in combinations(inc, 2)))
-    sizes = Counter(len(x) for x in {sset.intersection(h.edges[i]) for i in ids})
-    return tuple(sizes[r] for r in range(2, k + 1))
+    """Signature (e_2 ... e_k), k = len(s), of the weak subhypergraph
+    induced on s, ignoring size-1 edges."""
+    sub, _ = induced_weak(h, s)
+    sizes = Counter(len(e) for e in sub.edges)
+    return tuple(sizes[r] for r in range(2, len(s) + 1))
 
 
 def spearman_rank_correlation(xs: Sequence[int], ys: Sequence[int]) -> float:
@@ -275,21 +231,56 @@ def census(
     table = origination_distribution(k, p, n_theory, weight_mode)
     theory_rank = dict(rank_signatures(table))
 
-    # a clique's signature counts the distinct vertex sets e & s by size;
-    # the walk gives each e & s as a bitmask over s
+    inc = h.incidence
+    hub = [frozenset(ids) if len(ids) > _HUB_DEGREE else None for ids in inc]
+    hub_pairs: Dict[Tuple[int, int], frozenset] = {}
+
+    def shared(a: int, b: int):
+        """Ids of the edges containing both a and b."""
+        sa, sb = hub[a], hub[b]
+        if sa is None:
+            if sb is None:
+                return set(inc[a]).intersection(inc[b])
+            return sb.intersection(inc[a])
+        if sb is None:
+            return sa.intersection(inc[b])
+        key = (a, b) if a < b else (b, a)
+        ab = hub_pairs.get(key)
+        if ab is None:
+            ab = hub_pairs[key] = sa & sb
+        return ab
+
+    # A clique's signature counts the distinct vertex sets e & s by size.
+    # Each edge meeting s in two or more vertices gets the bitmask of the
+    # clique vertices it contains (bit j is the j-th vertex the walk added).
+    # The pairs of a group's k-1 shared vertices are intersected once; each
+    # clique adds only the k-1 pairs with its last vertex.
+    bit = [1 << j for j in range(k)]
     popcount = [bin(m).count("1") for m in range(1 << k)]
     tallies: Counter = Counter()
-    for s, meets in _signed_cliques(h, k, cap):
-        sizes = [0] * (k + 1)
-        for m in set(meets.values()):
-            sizes[popcount[m]] += 1
-        sig = tuple(sizes[2:])
-        if sig not in table.entries:
-            raise AssertionError(
-                f"observed signature {sig} on clique {s} is not feasible; "
-                f"this indicates a bug in the census pipeline"
-            )
-        tallies[sig] += 1
+    for prefix, closers in _clique_groups(h, k, cap):
+        meets: Dict[int, int] = {}
+        for b in range(1, k - 1):
+            for a in range(b):
+                ab = bit[a] | bit[b]
+                for i in shared(prefix[a], prefix[b]):
+                    meets[i] = meets.get(i, 0) | ab
+        with_last = [(v, bit[a] | bit[k - 1]) for a, v in enumerate(prefix)]
+        for u in closers:
+            m = meets.copy()
+            for v, au in with_last:
+                for i in shared(v, u):
+                    m[i] = m.get(i, 0) | au
+            sizes = [0] * (k + 1)
+            for x in set(m.values()):
+                sizes[popcount[x]] += 1
+            sig = tuple(sizes[2:])
+            if sig not in table.entries:
+                raise AssertionError(
+                    f"observed signature {sig} on clique {tuple(sorted(prefix + [u]))} "
+                    f"is not feasible; this indicates a bug in the census pipeline"
+                )
+            tallies[sig] += 1
     total = sum(tallies.values())
 
     observed = sorted(tallies)

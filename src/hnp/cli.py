@@ -342,6 +342,8 @@ def _mc_worker(task) -> bool:
 
 
 def cmd_mc_threshold(args) -> int:
+    if args.n < 1:
+        raise InputError(f"--n must be >= 1 to sample hosts, got {args.n}")
     pattern = _read_pattern(args.pattern)
     p_sym = None
     p_num = None
@@ -502,7 +504,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GuardError as exc:

@@ -78,11 +78,12 @@ def _pattern_order(pattern: Hypergraph) -> List[int]:
 
 def _embeddings(
     pattern: Hypergraph, host: Hypergraph, weak: bool
-) -> Iterator[Tuple[int, ...]]:
+) -> Iterator[Tuple[Tuple[int, ...], Optional[Tuple[List[int], ...]]]]:
     """All injective labelled maps (mapping[i] = host vertex of pattern
     vertex i), in ascending host-id order at every step, under which every
     pattern edge's image is a host edge (strong) or lies inside some host
-    edge (weak).
+    edge (weak). Each map comes with, per pattern edge, the ids of the host
+    edges containing its image in ascending order (weak), or None (strong).
 
     A pattern vertex with an already placed pattern neighbour draws its
     candidates from the host neighbourhoods of the placed neighbours'
@@ -131,16 +132,24 @@ def _embeddings(
 
     assigned: Dict[int, int] = {}
     used = set()
+    containing: List[List[int]] = [[] for _ in pattern.edges]  # weak only
 
-    def edge_fits(img: frozenset) -> bool:
+    def edge_fits(fi: int) -> bool:
+        img = frozenset(assigned[v] for v in pattern.edges[fi])
         if not weak:
             return img in host.edge_set
         probe = min(img, key=lambda u: len(host.incidence[u]))
-        return any(img.issubset(host.edges[ei]) for ei in host.incidence[probe])
+        hits = containing[fi] = [
+            ei for ei in host.incidence[probe] if img.issubset(host.edges[ei])
+        ]
+        return bool(hits)
 
-    def backtrack(step: int) -> Iterator[Tuple[int, ...]]:
+    def backtrack(step: int) -> Iterator[tuple]:
         if step == pattern.n:
-            yield tuple(assigned[v] for v in range(pattern.n))
+            yield (
+                tuple(assigned[v] for v in range(pattern.n)),
+                tuple(containing) if weak else None,
+            )
             return
         w = order[step]
         if anchors[step]:
@@ -153,10 +162,7 @@ def _embeddings(
                 continue
             assigned[w] = u
             used.add(u)
-            if all(
-                edge_fits(frozenset(assigned[v] for v in pattern.edges[fi]))
-                for fi in edges_done_at[step]
-            ):
+            if all(edge_fits(fi) for fi in edges_done_at[step]):
                 yield from backtrack(step + 1)
             del assigned[w]
             used.discard(u)
@@ -164,32 +170,21 @@ def _embeddings(
     yield from backtrack(0)
 
 
-def _witnesses(
-    pattern: Hypergraph, host: Hypergraph, mapping: Tuple[int, ...]
-) -> Optional[Tuple[int, ...]]:
-    """Per pattern edge, a host edge whose intersection with the image of
-    the whole pattern equals the edge's image; None if some edge has none."""
-    s = set(mapping)
-    out = []
-    for f in pattern.edges:
-        img = {mapping[v] for v in f}
-        probe = min(img, key=lambda u: len(host.incidence[u]))
-        hit = next(
-            (ei for ei in host.incidence[probe] if s.intersection(host.edges[ei]) == img),
-            None,
-        )
-        if hit is None:
-            return None
-        out.append(hit)
-    return tuple(out)
-
-
 def _copies(pattern: Hypergraph, host: Hypergraph, weak: bool) -> Iterator[Embedding]:
     """Copies as the find functions report them: a weak map counts only
-    when every pattern edge has a witness."""
-    for mapping in _embeddings(pattern, host, weak):
-        wit = _witnesses(pattern, host, mapping) if weak else None
-        if not weak or wit is not None:
+    when every pattern edge has a witness, the first of the host edges
+    containing its image that meets the whole image in the edge's size
+    (so in exactly its image)."""
+    for mapping, containing in _embeddings(pattern, host, weak):
+        if not weak:
+            yield Embedding(mapping)
+            continue
+        image = set(mapping)
+        wit = tuple(
+            next((ei for ei in hits if len(image.intersection(host.edges[ei])) == len(f)), None)
+            for f, hits in zip(pattern.edges, containing)
+        )
+        if None not in wit:
             yield Embedding(mapping, wit)
 
 

@@ -140,7 +140,7 @@ class ProbSequence:
                         for r, spec in obj["powerlaw"].items()
                     },
                 )
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"malformed probability sequence: {exc}") from exc
         raise InputError("probability sequence needs a 'numeric' or 'powerlaw' key")
 
@@ -193,6 +193,8 @@ def covering_probability(p: ProbSequence, n: int, r: int) -> float:
     with a positive exponent yields exactly 1.
     """
     _check_r(p, r)
+    if n < r:
+        raise InputError(f"n={n} is below the set size {r}")
     log_miss = 0.0
     for j in range(r, p.M + 1):
         pj = p.prob_at(j, n)

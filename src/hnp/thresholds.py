@@ -337,14 +337,9 @@ def is_subedge_system(h1: Hypergraph, h2: Hypergraph) -> bool:
     if not h1.edges:
         return True
 
-    h2_edge_sets = [set(e) for e in h2.edges]
-
-    def distinct_supersets(mapping: Tuple[int, ...]) -> bool:
-        """Bipartite matching of h1-edge images into distinct h2-edges."""
-        allowed = []
-        for f in h1.edges:
-            img = {mapping[v] for v in f}
-            allowed.append([j for j, es in enumerate(h2_edge_sets) if img <= es])
+    def distinct_supersets(allowed: Tuple[List[int], ...]) -> bool:
+        """Bipartite matching of h1-edge images into distinct h2-edges;
+        allowed[i] lists the h2-edges containing the image of h1-edge i."""
         match_r: Dict[int, int] = {}
 
         def augment(i: int, visited: set) -> bool:
@@ -359,7 +354,7 @@ def is_subedge_system(h1: Hypergraph, h2: Hypergraph) -> bool:
 
         return all(augment(i, set()) for i in range(len(h1.edges)))
 
-    return any(distinct_supersets(m) for m in _embeddings(h1, h2, weak=True))
+    return any(distinct_supersets(allowed) for _, allowed in _embeddings(h1, h2, weak=True))
 
 
 def minimal_two_section_covers(g: Graph) -> List[Hypergraph]:

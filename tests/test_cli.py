@@ -352,6 +352,29 @@ class TestCountArguments:
         assert "argument --parallel: must be >= 1, got 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["origination", "--k", "3", "--n", "1"], "n=1 is below the set size 2"),
+            (["census", "--input", "IN", "--k", "3", "--n", "0"], "n=0 is below the set size 2"),
+        ],
+    )
+    def test_n_below_clique_pair_size_exit_2(self, argv, message, triangle_file, tmp_path,
+                                             capsys):
+        probs = _write(tmp_path / "p.json", '{"M": 3, "numeric": {"2": 0.1, "3": 0.01}}')
+        argv = [triangle_file if a == "IN" else a for a in argv]
+        assert main(argv + ["--probs", probs, "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_mc_threshold_n_zero_exit_2(self, triangle_file, tmp_path, capsys):
+        assert main(
+            ["mc-threshold", "--pattern", triangle_file, "--n", "0", "--trials", "2",
+             "--seed", "1", "--powerlaw", "2=7/10", "--out", str(tmp_path / "out")]
+        ) == 2
+        assert "--n must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_integer_named_as_int(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--n", "ten", "--counts", "2=3", "--seed", "1",
@@ -365,3 +388,35 @@ class TestCountArguments:
                   "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert "must be >= 2, got 1" in capsys.readouterr().err
+
+
+class TestOutsideInput:
+    @pytest.mark.parametrize("value", ["[0.1]", "null"])
+    @pytest.mark.parametrize("key", ["numeric", "powerlaw"])
+    def test_probs_value_not_an_object_exit_2(self, key, value, tmp_path, capsys):
+        probs = _write(tmp_path / "p.json", f'{{"M": 2, "{key}": {value}}}')
+        argv = ["origination", "--k", "3", "--n", "30", "--probs", probs]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "malformed probability sequence" in capsys.readouterr().err
+
+    def test_non_utf8_edge_list_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.edges"
+        path.write_bytes("caf\xe9 b\n".encode("latin-1"))
+        assert main(["ingest", "--input", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "'utf-8' codec can't decode" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_probs_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_bytes(b'{"M": 2, "numeric": {"2": 0.1}} \xff')
+        argv = ["origination", "--k", "3", "--n", "30", "--probs", str(path)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "'utf-8' codec can't decode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ingest", "census", "clustering"])
+    def test_directory_as_input_exit_2(self, command, tmp_path, capsys):
+        argv = [command, "--input", str(tmp_path)]
+        if command == "census":
+            argv += ["--k", "3", "--counts", "2=1"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "error:" in capsys.readouterr().err

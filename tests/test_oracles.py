@@ -122,8 +122,11 @@ def test_census_cap_raises_exactly_past_the_clique_count(h, data):
         if count > cap:
             with pytest.raises(CliqueCapError, match=str(cap)):
                 census(h, k, CENSUS_P, n=100, cap=cap)
+            with pytest.raises(CliqueCapError, match=str(cap)):
+                list(list_k_cliques(h, k, cap=cap))
         else:
             assert census(h, k, CENSUS_P, n=100, cap=cap).total_cliques == count
+            assert len(list(list_k_cliques(h, k, cap=cap))) == count
 
 
 @settings(deadline=None)
@@ -223,6 +226,19 @@ def test_weak_list_matches_oracle(pattern, host):
         image = set(e.mapping)
         for f, wid in zip(pattern.edges, e.witnesses):
             assert image.intersection(host.edges[wid]) == {e.mapping[v] for v in f}
+
+
+@settings(deadline=None)
+@given(patterns(), hypergraphs(max_n=6))
+def test_weak_witnesses_are_smallest_ids(pattern, host):
+    for e in find_weak_copies(pattern, host, mode="list"):
+        image = set(e.mapping)
+        want = tuple(
+            min(i for i, he in enumerate(host.edges)
+                if image.intersection(he) == {e.mapping[v] for v in f})
+            for f in pattern.edges
+        )
+        assert e.witnesses == want
 
 
 @settings(deadline=None)
