@@ -46,6 +46,10 @@ def extra_overlap(h: Hypergraph, ei: int, ej: int) -> float:
     Nested edges score 0 (one difference is empty, so the numerator is 0);
     both differences empty is impossible since edges are deduplicated.
     """
+    m = len(h.edges)
+    for e in (ei, ej):
+        if not 0 <= e < m:
+            raise ValueError(f"edge id {e} outside 0..{m - 1}")
     if ei == ej:
         raise ValueError("extra overlap needs two distinct edges")
     a = frozenset(h.edges[ei])
@@ -68,6 +72,8 @@ def intersecting_pairs(h: Hypergraph) -> Iterator[Tuple[int, int]]:
 def hc_local(h: Hypergraph, v: int) -> float:
     """Mean extra overlap over pairs of edges containing v; 0 when v lies
     in at most one edge."""
+    if not 0 <= v < h.n:
+        raise ValueError(f"vertex {v} outside 0..{h.n - 1}")
     ids = h.incidence[v]
     if len(ids) <= 1:
         return 0.0
@@ -111,38 +117,74 @@ def clustering_report(h: Hypergraph, bins: int = 100) -> Dict:
     fixed-width histogram of local coefficients over all vertices, and the
     count of nonzero locals.
 
-    One pass over the vertices. A pair's extra overlap is computed at its
-    smallest common vertex, as in intersecting_pairs, and kept until its
-    largest one."""
+    One pass over the vertices that scores only the pairs that can score
+    above 0. A pair (i, j) of edges at v does when some x in e_i \\ e_j and
+    y in e_j \\ e_i are 2-section neighbours; both lie in N(v). So at v the
+    pass maps each link vertex x to the edges at v containing it, and meets
+    the edges of x with those of each y in N(x) & N(v). Every other pair at
+    v scores exactly 0.0, and adding 0.0 to a sum of non-negative floats
+    leaves it unchanged bit for bit, so the sums below equal those over all
+    pairs. The same map finds the pairs sharing two or more vertices: such
+    a pair is scored at its smallest common vertex, as in
+    intersecting_pairs, and kept until its largest one."""
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
     edge_sets = [frozenset(e) for e in h.edges]
     nb = [h.neighbors(v) for v in range(h.n)]
-    # one value per intersecting pair, in intersecting_pairs order, summed by
-    # one sum() at the end: from Python 3.12 a running += would differ from it
+    # the nonzero values in intersecting_pairs order, summed by one sum() at
+    # the end: from Python 3.12 a running += would differ from it
     overlaps = array("d")
+    n_pairs = 0
     shared: Dict[Tuple[int, int], float] = {}
     hist = [0] * bins
     nonzero = 0
     for v in range(h.n):
         ids = h.incidence[v]
+        d = len(ids)
+        if d < 2:
+            hist[0] += 1  # a local coefficient of 0.0
+            continue
+        link: Dict[int, list] = {}
+        for i in ids:
+            for x in h.edges[i]:
+                if x != v:
+                    link.setdefault(x, []).append(i)
+        nbv = nb[v]
+        cand = set()
+        seen_before = set()  # pairs also sharing a vertex below v
+        seen_after = set()  # pairs also sharing a vertex above v
+        for x, lx in link.items():
+            ys = nb[x] & nbv
+            if len(lx) > 1:
+                (seen_before if x < v else seen_after).update(combinations(lx, 2))
+            elif ys <= edge_sets[lx[0]]:
+                continue  # every y shares x's only edge at v
+            for y in ys:
+                ly = link[y]
+                for i in lx:
+                    if i not in ly:
+                        for j in ly:
+                            if j not in lx:
+                                cand.add((i, j) if i < j else (j, i))
+        n_pairs += comb(d, 2) - len(seen_before)
         local = []
-        for i, j in combinations(ids, 2):
-            common = edge_sets[i] & edge_sets[j]
-            if min(common) == v:
-                x = _extra_overlap(nb, edge_sets[i], edge_sets[j])
-                overlaps.append(x)
-                if len(common) > 1:
-                    shared[(i, j)] = x
+        for pair in sorted(cand):
+            if pair in seen_before:
+                eo = shared[pair] if pair in seen_after else shared.pop(pair)
             else:
-                x = shared.pop((i, j)) if max(common) == v else shared[(i, j)]
-            local.append(x)
-        c = sum(local) / comb(len(ids), 2) if len(ids) > 1 else 0.0
+                eo = _extra_overlap(nb, edge_sets[pair[0]], edge_sets[pair[1]])
+                overlaps.append(eo)
+                if pair in seen_after:
+                    shared[pair] = eo
+            local.append(eo)
+        c = sum(local) / comb(d, 2)
         if c > 0.0:
             nonzero += 1
         idx = min(int(c * bins), bins - 1)
         hist[idx] += 1
     return {
-        "hc_global": (sum(overlaps) / len(overlaps)) if overlaps else 0.0,
-        "n_intersecting_pairs": len(overlaps),
+        "hc_global": (sum(overlaps) / n_pairs) if n_pairs else 0.0,
+        "n_intersecting_pairs": n_pairs,
         "hc_local_histogram": hist,
         "n_nonzero_local": nonzero,
     }

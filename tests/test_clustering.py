@@ -49,6 +49,14 @@ class TestExtraOverlap:
         with pytest.raises(ValueError):
             extra_overlap(TRIANGLE, 0, 0)
 
+    @pytest.mark.parametrize("ei, ej", [(-1, 3), (-1, 0), (0, -4), (4, 0), (1, 7)])
+    def test_edge_ids_outside_range_rejected(self, ei, ej):
+        # -1 would otherwise wrap to the last edge: (-1, 3) names one edge
+        # twice and (-1, 0) silently scores edge 3
+        h = Hypergraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        with pytest.raises(ValueError, match="outside 0..3"):
+            extra_overlap(h, ei, ej)
+
 
 class TestIntersectingPairs:
     def test_each_pair_once(self):
@@ -80,6 +88,11 @@ class TestHcLocal:
     def test_path_center(self):
         path = Hypergraph(3, [(0, 1), (1, 2)])
         assert hc_local(path, 1) == 0.0
+
+    @pytest.mark.parametrize("v", [-1, -3, 3, 10])
+    def test_vertex_outside_range_rejected(self, v):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            hc_local(TRIANGLE, v)
 
 
 class TestHcGlobal:
@@ -164,3 +177,60 @@ class TestClusteringReport:
         rep = clustering_report(TRIANGLE)
         assert rep["n_nonzero_local"] == 3
         assert rep["hc_local_histogram"][99] == 3
+
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_bins_below_one_rejected(self, bins):
+        with pytest.raises(ValueError, match="bins must be >= 1"):
+            clustering_report(TRIANGLE, bins)
+
+
+def _histogram(counts):
+    """The 100-bin histogram with counts[idx] in bin idx, 0 elsewhere."""
+    return [counts.get(idx, 0) for idx in range(100)]
+
+
+class TestCandidatePairs:
+    """The pairs clustering_report scores are those with some x in
+    e_i \\ e_j and y in e_j \\ e_i adjacent in the 2-section; each case pins
+    the whole report."""
+
+    def test_third_edge_through_v(self):
+        # v=0, x=1, y=2: {v,x} and {v,y} close through {v,x,y}, which holds
+        # x and y and also lies at v; x has no neighbour outside every edge
+        # at v that contains it, and the pair still scores 1.0
+        h = Hypergraph(3, [(0, 1), (0, 2), (0, 1, 2)])
+        assert _eo(h, (0, 1), (0, 2)) == 1.0
+        assert _eo(h, (0, 1), (0, 1, 2)) == 0.0
+        assert _eo(h, (0, 2), (0, 1, 2)) == 0.0
+        assert hc_local(h, 0) == 1 / 3
+        assert clustering_report(h) == {
+            "hc_global": 1 / 3,
+            "n_intersecting_pairs": 3,
+            "hc_local_histogram": _histogram({0: 2, 33: 1}),
+            "n_nonzero_local": 1,
+        }
+
+    def test_third_edge_misses_v(self):
+        # v=0, x=1, y=2: {x,y} does not contain v
+        h = Hypergraph(3, [(0, 1), (0, 2), (1, 2)])
+        assert _eo(h, (0, 1), (0, 2)) == 1.0
+        assert clustering_report(h) == {
+            "hc_global": 1.0,
+            "n_intersecting_pairs": 3,
+            "hc_local_histogram": _histogram({99: 3}),
+            "n_nonzero_local": 3,
+        }
+
+    def test_nonzero_pair_sharing_two_vertices(self):
+        # {0,1,2} and {0,1,3} share 0 and 1 and close through {2,3,4}
+        h = Hypergraph(5, [(0, 1, 2), (0, 1, 3), (2, 3, 4)])
+        assert _eo(h, (0, 1, 2), (0, 1, 3)) == 1.0
+        assert _eo(h, (0, 1, 2), (2, 3, 4)) == 0.75
+        assert _eo(h, (0, 1, 3), (2, 3, 4)) == 0.75
+        assert [hc_local(h, v) for v in range(5)] == [1.0, 1.0, 0.75, 0.75, 0.0]
+        assert clustering_report(h) == {
+            "hc_global": 2.5 / 3,
+            "n_intersecting_pairs": 3,
+            "hc_local_histogram": _histogram({0: 1, 75: 2, 99: 2}),
+            "n_nonzero_local": 4,
+        }

@@ -22,6 +22,7 @@ from hnp import (
     find_weak_copies,
     from_edge_counts,
     graph_cc,
+    intersecting_pairs,
     list_k_cliques,
     observed_signature,
     sample,
@@ -134,6 +135,27 @@ def test_census_cap_raises_exactly_past_the_clique_count(h, data):
 def test_clustering_report_matches_oracle(h, bins):
     assert clustering_report(h) == brute_clustering_report(h)
     assert clustering_report(h, bins) == brute_clustering_report(h, bins)
+
+
+@st.composite
+def sparse_hub_hosts(draw):
+    """Hosts on up to 60 vertices with edges of size 2 to 5 and one or two
+    hubs, each in many edges: most pairs of edges at a hub score 0."""
+    n = draw(st.integers(6, 60))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.sets(vertex, min_size=2, max_size=5), max_size=40))
+    for hub in draw(st.lists(vertex, min_size=1, max_size=2, unique=True)):
+        rest = st.sets(vertex.filter(lambda u: u != hub), min_size=1, max_size=4)
+        edges += [e | {hub} for e in draw(st.lists(rest, min_size=4, max_size=20))]
+    return Hypergraph(n, edges)
+
+
+@settings(deadline=None)
+@given(sparse_hub_hosts())
+def test_clustering_report_matches_oracle_on_sparse_hub_hosts(h):
+    report = clustering_report(h)
+    assert report == brute_clustering_report(h)
+    assert report["n_intersecting_pairs"] == len(list(intersecting_pairs(h)))
 
 
 def _networkx_cliques(h, k):
