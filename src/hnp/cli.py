@@ -24,7 +24,7 @@ from .census import (
     write_scatter_csv,
 )
 from .clustering import clustering_report
-from .core import Hypergraph, profiles
+from .core import profiles
 from .errors import GuardError, InputError
 from .io import read_edge_list, write_edge_list
 from .isomorphism import find_strong_copies, find_weak_copies
@@ -43,6 +43,21 @@ from .thresholds import (
 )
 
 __all__ = ["main"]
+
+# the verdict of each --mode of thresholds and mc-threshold
+_CLASSIFIERS = {
+    "strong": classify_strong,
+    "weak": classify_weak,
+    "induced-weak": classify_induced_weak,
+    "2section": classify_two_section,
+}
+
+# the sequence flags a subcommand takes, by the kind of sequence it needs
+_SEQUENCE_FLAGS = {
+    "numeric": ("--counts", "--probs"),
+    "power-law": ("--powerlaw", "--probs"),
+    "any": ("--powerlaw", "--probs", "--counts"),
+}
 
 
 # -- shared helpers ----------------------------------------------------------
@@ -81,39 +96,23 @@ def _parse_powerlaw(spec: str) -> ProbSequence:
     return ProbSequence(M=max(levels), powerlaw=levels)
 
 
-def _read_probs(path: str) -> ProbSequence:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ProbSequence.from_json(fh.read())
-
-
-def _numeric_sequence(args) -> Tuple[ProbSequence, Optional[Dict[int, int]]]:
-    """Numeric probabilities from --counts (needs --n) or a --probs file."""
-    if getattr(args, "counts", None):
+def _sequence(args, n: Optional[int]) -> Tuple[ProbSequence, Optional[Dict[int, int]]]:
+    """The probability sequence of whichever of the subcommand's sequence
+    flags was given (argparse lets at most one through), and the parsed
+    --counts, which are expected edge counts on n vertices (else None)."""
+    kind = args.sequence_kind
+    if args.counts is not None:
         counts = _parse_counts(args.counts)
-        if getattr(args, "n", None) is None:
-            raise InputError("--counts requires --n")
-        return from_edge_counts(args.n, counts), counts
-    if getattr(args, "probs", None):
-        p = _read_probs(args.probs)
-        if not p.is_numeric:
-            raise InputError("this subcommand needs a numeric sequence")
-        return p, None
-    raise InputError("give --counts (with --n) or --probs FILE")
-
-
-def _powerlaw_sequence(args) -> ProbSequence:
-    if getattr(args, "powerlaw", None):
-        return _parse_powerlaw(args.powerlaw)
-    if getattr(args, "probs", None):
-        p = _read_probs(args.probs)
-        if p.is_numeric:
-            raise InputError("this subcommand needs a power-law sequence")
-        return p
-    raise InputError("give --powerlaw SPEC or --probs FILE")
-
-
-def _read_pattern(path: str) -> Hypergraph:
-    return read_edge_list(path).hypergraph
+        return from_edge_counts(n, counts), counts
+    if args.powerlaw is not None:
+        return _parse_powerlaw(args.powerlaw), None
+    if args.probs is None:
+        raise InputError(f"give {' or '.join(_SEQUENCE_FLAGS[kind])}")
+    with open(args.probs, "r", encoding="utf-8") as fh:
+        p = ProbSequence.from_json(fh.read())
+    if kind != "any" and p.is_numeric != (kind == "numeric"):
+        raise InputError(f"this subcommand needs a {kind} sequence")
+    return p, None
 
 
 def _out_path(args, name: str) -> str:
@@ -157,15 +156,12 @@ def _wilson_interval(hits: int, trials: int) -> Tuple[float, float]:
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
-def _workers(args) -> int:
-    return args.parallel if args.parallel is not None else (os.cpu_count() or 1)
-
-
-def _pmap(fn, items: list, workers: int) -> list:
-    """Order-preserving map, optionally across processes; results are
-    independent of the worker count. At most one worker per item: the pool
-    starts all of its workers at the first submit."""
-    workers = min(workers, len(items))
+def _pmap(fn, items: list, parallel: Optional[int]) -> list:
+    """Order-preserving map, across at most `parallel` processes (default:
+    one per CPU); results are independent of the worker count. At most one
+    worker per item: the pool starts all of its workers at the first
+    submit."""
+    workers = min(parallel or os.cpu_count() or 1, len(items))
     if workers <= 1:
         return [fn(x) for x in items]
     with ProcessPoolExecutor(max_workers=workers) as ex:
@@ -204,7 +200,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    p, counts = _numeric_sequence(args)
+    p, counts = _sequence(args, args.n)
     files = []
     for i in range(args.samples):
         seed_i = args.seed + i
@@ -226,16 +222,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    p = _powerlaw_sequence(args)
-    pattern = _read_pattern(args.pattern)
-    if args.mode == "strong":
-        v = classify_strong(pattern, p, induced=args.induced)
-    elif args.mode == "weak":
-        v = classify_weak(pattern, p)
-    elif args.mode == "induced-weak":
-        v = classify_induced_weak(pattern, p)
+    if args.induced and args.mode != "strong":
+        raise InputError(f"--induced applies to --mode strong only, got --mode {args.mode}")
+    p, _ = _sequence(args, None)
+    pattern = read_edge_list(args.pattern).hypergraph
+    if args.induced:
+        v = classify_strong(pattern, p, induced=True)
     else:
-        v = classify_two_section(pattern, p)
+        v = _CLASSIFIERS[args.mode](pattern, p)
     doc = _verdict_dict(args.pattern, args.mode, v)
     if args.out:
         _write_json(doc, _out_path(args, "verdict.json"))
@@ -247,10 +241,7 @@ def cmd_census(args) -> int:
     parsed = read_edge_list(args.input, max_edge_size=args.max_edge_size)
     h = parsed.hypergraph
     n_theory = args.n if args.n is not None else h.n
-    if args.counts:
-        p = from_edge_counts(n_theory, _parse_counts(args.counts))
-    else:
-        p, _ = _numeric_sequence(args)
+    p, _ = _sequence(args, n_theory)
     report = census(h, args.k, p, n=n_theory, cap=args.clique_cap)
     write_census_json(report, _out_path(args, "census.json"))
     if args.format == "csv":
@@ -274,7 +265,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_origination(args) -> int:
-    p, _ = _numeric_sequence(args)
+    p, _ = _sequence(args, args.n)
     table = origination_distribution(args.k, p, args.n, weight_mode=args.weight_mode)
     ranks = rank_signatures(table)
     if args.format == "csv":
@@ -307,16 +298,22 @@ def _clustering_worker(task) -> Tuple[float, int]:
 
 def cmd_clustering(args) -> int:
     if args.input:
+        model_flags = ("n", "counts", "probs", "samples", "seed", "parallel")
+        given = [f"--{name}" for name in model_flags if getattr(args, name) is not None]
+        if given:
+            raise InputError(f"--input takes no model flags, got {' '.join(given)}")
         parsed = read_edge_list(args.input, max_edge_size=args.max_edge_size)
         doc = clustering_report(parsed.hypergraph)
     else:
+        if args.max_edge_size is not None:
+            raise InputError("--max-edge-size applies to --input only")
         if args.samples is None or args.seed is None:
             raise InputError("model clustering requires --samples and --seed")
         if args.n is None:
             raise InputError("model clustering requires --n")
-        p, _ = _numeric_sequence(args)
+        p, _ = _sequence(args, args.n)
         tasks = [(args.n, p, args.seed + i) for i in range(args.samples)]
-        results = _pmap(_clustering_worker, tasks, _workers(args))
+        results = _pmap(_clustering_worker, tasks, args.parallel)
         values = [hc for hc, _ in results]
         doc = {
             "n": args.n,
@@ -344,33 +341,18 @@ def _mc_worker(task) -> bool:
 def cmd_mc_threshold(args) -> int:
     if args.n < 1:
         raise InputError(f"--n must be >= 1 to sample hosts, got {args.n}")
-    pattern = _read_pattern(args.pattern)
-    p_sym = None
-    p_num = None
-    if args.powerlaw:
-        p_sym = _parse_powerlaw(args.powerlaw)
-    elif args.probs:
-        loaded = _read_probs(args.probs)
-        if loaded.is_numeric:
-            p_num = loaded
-        else:
-            p_sym = loaded
-    elif args.counts:
-        p_num, _ = _numeric_sequence(args)
-    else:
-        raise InputError("give --powerlaw, --probs or --counts")
+    pattern = read_edge_list(args.pattern).hypergraph
+    p, _ = _sequence(args, args.n)
     symbolic = None
-    if p_sym is not None:
-        p_num = p_sym.at(args.n)
-        v = classify_weak(pattern, p_sym) if args.mode == "weak" else classify_strong(
-            pattern, p_sym
-        )
+    if not p.is_numeric:
+        v = _CLASSIFIERS[args.mode](pattern, p)
         symbolic = {"verdict": v.outcome, "exponent": _exponent_str(v.exponent)}
+        p = p.at(args.n)
     tasks = [
-        (pattern, args.n, p_num, args.seed + i, args.mode == "weak")
+        (pattern, args.n, p, args.seed + i, args.mode == "weak")
         for i in range(args.trials)
     ]
-    hits = _pmap(_mc_worker, tasks, _workers(args))
+    hits = _pmap(_mc_worker, tasks, args.parallel)
     freq = sum(hits) / len(hits)
     low, high = _wilson_interval(sum(hits), len(hits))
     doc = {
@@ -420,6 +402,20 @@ def _add_common(sp, *, seed=False, fmt=False, max_edge=False) -> None:
         )
 
 
+def _add_sequence(sp, kind: str) -> None:
+    """Register the _SEQUENCE_FLAGS[kind] of a subcommand needing a `kind`
+    sequence, as one group of which at most one flag can be given."""
+    helps = {
+        "--counts": "expected edge counts, e.g. 2=5975,3=2128",
+        "--powerlaw": "e.g. 2=3/4,3=5/2 (alpha per size)",
+        "--probs": "ProbSequence JSON file",
+    }
+    group = sp.add_mutually_exclusive_group()
+    for flag in _SEQUENCE_FLAGS[kind]:
+        group.add_argument(flag, help=helps[flag])
+    sp.set_defaults(counts=None, powerlaw=None, probs=None, sequence_kind=kind)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hnp", description="Non-uniform random hypergraph toolkit"
@@ -433,23 +429,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("generate", help="sample model hypergraphs to files")
     sp.add_argument("--n", type=_int_at_least(0), required=True)
-    sp.add_argument("--counts", help="expected edge counts, e.g. 2=5975,3=2128")
-    sp.add_argument("--probs", help="ProbSequence JSON file")
+    _add_sequence(sp, "numeric")
     sp.add_argument("--samples", type=_int_at_least(0), default=1)
     _add_common(sp, seed=True)
     sp.set_defaults(func=cmd_generate)
 
     sp = sub.add_parser("thresholds", help="asymptotic containment verdict")
     sp.add_argument("--pattern", required=True, help="pattern edge-list file")
-    sp.add_argument("--powerlaw", help="e.g. 2=3/4,3=5/2 (alpha per size)")
-    sp.add_argument("--probs", help="power-law ProbSequence JSON file")
+    _add_sequence(sp, "power-law")
+    sp.add_argument("--mode", choices=tuple(_CLASSIFIERS), default="strong")
     sp.add_argument(
-        "--mode",
-        choices=("strong", "weak", "induced-weak", "2section"),
-        default="strong",
-    )
-    sp.add_argument(
-        "--induced", action="store_true", help="strong verdict as induced (needs p_r < 1)"
+        "--induced",
+        action="store_true",
+        help="strong verdict as induced (needs p_r < 1; --mode strong only)",
     )
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_thresholds)
@@ -457,8 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("census", help="K_k census of an edge-list file")
     sp.add_argument("--input", required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--counts", help="counts for the theory side")
-    sp.add_argument("--probs")
+    _add_sequence(sp, "numeric")
     sp.add_argument("--n", type=_int_at_least(0), default=None, help="theory n (default: input n)")
     sp.add_argument("--clique-cap", type=_int_at_least(0), default=100_000_000)
     _add_common(sp, fmt=True, max_edge=True)
@@ -467,8 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("origination", help="theoretical signature distribution")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--n", type=_int_at_least(0), required=True)
-    sp.add_argument("--counts")
-    sp.add_argument("--probs")
+    _add_sequence(sp, "numeric")
     sp.add_argument("--weight-mode", choices=("labelled", "aut"), default="labelled")
     _add_common(sp, fmt=True)
     sp.set_defaults(func=cmd_origination)
@@ -476,8 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("clustering", help="extra-overlap clustering coefficients")
     sp.add_argument("--input", help="edge-list file (else model mode)")
     sp.add_argument("--n", type=_int_at_least(0), default=None)
-    sp.add_argument("--counts")
-    sp.add_argument("--probs")
+    _add_sequence(sp, "numeric")
     sp.add_argument("--samples", type=_int_at_least(1), default=None)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--parallel", type=_int_at_least(1), default=None, help="worker cap")
@@ -489,9 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("strong", "weak"), default="strong")
     sp.add_argument("--n", type=_int_at_least(0), required=True)
     sp.add_argument("--trials", type=_int_at_least(1), required=True)
-    sp.add_argument("--powerlaw")
-    sp.add_argument("--probs")
-    sp.add_argument("--counts")
+    _add_sequence(sp, "any")
     sp.add_argument("--out", default=None)
     sp.add_argument("--parallel", type=_int_at_least(1), default=None, help="worker cap")
     sp.add_argument("--seed", type=int, required=True)

@@ -71,13 +71,16 @@ def intersecting_pairs(h: Hypergraph) -> Iterator[Tuple[int, int]]:
 
 def hc_local(h: Hypergraph, v: int) -> float:
     """Mean extra overlap over pairs of edges containing v; 0 when v lies
-    in at most one edge."""
+    in at most one edge. Scores only the pairs _pairs_at finds."""
     if not 0 <= v < h.n:
         raise ValueError(f"vertex {v} outside 0..{h.n - 1}")
     ids = h.incidence[v]
     if len(ids) <= 1:
         return 0.0
-    total = sum(extra_overlap(h, i, j) for i, j in combinations(ids, 2))
+    nb = {u: h.neighbors(u) for u in h.neighbors(v) | {v}}
+    edge_sets = {i: frozenset(h.edges[i]) for i in ids}
+    cand, _, _ = _pairs_at(h, v, nb, edge_sets)
+    total = sum(_extra_overlap(nb, edge_sets[i], edge_sets[j]) for i, j in sorted(cand))
     return total / comb(len(ids), 2)
 
 
@@ -112,21 +115,50 @@ def graph_cc(g: Hypergraph) -> Tuple[Optional[float], Optional[float]]:
     return local_sum / len(eligible), tri_sum / wedge_sum
 
 
+def _pairs_at(h: Hypergraph, v: int, nb, edge_sets):
+    """At a vertex v in two or more edges: the pairs (i, j), i < j, of edges
+    at v that can score above 0, that is, with some x in e_i \\ e_j and y in
+    e_j \\ e_i that are 2-section neighbours (both lie in N(v)), found from
+    a map of each x in N(v) to its edges at v and one N(x) & N(v) per x;
+    and the pairs at v sharing a vertex below v, and above v. nb[u] is u's
+    neighbour set and edge_sets[i] edge i, for v, N(v) and the edges at v."""
+    link: Dict[int, list] = {}
+    for i in h.incidence[v]:
+        for x in h.edges[i]:
+            if x != v:
+                link.setdefault(x, []).append(i)
+    nbv = nb[v]
+    cand = set()
+    seen_before = set()  # pairs also sharing a vertex below v
+    seen_after = set()  # pairs also sharing a vertex above v
+    for x, lx in link.items():
+        ys = nb[x] & nbv
+        if len(lx) > 1:
+            (seen_before if x < v else seen_after).update(combinations(lx, 2))
+        elif ys <= edge_sets[lx[0]]:
+            continue  # every y shares x's only edge at v
+        for y in ys:
+            ly = link[y]
+            for i in lx:
+                if i not in ly:
+                    for j in ly:
+                        if j not in lx:
+                            cand.add((i, j) if i < j else (j, i))
+    return cand, seen_before, seen_after
+
+
 def clustering_report(h: Hypergraph, bins: int = 100) -> Dict:
     """JSON-shaped summary: hc_global, number of intersecting pairs, a
     fixed-width histogram of local coefficients over all vertices, and the
     count of nonzero locals.
 
     One pass over the vertices that scores only the pairs that can score
-    above 0. A pair (i, j) of edges at v does when some x in e_i \\ e_j and
-    y in e_j \\ e_i are 2-section neighbours; both lie in N(v). So at v the
-    pass maps each link vertex x to the edges at v containing it, and meets
-    the edges of x with those of each y in N(x) & N(v). Every other pair at
-    v scores exactly 0.0, and adding 0.0 to a sum of non-negative floats
-    leaves it unchanged bit for bit, so the sums below equal those over all
-    pairs. The same map finds the pairs sharing two or more vertices: such
-    a pair is scored at its smallest common vertex, as in
-    intersecting_pairs, and kept until its largest one."""
+    above 0, found by _pairs_at. Every other pair at v scores exactly 0.0,
+    and adding 0.0 to a sum of non-negative floats leaves it unchanged bit
+    for bit, so the sums below equal those over all pairs. _pairs_at also
+    finds the pairs sharing two or more vertices: such a pair is scored at
+    its smallest common vertex, as in intersecting_pairs, and kept until its
+    largest one."""
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     edge_sets = [frozenset(e) for e in h.edges]
@@ -144,28 +176,7 @@ def clustering_report(h: Hypergraph, bins: int = 100) -> Dict:
         if d < 2:
             hist[0] += 1  # a local coefficient of 0.0
             continue
-        link: Dict[int, list] = {}
-        for i in ids:
-            for x in h.edges[i]:
-                if x != v:
-                    link.setdefault(x, []).append(i)
-        nbv = nb[v]
-        cand = set()
-        seen_before = set()  # pairs also sharing a vertex below v
-        seen_after = set()  # pairs also sharing a vertex above v
-        for x, lx in link.items():
-            ys = nb[x] & nbv
-            if len(lx) > 1:
-                (seen_before if x < v else seen_after).update(combinations(lx, 2))
-            elif ys <= edge_sets[lx[0]]:
-                continue  # every y shares x's only edge at v
-            for y in ys:
-                ly = link[y]
-                for i in lx:
-                    if i not in ly:
-                        for j in ly:
-                            if j not in lx:
-                                cand.add((i, j) if i < j else (j, i))
+        cand, seen_before, seen_after = _pairs_at(h, v, nb, edge_sets)
         n_pairs += comb(d, 2) - len(seen_before)
         local = []
         for pair in sorted(cand):

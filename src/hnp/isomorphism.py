@@ -18,7 +18,7 @@ from itertools import permutations
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .core import Hypergraph
-from .errors import GuardError
+from .errors import GuardError, InputError
 
 __all__ = [
     "Embedding",
@@ -91,7 +91,7 @@ def _embeddings(
     component, and isolated vertices) scans every host vertex. Host
     incidence profiles are computed for visited candidates only."""
     if pattern.n == 0:
-        raise GuardError("pattern must have at least one vertex")
+        raise InputError("pattern must have at least one vertex")
     if pattern.n > MAX_PATTERN_VERTICES:
         raise GuardError(
             f"pattern has {pattern.n} vertices, guard is {MAX_PATTERN_VERTICES}"

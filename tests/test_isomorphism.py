@@ -7,6 +7,7 @@ import pytest
 from hnp import (
     GuardError,
     Hypergraph,
+    InputError,
     automorphism_count,
     enumerate_strong_subgraphs,
     find_strong_copies,
@@ -134,6 +135,20 @@ class TestAutomorphisms:
             a = automorphism_count(h)
             assert math.factorial(h.n) % a == 0
             assert a == brute_aut(h)
+
+
+class TestEmptyPattern:
+    """A pattern without vertices is a bad input, not a guard overrun."""
+
+    @pytest.mark.parametrize("find", [find_strong_copies, find_weak_copies])
+    @pytest.mark.parametrize("mode", ["exists", "count", "list"])
+    def test_find(self, find, mode):
+        with pytest.raises(InputError, match="at least one vertex"):
+            find(Hypergraph(0), TRIANGLE, mode=mode)
+
+    def test_automorphism_count(self):
+        with pytest.raises(InputError, match="at least one vertex"):
+            automorphism_count(Hypergraph(0))
 
 
 class TestEnumerateStrongSubgraphs:

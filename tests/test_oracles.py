@@ -22,6 +22,7 @@ from hnp import (
     find_weak_copies,
     from_edge_counts,
     graph_cc,
+    hc_local,
     intersecting_pairs,
     list_k_cliques,
     observed_signature,
@@ -33,6 +34,7 @@ from util import (
     brute_aut,
     brute_clustering_report,
     brute_degeneracy_order,
+    brute_hc_local,
     brute_observed_signature,
     brute_strong_maps,
     brute_weak_maps,
@@ -135,6 +137,7 @@ def test_census_cap_raises_exactly_past_the_clique_count(h, data):
 def test_clustering_report_matches_oracle(h, bins):
     assert clustering_report(h) == brute_clustering_report(h)
     assert clustering_report(h, bins) == brute_clustering_report(h, bins)
+    assert [hc_local(h, v) for v in range(h.n)] == [brute_hc_local(h, v) for v in range(h.n)]
 
 
 @st.composite
@@ -156,6 +159,7 @@ def test_clustering_report_matches_oracle_on_sparse_hub_hosts(h):
     report = clustering_report(h)
     assert report == brute_clustering_report(h)
     assert report["n_intersecting_pairs"] == len(list(intersecting_pairs(h)))
+    assert [hc_local(h, v) for v in range(h.n)] == [brute_hc_local(h, v) for v in range(h.n)]
 
 
 def _networkx_cliques(h, k):

@@ -186,6 +186,15 @@ def brute_observed_signature(h: Hypergraph, s):
     return tuple(counts.get(r, 0) for r in range(2, k + 1))
 
 
+def brute_hc_local(h: Hypergraph, v: int) -> float:
+    """hc_local by scoring every one of the C(d, 2) pairs of edges at v."""
+    ids = h.incidence[v]
+    if len(ids) <= 1:
+        return 0.0
+    total = sum(extra_overlap(h, i, j) for i, j in combinations(ids, 2))
+    return total / comb(len(ids), 2)
+
+
 def brute_clustering_report(h: Hypergraph, bins: int = 100):
     """clustering_report in two passes: the extra overlap of every
     intersecting pair into a dict, then each vertex's local mean from it."""
