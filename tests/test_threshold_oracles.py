@@ -28,21 +28,13 @@ from util import (
     brute_is_subedge,
     brute_pad_amount,
     brute_two_section_covers,
+    graph_classes,
 )
 
 
 def _graph_classes():
-    """One labelled graph per isomorphism class without isolated vertices
-    on 2..5 vertices (33 classes), the first in edge-mask order, then C6."""
-    reps = {}
-    for n in range(2, 6):
-        pairs = list(combinations(range(n), 2))
-        for mask in range(1, 1 << len(pairs)):
-            g = Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
-            if all(g.incidence):
-                reps.setdefault(canonical_form(g), g)
-    assert len(reps) == 33
-    return list(reps.values()) + [Graph(6, [(i, (i + 1) % 6) for i in range(6)])]
+    """The 33 graph classes on 2..5 vertices, then C6."""
+    return graph_classes() + [Graph(6, [(i, (i + 1) % 6) for i in range(6)])]
 
 
 @pytest.mark.parametrize("g", _graph_classes(), ids=lambda g: str(g.edges))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -23,7 +25,7 @@ from hnp import (
     weak_exponent,
 )
 from hnp.thresholds import strong_asymptotics, weak_asymptotics
-from util import brute_is_subedge, random_hypergraph
+from util import brute_is_subedge, graph_classes, random_hypergraph
 
 # the three hypergraphs sharing a 2-section: 4-cycle + chord, two 2-edges +
 # one 3-edge, and two 3-edges
@@ -357,3 +359,40 @@ class TestAsymptoticClass:
                     assert ac.verdict == "tends_to_infinity"
                 else:
                     assert ac.verdict == "order_constant"
+
+
+PINNED_PATTERNS = [(str(g.edges), g) for g in graph_classes()] + [
+    ("loose_triangle", Hypergraph(6, [(0, 1, 2), (2, 3, 4), (4, 5, 0)])),
+    ("loose_c4", Hypergraph(8, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 0)])),
+    ("c8", Graph(8, [(i, (i + 1) % 8) for i in range(8)])),
+]
+PINNED_LAWS = [
+    ("pex", PEX),
+    # levels 1 and 3 identically zero
+    ("gaps", ProbSequence(M=4, powerlaw={2: (1.0, F(1)), 4: (2.0, F(5, 2))})),
+    # M below the 3-edges of the loose cycles and of larger covers
+    ("low_m", ProbSequence(M=2, powerlaw={1: (1.0, F(1, 2)), 2: (1.0, F(4, 3))})),
+]
+# recorded before the threshold layer stated each rule once
+PINNED_VERDICTS_SHA256 = "445623815c14ba7dcf76a33e146383e4b57c5c33c953e28bbb329adff4593b58"
+
+
+class TestPinnedVerdicts:
+    def test_digest(self):
+        rows = []
+        for label, h in PINNED_PATTERNS:
+            for law, p in PINNED_LAWS:
+                for fn in (classify_strong, classify_weak, classify_induced_weak,
+                           classify_two_section):
+                    try:
+                        v = fn(h, p)
+                        witness = None if v.witness is None else [v.witness.n, v.witness.edges]
+                        got = [v.outcome, None if v.exponent is None else str(v.exponent),
+                               witness, v.reason]
+                    except (GuardError, InputError) as exc:
+                        got = [type(exc).__name__, str(exc)]
+                    rows.append([label, law, fn.__name__, got])
+        outcomes = {row[3][0] for row in rows}
+        assert {"aas_present", "aas_absent", "inconclusive", "GuardError", "InputError"} <= outcomes
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == PINNED_VERDICTS_SHA256

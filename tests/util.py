@@ -6,6 +6,7 @@ from itertools import combinations, permutations
 from math import comb
 
 from hnp import (
+    Graph,
     Hypergraph,
     canonical_form,
     extra_overlap,
@@ -313,3 +314,17 @@ def brute_two_section_covers(g: Hypergraph):
         )
     ]
     return [reps[key] for key in sorted(keep)]
+
+
+def graph_classes():
+    """One labelled graph per isomorphism class without isolated vertices
+    on 2..5 vertices (33 classes), the first in edge-mask order."""
+    reps = {}
+    for n in range(2, 6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1, 1 << len(pairs)):
+            g = Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+            if all(g.incidence):
+                reps.setdefault(canonical_form(g), g)
+    assert len(reps) == 33
+    return list(reps.values())
