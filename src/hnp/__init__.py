@@ -32,7 +32,6 @@ from .model import (
     sample,
 )
 from .thresholds import (
-    AsymptoticClass,
     ContainmentVerdict,
     classify_induced_weak,
     classify_strong,

@@ -63,36 +63,35 @@ _SEQUENCE_FLAGS = {
 # -- shared helpers ----------------------------------------------------------
 
 
+def _parse_sizes(spec: str, kind: str, example: str, value) -> dict:
+    """Parse "r=text,..." into {r: value(text)}; each size may appear once."""
+    out = {}
+    for part in spec.split(","):
+        try:
+            r, text = part.split("=")
+            r, parsed = int(r), value(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad {kind} spec {spec!r} (want e.g. {example})") from exc
+        if r in out:
+            raise InputError(f"size {r} given twice in {kind} spec {spec!r}")
+        out[r] = parsed
+    return out
+
+
 def _parse_counts(spec: str) -> Dict[int, int]:
     """Parse "2=5975,3=2128" into {2: 5975, 3: 2128}."""
-    out: Dict[int, int] = {}
-    try:
-        for part in spec.split(","):
-            r, m = part.split("=")
-            out[int(r)] = int(m)
-    except ValueError as exc:
-        raise InputError(f"bad counts spec {spec!r} (want e.g. 2=5975,3=2128)") from exc
-    if not out:
-        raise InputError("empty counts spec")
-    return out
+    return _parse_sizes(spec, "counts", "2=5975,3=2128", int)
+
+
+def _parse_level(text: str) -> Tuple[float, Fraction]:
+    c, alpha = text.split("@") if "@" in text else (1.0, text)
+    return float(c), Fraction(alpha)
 
 
 def _parse_powerlaw(spec: str) -> ProbSequence:
     """Parse "1=3/5,2=9/10" (alpha per size, coefficient 1) or entries like
     "2=0.5@9/10" to set a coefficient."""
-    levels: Dict[int, Tuple[float, Fraction]] = {}
-    try:
-        for part in spec.split(","):
-            r, rest = part.split("=")
-            if "@" in rest:
-                c, alpha = rest.split("@")
-                levels[int(r)] = (float(c), Fraction(alpha))
-            else:
-                levels[int(r)] = (1.0, Fraction(rest))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad power-law spec {spec!r} (want e.g. 2=3/4,3=5/2)") from exc
-    if not levels:
-        raise InputError("empty power-law spec")
+    levels = _parse_sizes(spec, "power-law", "2=3/4,3=5/2", _parse_level)
     return ProbSequence(M=max(levels), powerlaw=levels)
 
 

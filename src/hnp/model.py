@@ -43,7 +43,7 @@ class ProbSequence:
     Exactly one of `numeric` and `powerlaw` is set. Sizes absent from the
     mapping have probability identically zero, as do all sizes above M.
     Power-law entries are (c, alpha) meaning p_r = c * n^(-alpha) with
-    alpha an exact nonnegative Fraction.
+    0 < c < inf and alpha an exact nonnegative Fraction.
     """
 
     M: int
@@ -65,8 +65,8 @@ class ProbSequence:
             for r, (c, alpha) in self.powerlaw.items():
                 if not 1 <= r <= self.M:
                     raise InputError(f"size {r} outside 1..M={self.M}")
-                if c <= 0:
-                    raise InputError(f"coefficient c_{r}={c} must be > 0")
+                if not 0 < c < math.inf:
+                    raise InputError(f"coefficient c_{r}={c} must be finite and > 0")
                 if not isinstance(alpha, Fraction) or alpha < 0:
                     raise InputError(f"alpha_{r} must be a nonnegative Fraction")
 
@@ -136,7 +136,7 @@ class ProbSequence:
                 return ProbSequence(
                     M=M,
                     powerlaw={
-                        int(r): (float(spec["c"]), Fraction(spec["alpha"]))
+                        int(r): (float(spec["c"]), Fraction(str(spec["alpha"])))
                         for r, spec in obj["powerlaw"].items()
                     },
                 )

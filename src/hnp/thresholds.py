@@ -24,13 +24,10 @@ from .isomorphism import _embeddings, canonical_form
 from .model import ProbSequence
 
 __all__ = [
-    "AsymptoticClass",
     "ContainmentVerdict",
     "strong_exponent",
     "weak_exponent",
     "covering_weight_exponent",
-    "strong_asymptotics",
-    "weak_asymptotics",
     "classify_strong",
     "classify_weak",
     "classify_induced_weak",
@@ -47,29 +44,6 @@ MAX_SUBEDGE_VERTICES = 10
 MAX_COVER_VERTICES = 7
 
 
-def _lt(a: Exponent, b: Exponent) -> bool:
-    """a < b with None as -infinity."""
-    if a is None:
-        return b is not None
-    if b is None:
-        return False
-    return a < b
-
-
-@dataclass(frozen=True)
-class AsymptoticClass:
-    """Limiting behaviour of the governing expected-count surrogate.
-
-    verdict: tends_to_zero / tends_to_infinity / order_constant, by the sign
-    of the governing rational exponent (None = -infinity, tends to zero).
-    witness is the strong subgraph achieving the minimum exponent.
-    """
-
-    verdict: str
-    exponent: Exponent
-    witness: Hypergraph
-
-
 @dataclass(frozen=True)
 class ContainmentVerdict:
     outcome: str  # aas_present | aas_absent | inconclusive
@@ -83,36 +57,25 @@ def _require_powerlaw(p: ProbSequence) -> None:
         raise InputError("asymptotic classification requires a power-law sequence")
 
 
-def strong_exponent(h: Hypergraph, p: ProbSequence) -> Exponent:
-    """Exponent of the expected strong-copy count n^v * prod p_r^{e_r}:
-    v(h) - sum_r alpha_r * e_r(h); None when some edge size has p_r = 0."""
-    _require_powerlaw(p)
-    total = Fraction(h.n)
-    for e in h.edges:
-        a = p.alpha(len(e)) if len(e) <= p.M else None
-        if a is None:
-            return None
-        total -= a
-    return total
-
-
 def _dominant_level(p: ProbSequence, r: int) -> Tuple[Optional[int], Exponent]:
     """The i in 0..M-r maximizing the exponent i - alpha_{r+i} of
     n^i p_{r+i} (ties broken toward smaller i) and that maximum;
-    (None, None) when every level from r up is identically zero."""
+    (None, None) when every level from r up is identically zero, as every
+    level above M is."""
     _require_powerlaw(p)
-    if not 1 <= r <= p.M:
-        raise InputError(f"size {r} outside 1..M={p.M}")
+    if r < 1:
+        raise InputError(f"edge size {r} must be >= 1")
     best_i, best = None, None
     for i in range(p.M - r + 1):
         a = p.alpha(r + i)
-        if a is not None and _lt(best, i - a):
+        if a is not None and (best is None or i - a > best):
             best_i, best = i, i - a
     return best_i, best
 
 
 def covering_weight_exponent(p: ProbSequence, r: int) -> Exponent:
-    """Exact exponent of the covering-weight tail: max_i (i - alpha_{r+i}).
+    """Exact exponent of the covering-weight tail: max_i (i - alpha_{r+i});
+    None (-infinity) when no level from r up is nonzero, as for r > M.
 
     Shared by the power-weighted and binomial-weighted tails, which have
     the same growth order.
@@ -120,19 +83,37 @@ def covering_weight_exponent(p: ProbSequence, r: int) -> Exponent:
     return _dominant_level(p, r)[1]
 
 
-def weak_exponent(h: Hypergraph, p: ProbSequence) -> Exponent:
-    """Exponent of the expected weak-copy count (covering weights in place
-    of edge probabilities)."""
+def _size_exponent(p: ProbSequence, r: int, weak: bool) -> Exponent:
+    """A size-r edge's term in an expected-count exponent: the
+    covering-weight exponent for weak copies, -alpha_r for strong ones."""
+    if weak:
+        return covering_weight_exponent(p, r)
+    a = p.alpha(r)
+    return None if a is None else -a
+
+
+def _exponent(h: Hypergraph, p: ProbSequence, weak: bool) -> Exponent:
+    """v(h) plus every edge's term; None as soon as a term is -infinity."""
     _require_powerlaw(p)
     total = Fraction(h.n)
     for e in h.edges:
-        if len(e) > p.M:
+        term = _size_exponent(p, len(e), weak)
+        if term is None:
             return None
-        cw = covering_weight_exponent(p, len(e))
-        if cw is None:
-            return None
-        total += cw
+        total += term
     return total
+
+
+def strong_exponent(h: Hypergraph, p: ProbSequence) -> Exponent:
+    """Exponent of the expected strong-copy count n^v * prod p_r^{e_r}:
+    v(h) - sum_r alpha_r * e_r(h); None when some edge size has p_r = 0."""
+    return _exponent(h, p, weak=False)
+
+
+def weak_exponent(h: Hypergraph, p: ProbSequence) -> Exponent:
+    """Exponent of the expected weak-copy count (covering weights in place
+    of edge probabilities)."""
+    return _exponent(h, p, weak=True)
 
 
 # -- family minimum over strong subgraphs ----------------------------------
@@ -146,80 +127,38 @@ def _family_minimum(
     Only subgraphs with >= 1 edge and no isolated vertices can achieve the
     minimum below 1 (padding with isolated vertices raises the exponent by
     one each; edgeless classes have exponent equal to their order), so the
-    single-vertex class caps the search at exponent 1.
+    single-vertex class caps the search at exponent 1. An edge whose term
+    is -infinity makes the minimum -infinity; the walk's mask order first
+    reaches it at the lowest-index such edge alone, the witness.
     """
+    _require_powerlaw(p)
     if h.n < 1:
         raise InputError("pattern must have at least one vertex")
     subsets = _edge_subsets(h)
+    per_size = {r: _size_exponent(p, r, weak) for r in set(len(e) for e in h.edges)}
+    for e in h.edges:
+        if per_size[len(e)] is None:
+            return None, _compacted([e])
 
-    per_size: Dict[int, Exponent] = {}
-    for r in set(len(e) for e in h.edges):
-        if r > p.M:
-            per_size[r] = None
-        elif weak:
-            per_size[r] = covering_weight_exponent(p, r)
-        else:
-            a = p.alpha(r)
-            per_size[r] = None if a is None else -a
-
-    best: Exponent = Fraction(1)
-    best_wit = Hypergraph(1)
+    best, best_wit = Fraction(1), Hypergraph(1)
     for chosen in subsets:
-        val: Exponent = Fraction(len(set().union(*chosen)))
-        for e in chosen:
-            contrib = per_size[len(e)]
-            if contrib is None:
-                val = None
-                break
-            val += contrib
-        if _lt(val, best):
+        val = len(set().union(*chosen)) + sum(per_size[len(e)] for e in chosen)
+        if val < best:
             best, best_wit = val, _compacted(chosen)
     return best, best_wit
 
 
-def _as_class(exponent: Exponent, witness: Hypergraph) -> AsymptoticClass:
+def _verdict(exponent: Exponent, witness: Hypergraph, kind: str) -> ContainmentVerdict:
+    """The verdict from the sign of the governing (minimum) exponent."""
     if exponent is None or exponent < 0:
-        verdict = "tends_to_zero"
+        outcome, reason = "aas_absent", f"a subgraph's expected {kind}-copy count tends to 0"
     elif exponent > 0:
-        verdict = "tends_to_infinity"
+        outcome = "aas_present"
+        reason = f"every subgraph's expected {kind}-copy count tends to infinity"
     else:
-        verdict = "order_constant"
-    return AsymptoticClass(verdict, exponent, witness)
-
-
-def strong_asymptotics(h: Hypergraph, p: ProbSequence) -> AsymptoticClass:
-    """Governing (minimum) strong-copy exponent over the subgraph family."""
-    _require_powerlaw(p)
-    return _as_class(*_family_minimum(h, p, weak=False))
-
-
-def weak_asymptotics(h: Hypergraph, p: ProbSequence) -> AsymptoticClass:
-    """Governing (minimum) weak-copy exponent over the subgraph family."""
-    _require_powerlaw(p)
-    return _as_class(*_family_minimum(h, p, weak=True))
-
-
-def _verdict_from(ac: AsymptoticClass, kind: str) -> ContainmentVerdict:
-    if ac.verdict == "tends_to_zero":
-        return ContainmentVerdict(
-            "aas_absent",
-            ac.exponent,
-            ac.witness,
-            reason=f"a subgraph's expected {kind}-copy count tends to 0",
-        )
-    if ac.verdict == "tends_to_infinity":
-        return ContainmentVerdict(
-            "aas_present",
-            ac.exponent,
-            ac.witness,
-            reason=f"every subgraph's expected {kind}-copy count tends to infinity",
-        )
-    return ContainmentVerdict(
-        "inconclusive",
-        ac.exponent,
-        ac.witness,
-        reason=f"tightest subgraph has Theta(1) expected {kind}-copy count",
-    )
+        outcome = "inconclusive"
+        reason = f"tightest subgraph has Theta(1) expected {kind}-copy count"
+    return ContainmentVerdict(outcome, exponent, witness, reason)
 
 
 def classify_strong(
@@ -234,19 +173,18 @@ def classify_strong(
     """
     _require_powerlaw(p)
     if induced:
-        for r in range(1, p.M + 1):
-            a = p.alpha(r)
-            if a is not None and a == 0 and p.coefficient(r) >= 1:
+        for r, (c, a) in sorted(p.powerlaw.items()):
+            if a == 0 and c >= 1:
                 raise InputError(
                     f"induced verdict needs p_{r} bounded away from 1 "
                     f"(alpha_{r}=0 with c_{r}>=1)"
                 )
-    return _verdict_from(strong_asymptotics(h, p), "strong")
+    return _verdict(*_family_minimum(h, p, weak=False), "strong")
 
 
 def classify_weak(h: Hypergraph, p: ProbSequence) -> ContainmentVerdict:
     """A.a.s. presence/absence of h as a weak subhypergraph of H(n, p)."""
-    return _verdict_from(weak_asymptotics(h, p), "weak")
+    return _verdict(*_family_minimum(h, p, weak=True), "weak")
 
 
 # -- padding construction ---------------------------------------------------
@@ -291,8 +229,6 @@ def classify_induced_weak(h: Hypergraph, p: ProbSequence) -> ContainmentVerdict:
     if not nonedge_sizes:
         return classify_weak(h, p)
     for r in nonedge_sizes:
-        if r > p.M:
-            continue
         e = covering_weight_exponent(p, r)
         if e is not None and e > 0:
             return ContainmentVerdict(
@@ -305,8 +241,8 @@ def classify_induced_weak(h: Hypergraph, p: ProbSequence) -> ContainmentVerdict:
                 ),
             )
     r0 = min(nonedge_sizes)
-    e0 = covering_weight_exponent(p, r0) if r0 <= p.M else None
-    a0 = p.alpha(r0) if r0 <= p.M else None
+    e0 = covering_weight_exponent(p, r0)
+    a0 = p.alpha(r0)
     if (e0 is None or e0 <= 0) and (a0 is None or a0 > 0):
         inner = classify_weak(h, p)
         return ContainmentVerdict(

@@ -124,6 +124,17 @@ class TestThresholds:
         ) == 2
         assert "2-uniform" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ['"3/5"', "0.6"])
+    def test_json_number_alpha_read_exactly(self, alpha, tmp_path, capsys):
+        # 3 - 3 alpha_1 - 2 alpha_2 is exactly 0 at alpha = 3/5, not the
+        # binary float nearest 0.6
+        pat = _write(tmp_path / "p.edges", "0\n1\n2\n0 1\n1 2\n")
+        level = f'{{"c": 1.0, "alpha": {alpha}}}'
+        probs = _write(tmp_path / "p.json", f'{{"M": 2, "powerlaw": {{"1": {level}, "2": {level}}}}}')
+        assert main(["thresholds", "--pattern", pat, "--probs", probs]) == 0
+        doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert (doc["verdict"], doc["exponent"]) == ("inconclusive", "0/1")
+
     def test_verdict_file(self, triangle_file, tmp_path, capsys):
         out = tmp_path / "v"
         assert main(
@@ -399,6 +410,40 @@ class TestOutsideInput:
         argv = ["origination", "--k", "3", "--n", "30", "--probs", probs]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert "malformed probability sequence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["thresholds", "--pattern", "IN", "--powerlaw", "2=1/2,2=3"],
+             "size 2 given twice in power-law spec"),
+            (["generate", "--n", "10", "--seed", "1", "--counts", "2=5,3=1,2=6"],
+             "size 2 given twice in counts spec"),
+            (["census", "--input", "IN", "--k", "3", "--counts", "3=1,3=1"],
+             "size 3 given twice in counts spec"),
+            (["mc-threshold", "--pattern", "IN", "--n", "30", "--trials", "3", "--seed", "1",
+              "--powerlaw", "2=nan@1/2"], "coefficient c_2=nan must be finite and > 0"),
+            (["thresholds", "--pattern", "IN", "--powerlaw", "2=inf@1/2"],
+             "coefficient c_2=inf must be finite and > 0"),
+        ],
+    )
+    def test_bad_sequence_spec_exit_2(self, argv, message, triangle_file, tmp_path, capsys):
+        argv = [triangle_file if a == "IN" else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("c", ["NaN", "Infinity", '"nan"', '"inf"', "0"])
+    @pytest.mark.parametrize("command", ["thresholds", "mc-threshold"])
+    def test_probs_coefficient_not_finite_positive_exit_2(self, command, c, triangle_file,
+                                                          tmp_path, capsys):
+        level = f'{{"c": {c}, "alpha": "1/2"}}'
+        probs = _write(tmp_path / "p.json", f'{{"M": 2, "powerlaw": {{"2": {level}}}}}')
+        argv = [command, "--pattern", triangle_file, "--probs", probs]
+        if command == "mc-threshold":
+            argv += ["--n", "30", "--trials", "3", "--seed", "1"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_non_utf8_edge_list_exit_2(self, tmp_path, capsys):
         path = tmp_path / "latin1.edges"

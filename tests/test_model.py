@@ -51,6 +51,11 @@ class TestProbSequence:
         with pytest.raises(InputError):
             ProbSequence(M=2, powerlaw={2: (1.0, 0.5)})
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, -1.0])
+    def test_powerlaw_coefficient_finite_positive(self, c):
+        with pytest.raises(InputError, match="must be finite and > 0"):
+            ProbSequence(M=2, powerlaw={2: (c, Fraction(1))})
+
     def test_json_round_trip_numeric(self):
         p = ProbSequence(M=3, numeric={2: 0.25, 3: 1e-6})
         back = ProbSequence.from_json(p.to_json())

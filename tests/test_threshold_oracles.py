@@ -15,13 +15,14 @@ from hnp import (
     InputError,
     ProbSequence,
     canonical_form,
+    classify_strong,
+    classify_weak,
     covering_weight_exponent,
     enumerate_strong_subgraphs,
     minimal_two_section_covers,
     pad_amount,
 )
 from hnp.isomorphism import _edge_subsets
-from hnp.thresholds import strong_asymptotics, weak_asymptotics
 from util import (
     brute_covering_weight,
     brute_family_minimum,
@@ -101,7 +102,8 @@ def powerlaws(draw):
 @settings(deadline=None)
 @given(powerlaws())
 def test_dominant_level_matches_brute(p):
-    for r in range(1, p.M + 1):
+    # sizes above M have no level at all
+    for r in range(1, p.M + 2):
         want = brute_covering_weight(p, r)
         assert covering_weight_exponent(p, r) == want
         if want is None:
@@ -126,22 +128,25 @@ def test_dominant_level_without_upper_levels():
 @settings(deadline=None, max_examples=60)
 @given(hypergraphs(max_n=10, max_edges=10), powerlaws())
 def test_family_minimum_matches_brute(h, p):
-    for asymptotics, weak in ((strong_asymptotics, False), (weak_asymptotics, True)):
-        ac = asymptotics(h, p)
+    for classify, weak in ((classify_strong, False), (classify_weak, True)):
+        v = classify(h, p)
         exponent, witness = brute_family_minimum(h, p, weak)
-        assert ac.exponent == exponent
-        assert (ac.witness.n, ac.witness.edges) == (witness.n, witness.edges)
+        assert v.exponent == exponent
+        assert (v.witness.n, v.witness.edges) == (witness.n, witness.edges)
 
 
 def test_edge_subset_walk_guards_on_call():
     p = ProbSequence(M=2, powerlaw={2: (1.0, F(1))})
+    # the guard fires before a -infinity term settles the minimum
+    no_pairs = ProbSequence(M=2, powerlaw={1: (1.0, F(1))})
     wide = Hypergraph(11, [(0, 1)])
     dense = Hypergraph(7, list(combinations(range(7), 2))[:17])
     for h in (wide, dense):
         with pytest.raises(GuardError):
             _edge_subsets(h)
-        with pytest.raises(GuardError):
-            strong_asymptotics(h, p)
+        for q in (p, no_pairs):
+            with pytest.raises(GuardError):
+                classify_strong(h, q)
         with pytest.raises(GuardError):
             enumerate_strong_subgraphs(h)
     # inside the guard the walk is lazy, in mask order

@@ -24,7 +24,6 @@ from hnp import (
     strong_exponent,
     weak_exponent,
 )
-from hnp.thresholds import strong_asymptotics, weak_asymptotics
 from util import brute_is_subedge, graph_classes, random_hypergraph
 
 # the three hypergraphs sharing a 2-section: 4-cycle + chord, two 2-edges +
@@ -347,18 +346,20 @@ class TestClassifyTwoSection:
 
 
 class TestAsymptoticClass:
+    """The verdict follows the sign of the governing exponent."""
+
     def test_verdict_matches_exponent_sign(self):
         rng = random.Random(35)
         for _ in range(40):
             h = random_hypergraph(rng, rng.randint(1, 4), rng.randint(0, 4))
             p = _random_powerlaw(rng)
-            for ac in (strong_asymptotics(h, p), weak_asymptotics(h, p)):
-                if ac.exponent is None or ac.exponent < 0:
-                    assert ac.verdict == "tends_to_zero"
-                elif ac.exponent > 0:
-                    assert ac.verdict == "tends_to_infinity"
+            for v in (classify_strong(h, p), classify_weak(h, p)):
+                if v.exponent is None or v.exponent < 0:
+                    assert v.outcome == "aas_absent"
+                elif v.exponent > 0:
+                    assert v.outcome == "aas_present"
                 else:
-                    assert ac.verdict == "order_constant"
+                    assert v.outcome == "inconclusive"
 
 
 PINNED_PATTERNS = [(str(g.edges), g) for g in graph_classes()] + [
