@@ -8,9 +8,7 @@ distribution.
 
 from __future__ import annotations
 
-import csv
 import heapq
-import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -32,9 +30,6 @@ __all__ = [
     "CensusReport",
     "census",
     "spearman_rank_correlation",
-    "write_census_json",
-    "write_census_csv",
-    "write_scatter_csv",
 ]
 
 DEFAULT_CLIQUE_CAP = 100_000_000
@@ -216,7 +211,6 @@ def census(
     k: int,
     p: ProbSequence,
     n: Optional[int] = None,
-    weight_mode: str = "labelled",
     cap: int = DEFAULT_CLIQUE_CAP,
 ) -> CensusReport:
     """Aggregate observed signatures over all K_k copies and join them with
@@ -228,8 +222,9 @@ def census(
     """
     _check_k(k)
     n_theory = h.n if n is None else n
-    table = origination_distribution(k, p, n_theory, weight_mode)
-    theory_rank = dict(rank_signatures(table))
+    table = origination_distribution(k, p, n_theory)
+    ranked = rank_signatures(table)
+    theory_rank = dict(ranked)
 
     inc = h.incidence
     hub = [frozenset(ids) if len(ids) > _HUB_DEGREE else None for ids in inc]
@@ -286,7 +281,7 @@ def census(
     observed = sorted(tallies)
     by_count = sorted(observed, key=lambda sig: (-tallies[sig], sig))
     r_observed = {sig: i + 1 for i, sig in enumerate(by_count)}
-    by_theory = sorted(observed, key=lambda sig: (-table.probability(sig), sig))
+    by_theory = [sig for sig, _ in ranked if sig in tallies]
     r_theory_observed = {sig: i + 1 for i, sig in enumerate(by_theory)}
 
     count_freq = Counter(tallies.values())
@@ -304,12 +299,7 @@ def census(
         )
         for sig in by_count
     )
-    unobserved = tuple(
-        sorted(
-            ((sig, theory_rank[sig]) for sig in table.entries if sig not in tallies),
-            key=lambda kv: kv[1],
-        )
-    )
+    unobserved = tuple((sig, rank) for sig, rank in ranked if sig not in tallies)
     rho = spearman_rank_correlation(
         [r_theory_observed[sig] for sig in observed],
         [r_observed[sig] for sig in observed],
@@ -325,64 +315,3 @@ def census(
         weight_mode=table.weight_mode,
     )
 
-
-def write_census_json(report: CensusReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=1)
-        fh.write("\n")
-
-
-def write_census_csv(report: CensusReport, theory_path: str, observed_path: str) -> None:
-    """Two tables: full theory ranking (observed columns blank where a
-    signature never occurred) and the observed ranking."""
-    by_sig = {r.signature: r for r in report.rows}
-    theory_items: List[Tuple[Signature, int]] = sorted(
-        [(r.signature, r.r_theory) for r in report.rows] + list(report.unobserved),
-        key=lambda kv: kv[1],
-    )
-    with open(theory_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["signature", "probability_theory", "r_theory", "r_theory_observed",
-             "probability_observed", "r_observed"]
-        )
-        for sig, rt in theory_items:
-            row = by_sig.get(sig)
-            if row is None:
-                w.writerow([",".join(map(str, sig)), "", rt, "", "", ""])
-            else:
-                w.writerow(
-                    [
-                        ",".join(map(str, sig)),
-                        f"{row.theory_prob:.10e}",
-                        rt,
-                        row.r_theory_observed,
-                        f"{row.observed_prob:.10e}",
-                        row.r_observed,
-                    ]
-                )
-    with open(observed_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["signature", "probability_theory", "r_theory_observed",
-             "probability_observed", "r_observed"]
-        )
-        for r in report.rows:
-            w.writerow(
-                [
-                    ",".join(map(str, r.signature)),
-                    f"{r.theory_prob:.10e}",
-                    r.r_theory_observed,
-                    f"{r.observed_prob:.10e}",
-                    r.r_observed,
-                ]
-            )
-
-
-def write_scatter_csv(report: CensusReport, path: str) -> None:
-    """(r_theory_observed, r_observed) pairs for rank scatter plots."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r_theory_observed", "r_observed"])
-        for r in sorted(report.rows, key=lambda r: r.r_theory_observed):
-            w.writerow([r.r_theory_observed, r.r_observed])

@@ -8,6 +8,7 @@ codes: 0 success, 2 input error, 3 guard/budget exceeded.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -17,23 +18,14 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .census import (
-    census,
-    write_census_csv,
-    write_census_json,
-    write_scatter_csv,
-)
+from .census import CensusReport, census
 from .clustering import clustering_report
 from .core import profiles
 from .errors import GuardError, InputError
 from .io import read_edge_list, write_edge_list
 from .isomorphism import find_strong_copies, find_weak_copies
 from .model import ProbSequence, from_edge_counts, sample
-from .signatures import (
-    origination_distribution,
-    rank_signatures,
-    write_origination_csv,
-)
+from .signatures import origination_distribution, rank_signatures
 from .thresholds import (
     ContainmentVerdict,
     classify_induced_weak,
@@ -123,6 +115,22 @@ def _write_json(obj, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=1)
         fh.write("\n")
+
+
+def _write_csv(path: str, header: List[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _signature_text(sig) -> str:
+    """A signature as one CSV cell, e.g. "3,1,0"."""
+    return ",".join(map(str, sig))
+
+
+def _probability_text(x: float) -> str:
+    return f"{x:.10e}"
 
 
 def _exponent_str(e) -> Optional[str]:
@@ -236,20 +244,52 @@ def cmd_thresholds(args) -> int:
     return 0
 
 
+def _write_census_csv(report: CensusReport, args) -> None:
+    """Two tables: the full theory ranking (observed columns blank where a
+    signature never occurred) and the observed ranking."""
+    theory_rows = [
+        [_signature_text(r.signature), _probability_text(r.theory_prob), r.r_theory,
+         r.r_theory_observed, _probability_text(r.observed_prob), r.r_observed]
+        for r in report.rows
+    ]
+    for sig, r_theory in report.unobserved:
+        theory_rows.append([_signature_text(sig), "", r_theory, "", "", ""])
+    theory_rows.sort(key=lambda row: row[2])  # by r_theory
+    _write_csv(
+        _out_path(args, "census_theory.csv"),
+        ["signature", "probability_theory", "r_theory", "r_theory_observed",
+         "probability_observed", "r_observed"],
+        theory_rows,
+    )
+    observed_rows = [
+        [_signature_text(r.signature), _probability_text(r.theory_prob), r.r_theory_observed,
+         _probability_text(r.observed_prob), r.r_observed]
+        for r in report.rows
+    ]
+    _write_csv(
+        _out_path(args, "census_observed.csv"),
+        ["signature", "probability_theory", "r_theory_observed",
+         "probability_observed", "r_observed"],
+        observed_rows,
+    )
+
+
 def cmd_census(args) -> int:
     parsed = read_edge_list(args.input, max_edge_size=args.max_edge_size)
     h = parsed.hypergraph
     n_theory = args.n if args.n is not None else h.n
     p, _ = _sequence(args, n_theory)
     report = census(h, args.k, p, n=n_theory, cap=args.clique_cap)
-    write_census_json(report, _out_path(args, "census.json"))
+    _write_json(report.to_dict(), _out_path(args, "census.json"))
     if args.format == "csv":
-        write_census_csv(
-            report,
-            _out_path(args, "census_theory.csv"),
-            _out_path(args, "census_observed.csv"),
-        )
-    write_scatter_csv(report, _out_path(args, "scatter.csv"))
+        _write_census_csv(report, args)
+    # (r_theory_observed, r_observed) pairs for rank scatter plots
+    by_theory = sorted(report.rows, key=lambda r: r.r_theory_observed)
+    _write_csv(
+        _out_path(args, "scatter.csv"),
+        ["r_theory_observed", "r_observed"],
+        [[r.r_theory_observed, r.r_observed] for r in by_theory],
+    )
     print(
         json.dumps(
             {
@@ -268,7 +308,13 @@ def cmd_origination(args) -> int:
     table = origination_distribution(args.k, p, args.n, weight_mode=args.weight_mode)
     ranks = rank_signatures(table)
     if args.format == "csv":
-        write_origination_csv(table, _out_path(args, "origination.csv"))
+        rows = []
+        for sig, rank in ranks:
+            weight, prob = table.entries[sig]
+            rows.append([_signature_text(sig), weight, _probability_text(prob), rank])
+        _write_csv(
+            _out_path(args, "origination.csv"), ["signature", "weight", "probability", "rank"], rows
+        )
     doc = {
         "k": table.k,
         "n": table.n,
@@ -389,7 +435,7 @@ def _int_at_least(lo: int):
 def _add_common(sp, *, seed=False, fmt=False, max_edge=False) -> None:
     sp.add_argument("--out", default=".", help="output directory")
     if seed:
-        sp.add_argument("--seed", type=int, required=True, help="RNG seed (required)")
+        sp.add_argument("--seed", type=_int_at_least(0), required=True, help="RNG seed (required)")
     if fmt:
         sp.add_argument("--format", choices=("csv", "json"), default="json")
     if max_edge:
@@ -467,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_int_at_least(0), default=None)
     _add_sequence(sp, "numeric")
     sp.add_argument("--samples", type=_int_at_least(1), default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_int_at_least(0), default=None)
     sp.add_argument("--parallel", type=_int_at_least(1), default=None, help="worker cap")
     _add_common(sp, max_edge=True)
     sp.set_defaults(func=cmd_clustering)
@@ -480,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sequence(sp, "any")
     sp.add_argument("--out", default=None)
     sp.add_argument("--parallel", type=_int_at_least(1), default=None, help="worker cap")
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_int_at_least(0), required=True)
     sp.set_defaults(func=cmd_mc_threshold)
 
     return parser

@@ -79,7 +79,7 @@ def hc_local(h: Hypergraph, v: int) -> float:
         return 0.0
     nb = {u: h.neighbors(u) for u in h.neighbors(v) | {v}}
     edge_sets = {i: frozenset(h.edges[i]) for i in ids}
-    cand, _, _ = _pairs_at(h, v, nb, edge_sets)
+    cand, _ = _pairs_at(h, v, nb, edge_sets)
     total = sum(_extra_overlap(nb, edge_sets[i], edge_sets[j]) for i, j in sorted(cand))
     return total / comb(len(ids), 2)
 
@@ -120,8 +120,9 @@ def _pairs_at(h: Hypergraph, v: int, nb, edge_sets):
     at v that can score above 0, that is, with some x in e_i \\ e_j and y in
     e_j \\ e_i that are 2-section neighbours (both lie in N(v)), found from
     a map of each x in N(v) to its edges at v and one N(x) & N(v) per x;
-    and the pairs at v sharing a vertex below v, and above v. nb[u] is u's
-    neighbour set and edge_sets[i] edge i, for v, N(v) and the edges at v."""
+    and the pairs at v that also share a vertex below v, which were met
+    there first. nb[u] is u's neighbour set and edge_sets[i] edge i, for v,
+    N(v) and the edges at v."""
     link: Dict[int, list] = {}
     for i in h.incidence[v]:
         for x in h.edges[i]:
@@ -129,12 +130,12 @@ def _pairs_at(h: Hypergraph, v: int, nb, edge_sets):
                 link.setdefault(x, []).append(i)
     nbv = nb[v]
     cand = set()
-    seen_before = set()  # pairs also sharing a vertex below v
-    seen_after = set()  # pairs also sharing a vertex above v
+    seen_before = set()
     for x, lx in link.items():
         ys = nb[x] & nbv
         if len(lx) > 1:
-            (seen_before if x < v else seen_after).update(combinations(lx, 2))
+            if x < v:
+                seen_before.update(combinations(lx, 2))
         elif ys <= edge_sets[lx[0]]:
             continue  # every y shares x's only edge at v
         for y in ys:
@@ -144,7 +145,7 @@ def _pairs_at(h: Hypergraph, v: int, nb, edge_sets):
                     for j in ly:
                         if j not in lx:
                             cand.add((i, j) if i < j else (j, i))
-    return cand, seen_before, seen_after
+    return cand, seen_before
 
 
 def clustering_report(h: Hypergraph, bins: int = 100) -> Dict:
@@ -155,10 +156,10 @@ def clustering_report(h: Hypergraph, bins: int = 100) -> Dict:
     One pass over the vertices that scores only the pairs that can score
     above 0, found by _pairs_at. Every other pair at v scores exactly 0.0,
     and adding 0.0 to a sum of non-negative floats leaves it unchanged bit
-    for bit, so the sums below equal those over all pairs. _pairs_at also
-    finds the pairs sharing two or more vertices: such a pair is scored at
-    its smallest common vertex, as in intersecting_pairs, and kept until its
-    largest one."""
+    for bit, so the sums below equal those over all pairs. A pair sharing
+    several vertices is scored at each of them, to the same float each
+    time; it joins the global sum only at its smallest common vertex, as in
+    intersecting_pairs."""
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     edge_sets = [frozenset(e) for e in h.edges]
@@ -167,7 +168,6 @@ def clustering_report(h: Hypergraph, bins: int = 100) -> Dict:
     # the end: from Python 3.12 a running += would differ from it
     overlaps = array("d")
     n_pairs = 0
-    shared: Dict[Tuple[int, int], float] = {}
     hist = [0] * bins
     nonzero = 0
     for v in range(h.n):
@@ -176,17 +176,13 @@ def clustering_report(h: Hypergraph, bins: int = 100) -> Dict:
         if d < 2:
             hist[0] += 1  # a local coefficient of 0.0
             continue
-        cand, seen_before, seen_after = _pairs_at(h, v, nb, edge_sets)
+        cand, seen_before = _pairs_at(h, v, nb, edge_sets)
         n_pairs += comb(d, 2) - len(seen_before)
         local = []
-        for pair in sorted(cand):
-            if pair in seen_before:
-                eo = shared[pair] if pair in seen_after else shared.pop(pair)
-            else:
-                eo = _extra_overlap(nb, edge_sets[pair[0]], edge_sets[pair[1]])
+        for i, j in sorted(cand):
+            eo = _extra_overlap(nb, edge_sets[i], edge_sets[j])
+            if (i, j) not in seen_before:
                 overlaps.append(eo)
-                if pair in seen_after:
-                    shared[pair] = eo
             local.append(eo)
         c = sum(local) / comb(d, 2)
         if c > 0.0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from itertools import combinations
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 __all__ = [
     "Hypergraph",
@@ -181,12 +181,17 @@ def induced_weak(h: Hypergraph, s: Iterable[int]) -> Tuple[Hypergraph, Dict[int,
     return Hypergraph(len(kept), edges), mapping
 
 
+def _compacted(edges: Sequence[Tuple[int, ...]]) -> Tuple[Hypergraph, Dict[int, int]]:
+    """The given edges on their own support, relabelled in sorted order, and
+    the old->new id mapping."""
+    support = sorted(set().union(*edges))
+    mapping = {v: i for i, v in enumerate(support)}
+    return Hypergraph(len(support), [tuple(mapping[v] for v in e) for e in edges]), mapping
+
+
 def remove_isolated(h: Hypergraph) -> Tuple[Hypergraph, Dict[int, int]]:
     """Drop vertices contained in no edge and compact ids."""
-    kept = [v for v in range(h.n) if h.incidence[v]]
-    mapping = {v: i for i, v in enumerate(kept)}
-    edges = [tuple(mapping[v] for v in e) for e in h.edges]
-    return Hypergraph(len(kept), edges), mapping
+    return _compacted(h.edges)
 
 
 def truncate(h: Hypergraph, max_size: int) -> Tuple[Hypergraph, Dict[int, int]]:
@@ -194,8 +199,7 @@ def truncate(h: Hypergraph, max_size: int) -> Tuple[Hypergraph, Dict[int, int]]:
     compact ids. Idempotent at the same max_size."""
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
-    filtered = Hypergraph(h.n, [e for e in h.edges if len(e) <= max_size])
-    return remove_isolated(filtered)
+    return _compacted([e for e in h.edges if len(e) <= max_size])
 
 
 def profiles(h: Hypergraph) -> Tuple[Counter, Counter]:

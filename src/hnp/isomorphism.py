@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .core import Hypergraph
+from .core import Hypergraph, _compacted
 from .errors import GuardError, InputError
 
 __all__ = [
@@ -219,8 +219,6 @@ def find_weak_copies(
 
 def automorphism_count(h: Hypergraph) -> int:
     """Number of vertex permutations mapping the edge set onto itself."""
-    if h.n > MAX_PATTERN_VERTICES:
-        raise GuardError(f"{h.n} vertices, guard is {MAX_PATTERN_VERTICES}")
     return sum(1 for _ in _embeddings(h, h, weak=False))
 
 
@@ -231,7 +229,9 @@ def canonical_form(h: Hypergraph) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     """Canonical key (n, relabelled edges): equal iff hypergraphs isomorphic.
 
     Brute force over vertex orderings restricted to color classes from a short
-    degree/size refinement; isolated vertices never need permuting.
+    degree/size refinement; isolated vertices never need permuting. The
+    classes take consecutive blocks of labels in sorted color order, and
+    each labelling permutes every class within its block.
     """
     active = [v for v in range(h.n) if h.incidence[v]]
     if not active:
@@ -252,43 +252,37 @@ def canonical_form(h: Hypergraph) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
             )
             for v in active
         }
-        if len(set(refined.values())) == len(set(colors.values())):
-            colors = refined
-            break
+        stable = len(set(refined.values())) == len(set(colors.values()))
         colors = refined
+        if stable:
+            break
 
     groups: Dict[tuple, List[int]] = {}
     for v in active:
         groups.setdefault(colors[v], []).append(v)
-    ordered_groups = [groups[c] for c in sorted(groups)]
+    classes = [groups[c] for c in sorted(groups)]
 
-    best = None
-    offsets = []
-    pos = 0
-    for g in ordered_groups:
-        offsets.append(pos)
-        pos += len(g)
+    label = [0] * h.n
 
-    def assignments(gi: int, label: Dict[int, int]):
-        if gi == len(ordered_groups):
-            yield label
-            return
-        base = offsets[gi]
-        for perm in permutations(ordered_groups[gi]):
-            for i, v in enumerate(perm):
-                label[v] = base + i
-            yield from assignments(gi + 1, label)
-
-    for label in assignments(0, {}):
-        relabelled = tuple(
-            sorted(
-                (tuple(sorted(label[v] for v in e)) for e in h.edges),
-                key=lambda t: (len(t), t),
+    # depth first: itertools.product would hold every permutation of each
+    # class in memory (42 MB for C9, about 0.5 GB for C10)
+    def relabellings(ci: int, base: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+        """The sorted relabelled edges under each labelling that gives the
+        classes from ci on the labels from base on, class by class."""
+        if ci == len(classes):
+            yield tuple(
+                sorted(
+                    (tuple(sorted(label[v] for v in e)) for e in h.edges),
+                    key=lambda t: (len(t), t),
+                )
             )
-        )
-        if best is None or relabelled < best:
-            best = relabelled
-    return (h.n, best)
+            return
+        for perm in permutations(classes[ci]):
+            for i, v in enumerate(perm, base):
+                label[v] = i
+            yield from relabellings(ci + 1, base + len(perm))
+
+    return (h.n, min(relabellings(0, 0)))
 
 
 def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> bool:
@@ -313,13 +307,6 @@ def _edge_subsets(h: Hypergraph) -> Iterator[List[Tuple[int, ...]]]:
     return ([h.edges[i] for i in range(m) if mask >> i & 1] for mask in range(1, 1 << m))
 
 
-def _compacted(edges: List[Tuple[int, ...]]) -> Hypergraph:
-    """The given edges on their own support, relabelled in sorted order."""
-    support = sorted(set().union(*edges))
-    remap = {v: i for i, v in enumerate(support)}
-    return Hypergraph(len(support), [tuple(remap[v] for v in e) for e in edges])
-
-
 def enumerate_strong_subgraphs(
     h: Hypergraph, require_edges: bool = False
 ) -> List[Hypergraph]:
@@ -335,7 +322,7 @@ def enumerate_strong_subgraphs(
         for v in range(1, h.n + 1):
             classes[(v, ())] = Hypergraph(v)
     for chosen in subsets:
-        base = _compacted(chosen)
+        base, _ = _compacted(chosen)
         key = canonical_form(base)
         classes.setdefault(key, base)
         if not require_edges:

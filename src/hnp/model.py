@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -82,11 +83,6 @@ class ProbSequence:
             return self.powerlaw[r][1]
         return None
 
-    def coefficient(self, r: int) -> float:
-        if self.powerlaw is None:
-            raise InputError("coefficient() requires power-law mode")
-        return self.powerlaw[r][0] if r in self.powerlaw else 0.0
-
     def prob_at(self, r: int, n: int) -> float:
         """p_r evaluated at a concrete n (power laws clamped into [0, 1])."""
         if r > self.M or r < 1:
@@ -127,22 +123,32 @@ class ProbSequence:
     def from_json(text: str) -> "ProbSequence":
         try:
             obj = json.loads(text)
-            M = int(obj["M"])
+            M = obj["M"]
+            if isinstance(M, bool) or not isinstance(M, int):
+                raise InputError(f"M must be a JSON integer, got {json.dumps(M)}")
             if "numeric" in obj:
                 return ProbSequence(
-                    M=M, numeric={int(r): float(p) for r, p in obj["numeric"].items()}
+                    M=M,
+                    numeric={int(r): _float(p, f"p_{r}") for r, p in obj["numeric"].items()},
                 )
             if "powerlaw" in obj:
                 return ProbSequence(
                     M=M,
                     powerlaw={
-                        int(r): (float(spec["c"]), Fraction(str(spec["alpha"])))
+                        int(r): (_float(spec["c"], f"c_{r}"), Fraction(str(spec["alpha"])))
                         for r, spec in obj["powerlaw"].items()
                     },
                 )
         except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"malformed probability sequence: {exc}") from exc
         raise InputError("probability sequence needs a 'numeric' or 'powerlaw' key")
+
+
+def _float(value, name: str) -> float:
+    """float(value), except that a JSON boolean is not read as 0 or 1."""
+    if isinstance(value, bool):
+        raise InputError(f"{name} must be a number, got {json.dumps(value)}")
+    return float(value)
 
 
 def from_edge_counts(n: int, counts: Mapping[int, int]) -> ProbSequence:
@@ -214,12 +220,7 @@ def _check_r(p: ProbSequence, r: int) -> None:
         raise InputError(f"size {r} outside 1..M={p.M}")
 
 
-def sample(
-    n: int,
-    p: ProbSequence,
-    seed: int,
-    max_expected_edges: int = DEFAULT_EDGE_BUDGET,
-) -> Hypergraph:
+def sample(n: int, p: ProbSequence, seed: int) -> Hypergraph:
     """Draw a hypergraph from H(n, p); deterministic given the seed.
 
     Per size r the edge count is drawn from Bin(C(n,r), p_r) exactly when
@@ -227,8 +228,8 @@ def sample(
     distinct uniform r-subsets are then drawn (by index when C(n,r) is
     small, by rejection on a hash set otherwise).
 
-    Raises BudgetError for any level whose expected edge count exceeds
-    max_expected_edges.
+    Raises BudgetError for any level whose expected edge count, or drawn
+    edge count, exceeds DEFAULT_EDGE_BUDGET.
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
@@ -242,14 +243,12 @@ def sample(
             continue
         total = math.comb(n, r)
         expected = total * pr
-        if expected > max_expected_edges:
+        if expected > DEFAULT_EDGE_BUDGET:
             raise BudgetError(
                 f"level r={r}: expected edge count {expected:.3g} exceeds "
-                f"budget {max_expected_edges}"
+                f"budget {DEFAULT_EDGE_BUDGET}"
             )
         if total <= _ENUMERATION_LIMIT:
-            from itertools import combinations
-
             pool = list(combinations(range(n), r))
             k = int(rng.binomial(total, pr))
             idx = np.sort(rng.choice(total, size=k, replace=False))
@@ -259,10 +258,10 @@ def sample(
                 k = int(rng.binomial(total, pr))
             else:
                 k = int(rng.poisson(expected))
-            if k > max_expected_edges:
+            if k > DEFAULT_EDGE_BUDGET:
                 raise BudgetError(
                     f"level r={r}: drawn edge count {k} exceeds budget "
-                    f"{max_expected_edges}"
+                    f"{DEFAULT_EDGE_BUDGET}"
                 )
             edges.extend(_distinct_subsets(rng, n, r, k, total))
     return Hypergraph(n, edges)

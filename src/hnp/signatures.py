@@ -39,7 +39,6 @@ __all__ = [
     "labelled_total",
     "origination_distribution",
     "rank_signatures",
-    "write_origination_csv",
 ]
 
 Signature = Tuple[int, ...]
@@ -298,15 +297,3 @@ def rank_signatures(table: OriginationTable) -> List[Tuple[Signature, int]]:
     ordered = sorted(table.entries.items(), key=lambda kv: (-kv[1][1], kv[0]))
     return [(sig, i + 1) for i, (sig, _) in enumerate(ordered)]
 
-
-def write_origination_csv(table: OriginationTable, path: str) -> None:
-    """CSV export: signature, weight, probability, rank."""
-    import csv
-
-    ranks = dict(rank_signatures(table))
-    rows = sorted(table.entries.items(), key=lambda kv: ranks[kv[0]])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["signature", "weight", "probability", "rank"])
-        for sig, (w, prob) in rows:
-            writer.writerow([",".join(map(str, sig)), w, f"{prob:.10e}", ranks[sig]])

@@ -17,9 +17,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
-from .core import Graph, Hypergraph
+from .core import Graph, Hypergraph, _compacted
 from .errors import GuardError, InputError
-from .isomorphism import MAX_ENUM_VERTICES, _compacted, _edge_subsets
+from .isomorphism import MAX_ENUM_VERTICES, _edge_subsets
 from .isomorphism import _embeddings, canonical_form
 from .model import ProbSequence
 
@@ -138,13 +138,13 @@ def _family_minimum(
     per_size = {r: _size_exponent(p, r, weak) for r in set(len(e) for e in h.edges)}
     for e in h.edges:
         if per_size[len(e)] is None:
-            return None, _compacted([e])
+            return None, _compacted([e])[0]
 
     best, best_wit = Fraction(1), Hypergraph(1)
     for chosen in subsets:
         val = len(set().union(*chosen)) + sum(per_size[len(e)] for e in chosen)
         if val < best:
-            best, best_wit = val, _compacted(chosen)
+            best, best_wit = val, _compacted(chosen)[0]
     return best, best_wit
 
 

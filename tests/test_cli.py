@@ -387,6 +387,22 @@ class TestCountArguments:
         assert "--n must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--n", "10", "--counts", "2=5"],
+            ["clustering", "--n", "10", "--counts", "2=5", "--samples", "1"],
+            ["mc-threshold", "--pattern", "x.edges", "--n", "10", "--trials", "2",
+             "--counts", "2=5"],
+        ],
+    )
+    def test_negative_seed_exit_2(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_integer_named_as_int(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--n", "ten", "--counts", "2=3", "--seed", "1",
@@ -443,6 +459,29 @@ class TestOutsideInput:
             argv += ["--n", "30", "--trials", "3", "--seed", "1"]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert "must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, probs, message",
+        [
+            ("origination", '{"M": 2.9, "numeric": {"2": 0.1}}',
+             "M must be a JSON integer, got 2.9"),
+            ("origination", '{"M": true, "numeric": {"1": 0.1}}',
+             "M must be a JSON integer, got true"),
+            ("origination", '{"M": 3, "numeric": {"2": true}}', "p_2 must be a number, got true"),
+            ("thresholds", '{"M": 2, "powerlaw": {"2": {"c": true, "alpha": "1/2"}}}',
+             "c_2 must be a number, got true"),
+        ],
+    )
+    def test_probs_coerced_field_exit_2(self, command, probs, message, triangle_file, tmp_path,
+                                        capsys):
+        path = _write(tmp_path / "p.json", probs)
+        if command == "origination":
+            argv = ["origination", "--k", "3", "--n", "30"]
+        else:
+            argv = ["thresholds", "--pattern", triangle_file]
+        assert main(argv + ["--probs", path, "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_non_utf8_edge_list_exit_2(self, tmp_path, capsys):

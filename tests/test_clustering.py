@@ -234,3 +234,19 @@ class TestCandidatePairs:
             "hc_local_histogram": _histogram({0: 1, 75: 2, 99: 2}),
             "n_nonzero_local": 4,
         }
+
+    def test_nonzero_pair_sharing_three_vertices(self):
+        # {0,1,2,4} and {0,1,2,3,5} share 0, 1 and 2 and close through {3,4};
+        # at the middle common vertex 1 the pair is seen both before and
+        # after, and its score 2/3 must enter the global sum once
+        h = Hypergraph(6, [(0, 1, 2, 3, 5), (0, 1, 2, 4), (3, 4)])
+        assert _eo(h, (0, 1, 2, 4), (0, 1, 2, 3, 5)) == 2 / 3
+        assert _eo(h, (3, 4), (0, 1, 2, 4)) == 1.0
+        assert _eo(h, (3, 4), (0, 1, 2, 3, 5)) == 0.8
+        assert [hc_local(h, v) for v in range(6)] == [2 / 3, 2 / 3, 2 / 3, 0.8, 1.0, 0.0]
+        assert clustering_report(h) == {
+            "hc_global": (2 / 3 + 0.8 + 1.0) / 3,
+            "n_intersecting_pairs": 3,
+            "hc_local_histogram": _histogram({0: 1, 66: 3, 80: 1, 99: 1}),
+            "n_nonzero_local": 5,
+        }

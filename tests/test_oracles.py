@@ -16,6 +16,7 @@ from hnp import (
     CliqueCapError,
     Hypergraph,
     automorphism_count,
+    canonical_form,
     census,
     clustering_report,
     find_strong_copies,
@@ -32,6 +33,7 @@ from hnp import (
 from hnp.isomorphism import _pattern_order
 from util import (
     brute_aut,
+    brute_canonical_form,
     brute_clustering_report,
     brute_degeneracy_order,
     brute_hc_local,
@@ -271,3 +273,13 @@ def test_weak_witnesses_are_smallest_ids(pattern, host):
 @given(patterns())
 def test_automorphism_count_matches_oracle(pattern):
     assert automorphism_count(pattern) == brute_aut(pattern)
+
+
+@settings(deadline=None)
+@given(hypergraphs(max_n=7), st.data())
+def test_canonical_form_matches_oracle_and_ignores_labels(h, data):
+    key = canonical_form(h)
+    assert key == brute_canonical_form(h)
+    perm = data.draw(st.permutations(range(h.n)))
+    relabelled = Hypergraph(h.n, [[perm[v] for v in e] for e in h.edges])
+    assert canonical_form(relabelled) == key

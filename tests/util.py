@@ -91,6 +91,68 @@ def brute_is_subedge(h1: Hypergraph, h2: Hypergraph) -> bool:
     return False
 
 
+def brute_canonical_form(h: Hypergraph):
+    """canonical_form by its first implementation: the minimum, over every
+    labelling that permutes each refined colour class within its block of
+    labels, of the sorted relabelled edge list."""
+    active = [v for v in range(h.n) if h.incidence[v]]
+    if not active:
+        return (h.n, ())
+    colors = {
+        v: (
+            len(h.incidence[v]),
+            tuple(sorted((len(h.edges[i]) for i in h.incidence[v]))),
+        )
+        for v in active
+    }
+    for _ in range(2):
+        ranks = {c: i for i, c in enumerate(sorted(set(colors.values())))}
+        refined = {
+            v: (
+                ranks[colors[v]],
+                tuple(sorted(ranks[colors[u]] for u in h.neighbors(v))),
+            )
+            for v in active
+        }
+        if len(set(refined.values())) == len(set(colors.values())):
+            colors = refined
+            break
+        colors = refined
+
+    groups = {}
+    for v in active:
+        groups.setdefault(colors[v], []).append(v)
+    ordered_groups = [groups[c] for c in sorted(groups)]
+
+    best = None
+    offsets = []
+    pos = 0
+    for g in ordered_groups:
+        offsets.append(pos)
+        pos += len(g)
+
+    def assignments(gi, label):
+        if gi == len(ordered_groups):
+            yield label
+            return
+        base = offsets[gi]
+        for perm in permutations(ordered_groups[gi]):
+            for i, v in enumerate(perm):
+                label[v] = base + i
+            yield from assignments(gi + 1, label)
+
+    for label in assignments(0, {}):
+        relabelled = tuple(
+            sorted(
+                (tuple(sorted(label[v] for v in e)) for e in h.edges),
+                key=lambda t: (len(t), t),
+            )
+        )
+        if best is None or relabelled < best:
+            best = relabelled
+    return (h.n, best)
+
+
 def brute_subgraph_classes(h: Hypergraph):
     """Isomorphism classes of (vertex subset, edge subset) substructures."""
 
