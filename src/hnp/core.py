@@ -4,6 +4,14 @@ Vertices are dense integer ids 0..n-1. Edges are distinct, nonempty,
 duplicate-free vertex subsets stored as sorted tuples; edge identity is set
 equality. After construction a hypergraph is immutable and safe for
 concurrent reads.
+
+Every hypergraph is built by `Hypergraph._build`, which orders the edges by
+(size, tuple) and lists each vertex's edge ids. The public constructor
+validates and normalises arbitrary input first. Producers inside the package
+whose edges are already normalised (distinct sorted tuples of int ids in
+0..n-1) skip that step through the private classmethod
+`Hypergraph._normalised(n, edges)`; passing it anything else gives a
+corrupt hypergraph.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from itertools import combinations
+from operator import index
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 __all__ = [
@@ -28,9 +37,9 @@ __all__ = [
 class Hypergraph:
     """Immutable hypergraph on vertex set {0, ..., n-1}.
 
-    Edges passed to the constructor are normalized to sorted tuples and
-    deduplicated as sets. An edge that is empty, contains a repeated vertex,
-    or mentions an id outside 0..n-1 raises ValueError.
+    Edges passed to the constructor are normalized to sorted tuples of int
+    ids and deduplicated as sets. An edge that is empty, contains a repeated
+    vertex, a non-integer id or an id outside 0..n-1 raises ValueError.
     """
 
     __slots__ = ("n", "edges", "incidence", "_edge_set", "_neighbors")
@@ -40,7 +49,12 @@ class Hypergraph:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         seen = set()
         for e in edges:
-            t = tuple(sorted(e))
+            try:
+                t = tuple(sorted(map(index, e)))
+            except TypeError:
+                raise ValueError(
+                    f"hyperedge {e!r} is not a collection of integer vertex ids"
+                ) from None
             if not t:
                 raise ValueError("empty hyperedge")
             for a, b in zip(t, t[1:]):
@@ -49,15 +63,29 @@ class Hypergraph:
             if t[0] < 0 or t[-1] >= n:
                 raise ValueError(f"hyperedge {t} mentions a vertex outside 0..{n - 1}")
             seen.add(t)
+        self._build(n, seen)
+
+    @classmethod
+    def _normalised(cls, n: int, edges: Iterable[Tuple[int, ...]]):
+        """Instance of cls on n vertices from edges that are already distinct
+        sorted tuples of int ids in 0..n-1 (of size 2 for a Graph); nothing
+        is checked."""
+        h = cls.__new__(cls)
+        h._build(n, edges)
+        return h
+
+    def _build(self, n: int, edges: Iterable[Tuple[int, ...]]) -> None:
+        # two stable C-level sorts give the (size, tuple) order without a
+        # Python key function
+        es = sorted(edges)
+        es.sort(key=len)
         self.n: int = n
-        self.edges: Tuple[Tuple[int, ...], ...] = tuple(
-            sorted(seen, key=lambda t: (len(t), t))
-        )
+        self.edges: Tuple[Tuple[int, ...], ...] = tuple(es)
         inc = [[] for _ in range(n)]
-        for i, e in enumerate(self.edges):
+        for i, e in enumerate(es):
             for v in e:
                 inc[v].append(i)
-        self.incidence: Tuple[Tuple[int, ...], ...] = tuple(tuple(x) for x in inc)
+        self.incidence: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, inc))
         self._edge_set: Optional[frozenset] = None
         self._neighbors: Dict[int, frozenset] = {}
 
@@ -134,7 +162,7 @@ def two_section(h: Hypergraph) -> Graph:
     pairs = set()
     for e in h.edges:
         pairs.update(combinations(e, 2))
-    return Graph(h.n, pairs)
+    return Graph._normalised(h.n, pairs)
 
 
 def _mapping(s: Iterable[int], n: int) -> Tuple[Tuple[int, ...], Dict[int, int]]:
@@ -162,7 +190,7 @@ def induced_strong(
         e = h.edges[i]
         if all(v in sset for v in e):
             edges.append(tuple(mapping[v] for v in e))
-    return Hypergraph(len(kept), edges), mapping
+    return Hypergraph._normalised(len(kept), edges), mapping
 
 
 def induced_weak(h: Hypergraph, s: Iterable[int]) -> Tuple[Hypergraph, Dict[int, int]]:
@@ -178,15 +206,17 @@ def induced_weak(h: Hypergraph, s: Iterable[int]) -> Tuple[Hypergraph, Dict[int,
         inter = tuple(mapping[v] for v in h.edges[i] if v in sset)
         if inter:
             edges.add(inter)
-    return Hypergraph(len(kept), edges), mapping
+    return Hypergraph._normalised(len(kept), edges), mapping
 
 
 def _compacted(edges: Sequence[Tuple[int, ...]]) -> Tuple[Hypergraph, Dict[int, int]]:
-    """The given edges on their own support, relabelled in sorted order, and
-    the old->new id mapping."""
+    """The given edges (distinct sorted tuples, such as some of an h.edges)
+    on their own support, relabelled in sorted order, and the old->new id
+    mapping. The relabelling keeps order, so the edges stay normalised."""
     support = sorted(set().union(*edges))
     mapping = {v: i for i, v in enumerate(support)}
-    return Hypergraph(len(support), [tuple(mapping[v] for v in e) for e in edges]), mapping
+    edges = [tuple(mapping[v] for v in e) for e in edges]
+    return Hypergraph._normalised(len(support), edges), mapping
 
 
 def remove_isolated(h: Hypergraph) -> Tuple[Hypergraph, Dict[int, int]]:

@@ -38,6 +38,7 @@ def read_edge_list(path: str, max_edge_size: int | None = None) -> ParsedEdgeLis
     drop are not created since ids are assigned only for surviving lines.
     """
     token_to_id: Dict[str, int] = {}
+    new_id = token_to_id.setdefault
     edges = set()
     duplicates = 0
     dropped = 0
@@ -58,18 +59,15 @@ def read_edge_list(path: str, max_edge_size: int | None = None) -> ParsedEdgeLis
                 dropped += 1
                 oversize_lines.append(lineno)
                 continue
-            key = frozenset(tokens)
-            if key in edges:
+            # a repeated line (as a set) has all its tokens mapped already,
+            # so it gives no new ids and the same sorted id tuple
+            e = tuple(sorted([new_id(t, len(token_to_id)) for t in tokens]))
+            if e in edges:
                 duplicates += 1
                 continue
-            edges.add(key)
-            for t in tokens:
-                if t not in token_to_id:
-                    token_to_id[t] = len(token_to_id)
-    n = len(token_to_id)
-    id_edges = [[token_to_id[t] for t in e] for e in edges]
+            edges.add(e)
     return ParsedEdgeList(
-        hypergraph=Hypergraph(n, id_edges),
+        hypergraph=Hypergraph._normalised(len(token_to_id), edges),
         token_to_id=token_to_id,
         duplicate_edges=duplicates,
         line_count=line_count,

@@ -328,5 +328,5 @@ def enumerate_strong_subgraphs(
         if not require_edges:
             for order in range(base.n + 1, h.n + 1):
                 if (order, key[1]) not in classes:
-                    classes[(order, key[1])] = Hypergraph(order, base.edges)
+                    classes[(order, key[1])] = Hypergraph._normalised(order, base.edges)
     return [classes[k] for k in sorted(classes)]

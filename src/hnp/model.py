@@ -13,7 +13,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -139,14 +138,15 @@ class ProbSequence:
                         for r, spec in obj["powerlaw"].items()
                     },
                 )
-        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
+                ZeroDivisionError) as exc:
             raise InputError(f"malformed probability sequence: {exc}") from exc
         raise InputError("probability sequence needs a 'numeric' or 'powerlaw' key")
 
 
 def _float(value, name: str) -> float:
-    """float(value), except that a JSON boolean is not read as 0 or 1."""
-    if isinstance(value, bool):
+    """A JSON number as a float; a string, boolean or null is not read as one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{name} must be a number, got {json.dumps(value)}")
     return float(value)
 
@@ -249,10 +249,9 @@ def sample(n: int, p: ProbSequence, seed: int) -> Hypergraph:
                 f"budget {DEFAULT_EDGE_BUDGET}"
             )
         if total <= _ENUMERATION_LIMIT:
-            pool = list(combinations(range(n), r))
             k = int(rng.binomial(total, pr))
             idx = np.sort(rng.choice(total, size=k, replace=False))
-            edges.extend(pool[i] for i in idx)
+            edges.extend(_unrank(n, r, idx))
         else:
             if total < 2**63:
                 k = int(rng.binomial(total, pr))
@@ -264,7 +263,38 @@ def sample(n: int, p: ProbSequence, seed: int) -> Hypergraph:
                     f"{DEFAULT_EDGE_BUDGET}"
                 )
             edges.extend(_distinct_subsets(rng, n, r, k, total))
-    return Hypergraph(n, edges)
+    return Hypergraph._normalised(n, edges)
+
+
+def _unrank(n: int, r: int, ranks: np.ndarray) -> list:
+    """The entries of list(combinations(range(n), r)) at the given ranks,
+    without building that list.
+
+    The subset of lexicographic rank i is read off from c = C(n, r) - 1 - i
+    in the combinatorial number system: for j = r..1 take the largest m with
+    C(m, j) <= c and subtract C(m, j); the element is n - 1 - m. A subset's
+    rank is C(n, r) - 1 minus its complement's rank among the
+    (n - r)-subsets, so for r > n/2 the complements are unranked instead
+    and the table has min(r, n - r) + 1 rows.
+    """
+    total = math.comb(n, r)
+    s = min(r, n - r)
+    # table[j, m] = C(m, j), capped at total: only values <= c decide
+    table = np.ones((s + 1, n), dtype=np.int64)
+    for j in range(1, s + 1):
+        table[j, 0] = 0
+        np.minimum(np.cumsum(table[j - 1, :-1]), total, out=table[j, 1:])
+    c = total - 1 - ranks if s == r else ranks
+    out = np.empty((len(ranks), s), dtype=np.int64)
+    for j in range(s, 0, -1):
+        m = np.searchsorted(table[j], c, side="right") - 1
+        c = c - table[j, m]
+        out[:, s - j] = n - 1 - m
+    if s < r:
+        keep = np.ones((len(ranks), n), dtype=bool)
+        keep[np.arange(len(ranks))[:, None], out] = False
+        out = np.nonzero(keep)[1].reshape(len(ranks), r)
+    return list(map(tuple, out.tolist()))
 
 
 def _distinct_subsets(rng, n: int, r: int, k: int, total: int) -> list:

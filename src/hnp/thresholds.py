@@ -209,7 +209,7 @@ def padded_pattern(h: Hypergraph, p: ProbSequence) -> Hypergraph:
         i = pad_amount(p, len(e))
         edges.append(tuple(e) + tuple(range(fresh, fresh + i)))
         fresh += i
-    return Hypergraph(fresh, edges)
+    return Hypergraph._normalised(fresh, edges)
 
 
 def classify_induced_weak(h: Hypergraph, p: ProbSequence) -> ContainmentVerdict:
@@ -315,7 +315,7 @@ def minimal_two_section_covers(g: Graph) -> List[Hypergraph]:
     pairs = [set(e) for e in g.edges]
     m = len(pairs)
 
-    candidates: List[Tuple[frozenset, frozenset]] = []  # (vertex set, covered edge ids)
+    candidates: List[Tuple[Tuple[int, ...], frozenset]] = []  # (edge, covered edge ids)
     verts = list(range(g.n))
     for size in range(2, g.n + 1):
         for sub in combinations(verts, size):
@@ -327,7 +327,7 @@ def minimal_two_section_covers(g: Graph) -> List[Hypergraph]:
             for i in covered:
                 union |= pairs[i]
             if union == s:
-                candidates.append((frozenset(sub), covered))
+                candidates.append((sub, covered))
 
     all_edges = frozenset(range(m))
     covers: Dict[frozenset, None] = {}  # insertion-ordered: first reached first
@@ -350,7 +350,7 @@ def minimal_two_section_covers(g: Graph) -> List[Hypergraph]:
 
     reps: Dict[tuple, Hypergraph] = {}
     for cover in covers:
-        hyp = Hypergraph(g.n, [candidates[ci][0] for ci in cover])
+        hyp = Hypergraph._normalised(g.n, [candidates[ci][0] for ci in cover])
         reps.setdefault(canonical_form(hyp), hyp)
 
     # distinct classes are not isomorphic, and two hypergraphs on g.n

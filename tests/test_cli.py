@@ -448,7 +448,7 @@ class TestOutsideInput:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("c", ["NaN", "Infinity", '"nan"', '"inf"', "0"])
+    @pytest.mark.parametrize("c", ["NaN", "Infinity", "0"])
     @pytest.mark.parametrize("command", ["thresholds", "mc-threshold"])
     def test_probs_coefficient_not_finite_positive_exit_2(self, command, c, triangle_file,
                                                           tmp_path, capsys):
@@ -471,6 +471,16 @@ class TestOutsideInput:
             ("origination", '{"M": 3, "numeric": {"2": true}}', "p_2 must be a number, got true"),
             ("thresholds", '{"M": 2, "powerlaw": {"2": {"c": true, "alpha": "1/2"}}}',
              "c_2 must be a number, got true"),
+            ("thresholds", '{"M": 2, "powerlaw": {"2": {"c": "nan", "alpha": "1/2"}}}',
+             'c_2 must be a number, got "nan"'),
+            ("thresholds", '{"M": 2, "powerlaw": {"2": {"c": "inf", "alpha": "1/2"}}}',
+             'c_2 must be a number, got "inf"'),
+            ("thresholds", '{"M": 2, "powerlaw": {"2": {"c": "2", "alpha": "1/2"}}}',
+             'c_2 must be a number, got "2"'),
+            ("origination", '{"M": 2, "numeric": {"2": "0.5"}}', 'p_2 must be a number, got "0.5"'),
+            ("origination", '{"M": 2, "numeric": {"2": null}}', "p_2 must be a number, got null"),
+            ("origination", '{"M": 2, "numeric": {"2": 1' + "0" * 400 + '}}',
+             "int too large to convert to float"),
         ],
     )
     def test_probs_coerced_field_exit_2(self, command, probs, message, triangle_file, tmp_path,

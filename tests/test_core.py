@@ -1,6 +1,8 @@
+import json
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from hnp import (
@@ -34,6 +36,18 @@ class TestHypergraph:
             Hypergraph(2, [(0, 2)])
         with pytest.raises(ValueError):
             Hypergraph(2, [(-1, 0)])
+
+    def test_numpy_ids_stored_as_int(self):
+        h = Hypergraph(3, np.array([[0, 1]]))
+        assert h.edges == ((0, 1),)
+        assert all(type(v) is int for v in h.edges[0])
+        assert json.dumps(h.edges) == "[[0, 1]]"
+
+    @pytest.mark.parametrize("edge", [(0, 1.5), (0, "1"), (0, None), 3])
+    def test_rejects_non_integer_ids_naming_the_edge(self, edge):
+        with pytest.raises(ValueError, match="is not a collection of integer vertex ids") as info:
+            Hypergraph(3, [(0, 1), edge])
+        assert repr(edge) in str(info.value)
 
     def test_incidence_consistent(self):
         rng = random.Random(7)

@@ -1,8 +1,11 @@
 import hashlib
+import json
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from hnp import (
@@ -15,6 +18,7 @@ from hnp import (
     from_edge_counts,
     sample,
 )
+from hnp.model import _ENUMERATION_LIMIT, _unrank
 
 BENCH_N = 5044
 BENCH_COUNTS = {2: 5975, 3: 2128, 4: 1034, 5: 561}
@@ -227,7 +231,44 @@ class TestSample:
         text = "\n".join(",".join(map(str, e)) for e in h.edges)
         assert (len(h.edges), hashlib.sha256(text.encode()).hexdigest()) == (edges, digest)
 
+    @pytest.mark.parametrize(
+        "n, probs, seed, edges, digest",
+        [
+            # by index; the last two levels unrank complements (r > n/2)
+            (300, {2: 120 / math.comb(300, 2)}, 1, 119,
+             "a9240206cd9b03045ebc2e4a6d6ec01169d4339fafe6888843240a0786143943"),
+            (40, {1: 0.5, 2: 0.1, 3: 0.01}, 7, 187,
+             "9e99bb0808a7be10b7e89136a4c79ad57cbc489c9f62b4ac54110f5c96556e84"),
+            (12, {7: 0.3, 11: 0.5, 12: 1.0}, 5, 259,
+             "f1e95fe94ce27296cc6bb907ef5b1892a592fb95b9447edbb87aa2052056f34c"),
+            # by rejection
+            (2000, {2: 500 / math.comb(2000, 2), 3: 300 / math.comb(2000, 3)}, 3, 816,
+             "255d93ec9730cda5d28cb82a3e62eb2e3ab1578cdf658019259a9e2bb6bdd6aa"),
+        ],
+    )
+    def test_sampling_paths_pinned(self, n, probs, seed, edges, digest):
+        h = sample(n, ProbSequence(M=max(probs), numeric=probs), seed)
+        text = json.dumps(h.edges)
+        assert (len(h.edges), hashlib.sha256(text.encode()).hexdigest()) == (edges, digest)
+
     def test_rejects_powerlaw(self):
         p = ProbSequence(M=2, powerlaw={2: (1.0, Fraction(1, 2))})
         with pytest.raises(InputError):
             sample(10, p, seed=0)
+
+
+class TestUnrank:
+    def test_matches_the_subset_pool(self):
+        # every (n, r) with C(n, r) <= 5000 and n <= 100 (r = 2 already needs
+        # n <= 100; past it only r = 1, n - 1, n qualify, sampled by the
+        # extras), plus larger levels on both sides of r = n/2
+        levels = [(n, r) for n in range(1, 101) for r in range(1, n + 1)
+                  if math.comb(n, r) <= 5000]
+        levels += [(117, 3), (300, 2), (40, 37), (1000, 1), (1000, 999), (1000, 1000)]
+        for n, r in levels:
+            pool = list(combinations(range(n), r))
+            assert len(pool) <= _ENUMERATION_LIMIT
+            got = _unrank(n, r, np.arange(len(pool)))
+            assert got == pool, (n, r)
+            assert all(type(v) is int for v in got[0]), (n, r)
+        assert _unrank(30, 4, np.arange(0)) == []
