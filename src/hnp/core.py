@@ -37,14 +37,19 @@ __all__ = [
 class Hypergraph:
     """Immutable hypergraph on vertex set {0, ..., n-1}.
 
-    Edges passed to the constructor are normalized to sorted tuples of int
-    ids and deduplicated as sets. An edge that is empty, contains a repeated
-    vertex, a non-integer id or an id outside 0..n-1 raises ValueError.
+    The constructor stores n as an int and normalizes edges to sorted
+    tuples of int ids, deduplicated as sets. A non-integer or negative n,
+    or an edge that is empty, contains a repeated vertex, a non-integer id
+    or an id outside 0..n-1, raises ValueError.
     """
 
     __slots__ = ("n", "edges", "incidence", "_edge_set", "_neighbors")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()) -> None:
+        try:
+            n = index(n)
+        except TypeError:
+            raise ValueError(f"vertex count must be an integer, got {n!r}") from None
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         seen = set()

@@ -12,9 +12,9 @@ aut(pattern) is always an integer.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
+from operator import ge
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .core import Hypergraph, _compacted
@@ -49,9 +49,10 @@ class Embedding:
     witnesses: Optional[Tuple[int, ...]] = None
 
 
-def _pattern_order(pattern: Hypergraph) -> List[int]:
-    """Vertex order: high (degree, incident-size profile) first, preferring
-    vertices adjacent to already-ordered ones."""
+def _pattern_order(pattern: Hypergraph, first: Tuple[int, ...] = ()) -> List[int]:
+    """Vertex order: the vertices of first as given, then high (degree,
+    incident-size profile) first, preferring vertices adjacent to
+    already-ordered ones."""
     profile = {
         v: (
             pattern.degree(v),
@@ -59,8 +60,8 @@ def _pattern_order(pattern: Hypergraph) -> List[int]:
         )
         for v in range(pattern.n)
     }
-    order: List[int] = []
-    placed = set()
+    order: List[int] = list(first)
+    placed = set(first)
     while len(order) < pattern.n:
         best = None
         best_key = None
@@ -76,98 +77,142 @@ def _pattern_order(pattern: Hypergraph) -> List[int]:
     return order
 
 
-def _embeddings(
-    pattern: Hypergraph, host: Hypergraph, weak: bool
-) -> Iterator[Tuple[Tuple[int, ...], Optional[Tuple[List[int], ...]]]]:
-    """All injective labelled maps (mapping[i] = host vertex of pattern
-    vertex i), in ascending host-id order at every step, under which every
-    pattern edge's image is a host edge (strong) or lies inside some host
-    edge (weak). Each map comes with, per pattern edge, the ids of the host
-    edges containing its image in ascending order (weak), or None (strong).
-
-    A pattern vertex with an already placed pattern neighbour draws its
-    candidates from the host neighbourhoods of the placed neighbours'
-    images; only a vertex with none (the first of each connected
-    component, and isolated vertices) scans every host vertex. Host
-    incidence profiles are computed for visited candidates only."""
+def _check_pattern(pattern: Hypergraph) -> None:
     if pattern.n == 0:
         raise InputError("pattern must have at least one vertex")
     if pattern.n > MAX_PATTERN_VERTICES:
         raise GuardError(
             f"pattern has {pattern.n} vertices, guard is {MAX_PATTERN_VERTICES}"
         )
+
+
+def _embeddings(
+    pattern: Hypergraph,
+    host: Hypergraph,
+    weak: bool,
+    fixed: Optional[Dict[int, int]] = None,
+) -> Iterator[Tuple[Tuple[int, ...], Optional[Tuple[List[int], ...]]]]:
+    """All injective labelled maps (mapping[i] = host vertex of pattern
+    vertex i), in ascending host-id order at every step, under which every
+    pattern edge's image is a host edge (strong) or lies inside some host
+    edge (weak), and which send each pattern vertex v in fixed to fixed[v].
+    Each map comes with, per pattern edge, the ids of the host edges
+    containing its image in ascending order (weak), or None (strong).
+
+    One loop over an explicit stack of candidate iterators, one per step,
+    with every per-step table built once per call. A pattern vertex with
+    an already placed pattern neighbour draws its candidates from the host
+    neighbourhoods of the placed neighbours' images; a vertex with none
+    (the first of each connected component, and isolated vertices) scans
+    the host vertices of at least its degree. A candidate must have at
+    least the pattern vertex's degree before its incidence-size profile is
+    built and compared, once per step and host vertex."""
+    _check_pattern(pattern)
     if pattern.n > host.n:
         return
+    fixed = fixed or {}
+    n = pattern.n
+    order = _pattern_order(pattern, tuple(fixed))
+    rank = [0] * n
+    for step, w in enumerate(order):
+        rank[w] = step
+    inc, nbrs = host.incidence, host.neighbors
 
-    order = _pattern_order(pattern)
-    rank = {v: i for i, v in enumerate(order)}
-    # per step, the pattern neighbours placed before it
+    # per step: the steps of the placed pattern neighbours, the pinned host
+    # vertex or None, the degree and incidence-size profile to dominate,
+    # and the pattern edges completed there (id, steps of its vertices)
     anchors = [
-        [w2 for w2 in pattern.neighbors(w) if rank[w2] < step] for step, w in enumerate(order)
+        [rank[x] for x in pattern.neighbors(w) if rank[x] < step] for step, w in enumerate(order)
     ]
-
-    # pattern edges become checkable at the step assigning their last vertex
-    edges_done_at: List[List[int]] = [[] for _ in range(pattern.n)]
+    pins = [fixed.get(w) for w in order]
+    degs = [len(pattern.incidence[w]) for w in order]
+    checks: List[List[Tuple[int, Tuple[int, ...]]]] = [[] for _ in range(n)]
     for fi, f in enumerate(pattern.edges):
-        edges_done_at[max(rank[v] for v in f)].append(fi)
+        steps = tuple(sorted(rank[v] for v in f))
+        checks[steps[-1]].append((fi, steps))
+    # edges are ordered by size, so an incidence list runs in ascending size
+    if weak:
+        # sizes in descending order, compared position by position
+        def profile(h: Hypergraph, v: int) -> Tuple[int, ...]:
+            return tuple(len(h.edges[i]) for i in reversed(h.incidence[v]))
+    else:
+        # number of incident edges of each size up to the largest pattern edge
+        top = range(len(pattern.edges[-1]) + 1 if pattern.edges else 1)
 
-    # per-vertex compatibility by incident-size profile dominance
-    def strong_profile(h: Hypergraph, v: int) -> Counter:
-        return Counter(len(h.edges[i]) for i in h.incidence[v])
+        def profile(h: Hypergraph, v: int) -> Tuple[int, ...]:
+            return tuple(map([len(h.edges[i]) for i in h.incidence[v]].count, top))
 
-    def sizes_desc(h: Hypergraph, v: int) -> List[int]:
-        return sorted((len(h.edges[i]) for i in h.incidence[v]), reverse=True)
+    needs = [profile(pattern, w) for w in order]
+    fits: List[Dict[int, bool]] = [{} for _ in range(n)]
+    roots: Dict[int, List[int]] = {}
 
-    profile = sizes_desc if weak else strong_profile
-    need = [profile(pattern, w) for w in range(pattern.n)]
-    host_profiles: Dict[int, Union[Counter, List[int]]] = {}
-
-    def compatible(u: int, w: int) -> bool:
-        have = host_profiles.get(u)
-        if have is None:
-            have = host_profiles[u] = profile(host, u)
-        if weak:
-            return len(have) >= len(need[w]) and all(a >= b for a, b in zip(have, need[w]))
-        return all(have[s] >= c for s, c in need[w].items())
-
-    assigned: Dict[int, int] = {}
+    image = [0] * n
     used = set()
     containing: List[List[int]] = [[] for _ in pattern.edges]  # weak only
+    eset = host.edge_set
 
-    def edge_fits(fi: int) -> bool:
-        img = frozenset(assigned[v] for v in pattern.edges[fi])
-        if not weak:
-            return img in host.edge_set
-        probe = min(img, key=lambda u: len(host.incidence[u]))
-        hits = containing[fi] = [
-            ei for ei in host.incidence[probe] if img.issubset(host.edges[ei])
-        ]
-        return bool(hits)
+    def candidates(step: int) -> Iterator[int]:
+        d, need = degs[step], needs[step]
+        if pins[step] is not None:
+            u = pins[step]
+            pool = [u] if all(u in nbrs(image[a]) for a in anchors[step]) else []
+        elif anchors[step]:
+            placed = [nbrs(image[a]) for a in anchors[step]]
+            pool = sorted(placed[0].intersection(*placed[1:]))
+        else:
+            pool = roots.get(d)
+            if pool is None:
+                pool = roots[d] = [u for u in range(host.n) if len(inc[u]) >= d]
+        ok = fits[step]
+        out = []
+        for u in pool:
+            if u in used:
+                continue
+            good = ok.get(u)
+            if good is None:
+                good = ok[u] = len(inc[u]) >= d and all(map(ge, profile(host, u), need))
+            if good:
+                out.append(u)
+        return iter(out)
 
-    def backtrack(step: int) -> Iterator[tuple]:
-        if step == pattern.n:
+    last = n - 1
+    stack = [candidates(0)]
+    step = 0
+    while True:
+        # the step's next candidate under which the pattern edges completed
+        # there fit; with none left, step back
+        for u in stack[step]:
+            image[step] = u
+            if weak:
+                for fi, steps in checks[step]:
+                    hits = set(inc[u]).intersection(*[inc[image[s]] for s in steps[:-1]])
+                    if not hits:
+                        break
+                    containing[fi] = sorted(hits)
+                else:
+                    break
+            else:
+                for fi, steps in checks[step]:
+                    if frozenset([image[s] for s in steps]) not in eset:
+                        break
+                else:
+                    break
+        else:
+            stack.pop()
+            step -= 1
+            if step < 0:
+                return
+            used.discard(image[step])
+            continue
+        if step == last:
             yield (
-                tuple(assigned[v] for v in range(pattern.n)),
+                tuple([image[r] for r in rank]),
                 tuple(containing) if weak else None,
             )
-            return
-        w = order[step]
-        if anchors[step]:
-            placed = [host.neighbors(assigned[a]) for a in anchors[step]]
-            pool = sorted(frozenset.intersection(*placed))
-        else:
-            pool = range(host.n)
-        for u in pool:
-            if u in used or not compatible(u, w):
-                continue
-            assigned[w] = u
-            used.add(u)
-            if all(edge_fits(fi) for fi in edges_done_at[step]):
-                yield from backtrack(step + 1)
-            del assigned[w]
-            used.discard(u)
-
-    yield from backtrack(0)
+            continue
+        used.add(image[step])
+        step += 1
+        stack.append(candidates(step))
 
 
 def _copies(pattern: Hypergraph, host: Hypergraph, weak: bool) -> Iterator[Embedding]:
@@ -218,8 +263,22 @@ def find_weak_copies(
 
 
 def automorphism_count(h: Hypergraph) -> int:
-    """Number of vertex permutations mapping the edge set onto itself."""
-    return sum(1 for _ in _embeddings(h, h, weak=False))
+    """Number of vertex permutations mapping the edge set onto itself.
+
+    By orbit-stabiliser, without listing them: the automorphisms fixing
+    0..v-1 fall into as many cosets of those also fixing v as there are
+    vertices u to which one of them sends v, and each u is tested by one
+    search with 0..v-1 pinned to themselves and v pinned to u."""
+    _check_pattern(h)
+    count = 1
+    pinned: Dict[int, int] = {}
+    for v in range(h.n):
+        count *= sum(
+            next(_embeddings(h, h, False, {**pinned, v: u}), None) is not None
+            for u in range(h.n)
+        )
+        pinned[v] = v
+    return count
 
 
 # -- canonical forms -----------------------------------------------------

@@ -43,6 +43,17 @@ class TestHypergraph:
         assert all(type(v) is int for v in h.edges[0])
         assert json.dumps(h.edges) == "[[0, 1]]"
 
+    def test_numpy_vertex_count_stored_as_int(self):
+        h = Hypergraph(np.int64(3), [(0, 1)])
+        assert type(h.n) is int
+        assert json.dumps({"n": h.n}) == '{"n": 3}'
+
+    @pytest.mark.parametrize("n", [3.0, "3", None])
+    def test_rejects_non_integer_vertex_count_naming_it(self, n):
+        with pytest.raises(ValueError, match="vertex count must be an integer") as info:
+            Hypergraph(n, [(0, 1)])
+        assert repr(n) in str(info.value)
+
     @pytest.mark.parametrize("edge", [(0, 1.5), (0, "1"), (0, None), 3])
     def test_rejects_non_integer_ids_naming_the_edge(self, edge):
         with pytest.raises(ValueError, match="is not a collection of integer vertex ids") as info:

@@ -1,6 +1,8 @@
 import hashlib
 import math
 import random
+import time
+from itertools import combinations
 
 import pytest
 
@@ -127,6 +129,22 @@ class TestAutomorphisms:
 
     def test_path(self):
         assert automorphism_count(PATH3) == 2
+
+    @pytest.mark.parametrize(
+        "h, want",
+        [
+            (Hypergraph(12), math.factorial(12)),
+            (Hypergraph(12, [tuple(range(12))]), math.factorial(12)),
+            (Hypergraph(12, list(combinations(range(12), 2))), math.factorial(12)),
+            (Hypergraph(12, [(i, (i + 1) % 12) for i in range(12)]), 24),
+        ],
+        ids=["12_isolated", "12_vertex_edge", "K12", "C12"],
+    )
+    def test_twelve_vertices_counted_without_listing(self, h, want):
+        # at the 12-vertex guard, where listing 12! maps would take hours
+        t0 = time.perf_counter()
+        assert automorphism_count(h) == want
+        assert time.perf_counter() - t0 < 1.0
 
     def test_divides_factorial_and_matches_brute(self):
         rng = random.Random(24)

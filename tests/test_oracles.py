@@ -25,18 +25,20 @@ from hnp import (
     graph_cc,
     hc_local,
     intersecting_pairs,
+    is_subedge_system,
     list_k_cliques,
     observed_signature,
     sample,
     two_section,
 )
-from hnp.isomorphism import _pattern_order
+from hnp.isomorphism import _embeddings, _pattern_order
 from util import (
     brute_aut,
     brute_canonical_form,
     brute_clustering_report,
     brute_degeneracy_order,
     brute_hc_local,
+    brute_is_subedge,
     brute_observed_signature,
     brute_strong_maps,
     brute_weak_maps,
@@ -270,9 +272,39 @@ def test_weak_witnesses_are_smallest_ids(pattern, host):
 
 
 @settings(deadline=None)
-@given(patterns())
-def test_automorphism_count_matches_oracle(pattern):
-    assert automorphism_count(pattern) == brute_aut(pattern)
+@given(patterns(), hypergraphs(max_n=6))
+def test_weak_containing_lists_every_host_edge_holding_the_image(pattern, host):
+    maps = set()
+    for mapping, containing in _embeddings(pattern, host, weak=True):
+        maps.add(mapping)
+        for f, hits in zip(pattern.edges, containing):
+            image = {mapping[v] for v in f}
+            assert hits == [i for i, e in enumerate(host.edges) if image.issubset(e)]
+    # the search prunes no weak copy
+    assert brute_weak_maps(pattern, host) <= maps
+
+
+@settings(deadline=None)
+@given(patterns(), hypergraphs(max_n=6), st.booleans(), st.data())
+def test_pinned_search_keeps_exactly_the_agreeing_maps(pattern, host, weak, data):
+    pins = data.draw(
+        st.dictionaries(st.integers(0, pattern.n - 1), st.integers(0, host.n - 1), max_size=3)
+    )
+    full = [m for m, _ in _embeddings(pattern, host, weak)]
+    got = [m for m, _ in _embeddings(pattern, host, weak, pins)]
+    assert sorted(got) == [m for m in sorted(full) if all(m[v] == u for v, u in pins.items())]
+
+
+@settings(deadline=None)
+@given(st.one_of(patterns(), hypergraphs(max_n=5)), hypergraphs(max_n=5))
+def test_is_subedge_system_matches_oracle(h1, h2):
+    assert is_subedge_system(h1, h2) == brute_is_subedge(h1, h2)
+
+
+@settings(deadline=None)
+@given(st.one_of(patterns(), hypergraphs(max_n=7)))
+def test_automorphism_count_matches_oracle(h):
+    assert automorphism_count(h) == brute_aut(h)
 
 
 @settings(deadline=None)

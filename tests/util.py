@@ -83,12 +83,18 @@ def brute_is_subedge(h1: Hypergraph, h2: Hypergraph) -> bool:
     if h1.n > h2.n or len(h1.edges) > len(h2.edges):
         return False
     h2_sets = [frozenset(e) for e in h2.edges]
-    for vmap in permutations(range(h2.n), h1.n):
-        imgs = [frozenset(vmap[v] for v in e) for e in h1.edges]
-        for assign in permutations(range(len(h2_sets)), len(imgs)):
-            if all(imgs[i] <= h2_sets[assign[i]] for i in range(len(imgs))):
-                return True
-    return False
+
+    def distinct(imgs, taken) -> bool:
+        # every assignment of distinct h2-edges, cut where an image does not fit
+        return not imgs or any(
+            j not in taken and imgs[0] <= s and distinct(imgs[1:], taken | {j})
+            for j, s in enumerate(h2_sets)
+        )
+
+    return any(
+        distinct([frozenset(vmap[v] for v in e) for e in h1.edges], frozenset())
+        for vmap in permutations(range(h2.n), h1.n)
+    )
 
 
 def brute_canonical_form(h: Hypergraph):
