@@ -8,9 +8,9 @@ distribution.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass
+from operator import index
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 # two_section is not called here; the benchmark's traced run rebinds hnp.census.two_section
@@ -35,42 +35,17 @@ __all__ = [
 DEFAULT_CLIQUE_CAP = 100_000_000
 
 
-def _check_k(k: int) -> None:
+def _checked(k: int, cap: int) -> int:
+    """k as an int, after InputError unless k is 3, 4 or 5 and cap >= 0."""
+    try:
+        k = index(k)
+    except TypeError:
+        raise InputError(f"k must be 3, 4 or 5, got {k!r}") from None
     if k not in (3, 4, 5):
         raise InputError(f"k must be 3, 4 or 5, got {k}")
-
-
-def _degeneracy_order(adj: List[frozenset]) -> List[int]:
-    """Repeated minimum-degree removal; ties go to the smallest id.
-
-    Bucket queue (Matula & Beck 1983): a min-heap of ids per degree whose
-    stale entries are skipped on pop; the minimum drops by at most 1 per
-    removal."""
-    n = len(adj)
-    deg = [len(a) for a in adj]
-    removed = [False] * n
-    buckets: List[List[int]] = [[] for _ in range(max(deg, default=0) + 1)]
-    for v in range(n):
-        buckets[deg[v]].append(v)  # ascending ids, so already a heap
-    order = []
-    d = 0
-    for _ in range(n):
-        while True:
-            b = buckets[d]
-            while b and deg[b[0]] != d:
-                heapq.heappop(b)
-            if b:
-                break
-            d += 1
-        v = heapq.heappop(b)
-        removed[v] = True
-        order.append(v)
-        for u in adj[v]:
-            if not removed[u]:
-                deg[u] -= 1
-                heapq.heappush(buckets[deg[u]], u)
-        d = max(d - 1, 0)
-    return order
+    if cap < 0:
+        raise InputError(f"clique cap must be >= 0, got {cap}")
+    return k
 
 
 # Incidence sets of vertices above this degree are frozen once per census,
@@ -92,38 +67,44 @@ def _clique_groups(
     cliques, the node's k-1 vertices in the order the walk added them, and
     the later vertices that each close a clique with them.
 
-    Expansion follows a degeneracy ordering of the 2-section, each vertex
-    extended by its later neighbours in that order. A group that takes the
-    clique count past the cap raises CliqueCapError naming the cap."""
-    _check_k(k)
-    adj = [h.neighbors(v) for v in range(h.n)]
-    order = _degeneracy_order(adj)
-    pos = sorted(range(h.n), key=order.__getitem__)  # inverse of order
+    The walk follows the host's cached degeneracy orientation: each vertex
+    in order is extended by its forward neighbours, and a vertex added to
+    the clique narrows the candidates after it to its own neighbours,
+    keeping their order. One loop over an explicit stack of candidate
+    lists, one per vertex of the clique so far. A group that takes the
+    clique count past the cap raises CliqueCapError naming the cap. k and
+    cap are as _checked returns them."""
+    order, starts, forward = h._orientation()
+    nbrs = h.neighbors
     emitted = 0
-
-    def extend(clique: List[int], cands: List[int]):
-        nonlocal emitted
-        need = k - len(clique)
-        if need == 1:
-            emitted += len(cands)
-            if emitted > cap:
-                raise CliqueCapError(cap)
-            yield clique, cands
-            return
-        for i, u in enumerate(cands):
+    for v, a, b in zip(order, starts, starts[1:]):
+        if b - a < k - 1:
+            continue
+        clique = [v]
+        stack = [forward[a:b]]  # stack[j]: the common later neighbours of clique[:j + 1]
+        nexts = [0]  # nexts[j]: index in stack[j] of the next vertex to add
+        while stack:
+            cands, i = stack[-1], nexts[-1]
+            need = k - len(clique)
             if len(cands) - i < need:
-                break
-            nu = adj[u]
+                stack.pop()
+                nexts.pop()
+                clique.pop()
+                continue
+            nexts[-1] = i + 1
+            u = cands[i]
+            nu = nbrs(u)
             rest = [w for w in cands[i + 1 :] if w in nu]
-            if len(rest) >= need - 1:
-                yield from extend(clique + [u], rest)
-
-    for v in order:
-        pv = pos[v]
-        later = [u for u in adj[v] if pos[u] > pv]
-        if len(later) >= k - 1:
-            later.sort(key=pos.__getitem__)
-            yield from extend([v], later)
+            if need == 2:
+                if rest:
+                    emitted += len(rest)
+                    if emitted > cap:
+                        raise CliqueCapError(cap)
+                    yield clique + [u], rest
+            elif len(rest) >= need - 1:
+                clique.append(u)
+                stack.append(rest)
+                nexts.append(0)
 
 
 def list_k_cliques(
@@ -132,18 +113,25 @@ def list_k_cliques(
     """Every k-set forming a clique in two_section(h), each exactly once, as
     sorted tuples in deterministic order.
 
-    Expansion pivots on a degeneracy ordering of the 2-section; exceeding
-    the per-run cap raises CliqueCapError naming the cap.
+    Expansion follows a degeneracy ordering of the 2-section; exceeding
+    the per-run cap raises CliqueCapError naming the cap. k other than 3,
+    4 or 5 and a negative cap raise InputError at the call.
     """
-    for prefix, closers in _clique_groups(h, k, cap):
-        for u in closers:
-            yield tuple(sorted(prefix + [u]))
+    k = _checked(k, cap)
+    return (
+        tuple(sorted(prefix + [u]))
+        for prefix, closers in _clique_groups(h, k, cap)
+        for u in closers
+    )
 
 
 def observed_signature(h: Hypergraph, s: Sequence[int]) -> Signature:
     """Signature (e_2 ... e_k), k = len(s), of the weak subhypergraph
-    induced on s, ignoring size-1 edges."""
-    sub, _ = induced_weak(h, s)
+    induced on s, ignoring size-1 edges. A vertex outside 0..n-1 or
+    repeated in s raises ValueError."""
+    sub, mapping = induced_weak(h, s)
+    if len(mapping) != len(s):
+        raise ValueError(f"repeated vertex in {tuple(s)}")
     sizes = Counter(len(e) for e in sub.edges)
     return tuple(sizes[r] for r in range(2, len(s) + 1))
 
@@ -218,9 +206,11 @@ def census(
 
     Every observed signature must be feasible; an infeasible one indicates
     an implementation bug and raises AssertionError. n defaults to the
-    host's vertex count for the theory side.
+    host's vertex count for the theory side. k other than 3, 4 or 5 and a
+    negative cap raise InputError; more than cap cliques raise
+    CliqueCapError.
     """
-    _check_k(k)
+    k = _checked(k, cap)
     n_theory = h.n if n is None else n
     table = origination_distribution(k, p, n_theory)
     ranked = rank_signatures(table)

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from heapq import heappop, heappush
 from itertools import combinations
 from operator import index
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Hypergraph",
@@ -43,7 +44,7 @@ class Hypergraph:
     or an id outside 0..n-1, raises ValueError.
     """
 
-    __slots__ = ("n", "edges", "incidence", "_edge_set", "_neighbors")
+    __slots__ = ("n", "edges", "incidence", "_edge_set", "_neighbors", "_oriented")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()) -> None:
         try:
@@ -93,6 +94,7 @@ class Hypergraph:
         self.incidence: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, inc))
         self._edge_set: Optional[frozenset] = None
         self._neighbors: Dict[int, frozenset] = {}
+        self._oriented: Optional[Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]] = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -127,6 +129,56 @@ class Hypergraph:
             cached = frozenset(acc)
             self._neighbors[v] = cached
         return cached
+
+    def _orientation(self) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
+        """(order, starts, forward) for the 2-section (cached). order is a
+        degeneracy order, by repeated minimum-degree removal with ties to
+        the smallest id; the neighbours of order[i] removed after it are
+        forward[starts[i]:starts[i + 1]], in removal order.
+
+        Bucket queue (Matula & Beck 1983): a min-heap of ids per degree
+        whose stale entries are skipped on pop; the minimum drops by at most
+        1 per removal. A vertex's degree when it is removed is the length of
+        its forward run, so the run is placed then; removing v visits its
+        neighbours once, and each one removed earlier gets v as the next
+        entry of its run."""
+        if self._oriented is None:
+            n = self.n
+            adj = [self.neighbors(v) for v in range(n)]
+            deg = [len(a) for a in adj]
+            removed = [False] * n
+            forward = [0] * (sum(deg) // 2)
+            fill = [0] * n  # next free slot of each removed vertex's run
+            starts = [0]
+            buckets: List[List[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+            for v in range(n):
+                buckets[deg[v]].append(v)  # ascending ids, so already a heap
+            order = []
+            d = 0
+            for _ in range(n):
+                while True:
+                    b = buckets[d]
+                    while b and deg[b[0]] != d:
+                        heappop(b)
+                    if b:
+                        break
+                    d += 1
+                v = heappop(b)
+                removed[v] = True
+                order.append(v)
+                fill[v] = starts[-1]
+                starts.append(starts[-1] + d)
+                for u in adj[v]:
+                    if removed[u]:
+                        forward[fill[u]] = v
+                        fill[u] += 1
+                    else:
+                        deg[u] -= 1
+                        heappush(buckets[deg[u]], u)
+                d = max(d - 1, 0)
+            del buckets, adj, deg, removed, fill  # free the work lists before the copies
+            self._oriented = (tuple(order), tuple(starts), tuple(forward))
+        return self._oriented
 
     def size_counts(self) -> Counter:
         """Counter mapping edge size r to the number of edges of that size."""

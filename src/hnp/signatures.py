@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from operator import index
 from typing import Dict, Iterator, List, Mapping, Tuple
 
 import numpy as np
@@ -49,9 +50,15 @@ MAX_K = 5
 _memo: Dict[Tuple[int, str], Dict[Signature, int]] = {}
 
 
-def _check_k(k: int) -> None:
+def _check_k(k: int) -> int:
+    """k as an int, after InputError unless it is in MIN_K..MAX_K."""
+    try:
+        k = index(k)
+    except TypeError:
+        raise InputError(f"k must be in {MIN_K}..{MAX_K}, got {k!r}") from None
     if not MIN_K <= k <= MAX_K:
         raise InputError(f"k must be in {MIN_K}..{MAX_K}, got {k}")
+    return k
 
 
 def _dims(k: int) -> List[int]:
@@ -61,13 +68,13 @@ def _dims(k: int) -> List[int]:
 
 def lattice_size(k: int) -> int:
     """Number of signature lattice points prod_r (C(k,r) + 1)."""
-    _check_k(k)
+    k = _check_k(k)
     return math.prod(d + 1 for d in _dims(k))
 
 
 def signature_lattice(k: int) -> Iterator[Signature]:
     """All signature vectors, feasible or not, in lexicographic order."""
-    _check_k(k)
+    k = _check_k(k)
     yield from product(*(range(d + 1) for d in _dims(k)))
 
 
@@ -184,7 +191,7 @@ def signature_weights(k: int, weight_mode: str = "labelled") -> Dict[Signature, 
     of milliseconds) and kept for the life of the process; nothing is
     read from or written to disk.
     """
-    _check_k(k)
+    k = _check_k(k)
     if weight_mode not in ("labelled", "aut"):
         raise InputError(f"weight_mode must be labelled or aut, got {weight_mode!r}")
     key = (k, weight_mode)
@@ -250,7 +257,7 @@ def origination_distribution(
     in log space and normalized over all feasible signatures. The weights
     are signature_weights(k, weight_mode), computed in-process.
     """
-    _check_k(k)
+    k = _check_k(k)
     if not p.is_numeric:
         raise InputError("origination needs a numeric probability sequence")
     if p.M < k:

@@ -4,6 +4,7 @@ import random
 from importlib import import_module
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from hnp import (
@@ -72,6 +73,13 @@ class TestListKCliques:
         with pytest.raises(InputError):
             list(list_k_cliques(Hypergraph(3, [(0, 1, 2)]), 6))
 
+    def test_bad_arguments_rejected_at_the_call(self):
+        h = Hypergraph(5, [(0, 1, 2, 3, 4)])
+        with pytest.raises(InputError, match="got 4.0"):
+            list_k_cliques(h, 4.0)
+        with pytest.raises(InputError, match="cap must be >= 0, got -1"):
+            list_k_cliques(h, 4, cap=-1)
+
     def test_emission_order_pinned(self):
         # the unsorted sequence, hashed; a change in the degeneracy order or
         # in the expansion order changes it
@@ -121,6 +129,11 @@ class TestObservedSignature:
         with pytest.raises(ValueError):
             observed_signature(h, bad)
 
+    def test_repeated_vertex(self):
+        h = Hypergraph(4, [(0, 1, 2, 3)])
+        with pytest.raises(ValueError, match="repeated vertex"):
+            observed_signature(h, (0, 0, 1, 2))
+
 
 class TestSpearman:
     def test_perfect(self):
@@ -134,7 +147,7 @@ class TestSpearman:
 
 
 class TestCensus:
-    @pytest.mark.parametrize("k", [2, 6])
+    @pytest.mark.parametrize("k", [2, 6, 4.0])
     def test_k_checked_first(self, k, monkeypatch):
         def no_table(*args, **kwargs):
             raise AssertionError("origination table built before the k check")
@@ -144,6 +157,18 @@ class TestCensus:
         p = from_edge_counts(100, {2: 10, 3: 5, 4: 3, 5: 2})
         with pytest.raises(InputError, match=f"k must be 3, 4 or 5, got {k}"):
             census(h, k, p, n=100)
+
+    def test_negative_cap_is_an_input_error(self):
+        h = Hypergraph(5, [(0, 1, 2, 3, 4)])
+        p = from_edge_counts(100, {2: 10, 3: 5, 4: 3, 5: 2})
+        with pytest.raises(InputError, match="cap must be >= 0, got -1"):
+            census(h, 4, p, n=100, cap=-1)
+
+    def test_k_read_as_an_integer(self):
+        h = Hypergraph(5, [(0, 1, 2, 3, 4)])
+        p = from_edge_counts(100, {2: 10, 3: 5, 4: 3, 5: 2})
+        rep = census(h, np.int64(4), p, n=100)
+        assert json.dumps(rep.to_dict()) == json.dumps(census(h, 4, p, n=100).to_dict())
 
     def test_single_5_edge(self):
         h = Hypergraph(5, [(0, 1, 2, 3, 4)])

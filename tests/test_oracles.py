@@ -5,7 +5,6 @@ the oracles in util.py and against networkx, on random small hypergraphs."""
 from collections import Counter
 from importlib import import_module
 from itertools import combinations
-from unittest import mock
 
 import networkx as nx
 import pytest
@@ -36,10 +35,11 @@ from util import (
     brute_aut,
     brute_canonical_form,
     brute_clustering_report,
-    brute_degeneracy_order,
+    brute_clique_sequence,
     brute_hc_local,
     brute_is_subedge,
     brute_observed_signature,
+    brute_orientation,
     brute_strong_maps,
     brute_weak_maps,
 )
@@ -68,17 +68,15 @@ def hypergraphs(draw, min_n=1, max_n=9):
 @settings(deadline=None)
 @given(hypergraphs())
 def test_degeneracy_order_matches_oracle(h):
-    adj = [h.neighbors(v) for v in range(h.n)]
-    assert census_mod._degeneracy_order(adj) == brute_degeneracy_order(adj)
+    assert h._orientation() == brute_orientation(h)
+    assert h._orientation() is h._orientation()
 
 
 @settings(deadline=None)
 @given(hypergraphs())
 def test_clique_sequence_matches_oracle_order(h):
     for k in KS:
-        with mock.patch.object(census_mod, "_degeneracy_order", brute_degeneracy_order):
-            want = list(list_k_cliques(h, k))
-        assert list(list_k_cliques(h, k)) == want
+        assert list(list_k_cliques(h, k)) == list(brute_clique_sequence(h, k))
 
 
 @settings(deadline=None)
@@ -134,6 +132,36 @@ def test_census_cap_raises_exactly_past_the_clique_count(h, data):
         else:
             assert census(h, k, CENSUS_P, n=100, cap=cap).total_cliques == count
             assert len(list(list_k_cliques(h, k, cap=cap))) == count
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(hypergraphs(), hub_hypergraphs()),
+    st.lists(
+        st.tuples(st.sampled_from((list_k_cliques, census)), st.sampled_from(KS), st.booleans()),
+        min_size=1,
+        max_size=6,
+    ),
+    st.data(),
+)
+def test_orientation_cache_is_invisible(h, calls, data):
+    """Listings and censuses in any order on one host, capped ones that
+    raise among them, give what each gives on a fresh host."""
+
+    def outcome(host, call, k, cap):
+        got = []
+        try:
+            if call is census:
+                return census(host, k, CENSUS_P, n=100, cap=cap).to_dict()
+            for clique in list_k_cliques(host, k, cap=cap):
+                got.append(clique)
+        except CliqueCapError as exc:
+            got.append(str(exc))
+        return got
+
+    for call, k, capped in calls:
+        cap = data.draw(st.integers(0, 3)) if capped else census_mod.DEFAULT_CLIQUE_CAP
+        assert outcome(h, call, k, cap) == outcome(Hypergraph(h.n, h.edges), call, k, cap)
 
 
 @settings(deadline=None)

@@ -3,6 +3,7 @@ import math
 from collections import Counter, defaultdict
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 import hnp.signatures as sigmod
@@ -90,6 +91,15 @@ class TestFeasibleEnumeration:
             enumerate_feasible(6)
         with pytest.raises(InputError):
             enumerate_feasible(1)
+
+    def test_k_read_as_an_integer(self):
+        assert signature_weights(np.int64(4)) is signature_weights(4)
+        p = from_edge_counts(100, {2: 10, 3: 5, 4: 3, 5: 2})
+        assert type(origination_distribution(np.int64(4), p, 100).k) is int
+        with pytest.raises(InputError, match="got 4.0"):
+            signature_weights(4.0)
+        with pytest.raises(InputError, match="got 4.0"):
+            origination_distribution(4.0, p, 100)
 
 
 class TestWeights:

@@ -247,6 +247,40 @@ def brute_degeneracy_order(adj):
     return order
 
 
+def brute_orientation(h: Hypergraph):
+    """(order, starts, forward) as Hypergraph._orientation defines them:
+    brute_degeneracy_order, and each vertex's later neighbours sorted by
+    position, concatenated in order with starts marking where each run
+    begins."""
+    adj = [h.neighbors(v) for v in range(h.n)]
+    order = brute_degeneracy_order(adj)
+    pos = {v: i for i, v in enumerate(order)}
+    starts, forward = [0], []
+    for v in order:
+        forward += sorted((u for u in adj[v] if pos[u] > pos[v]), key=pos.get)
+        starts.append(len(forward))
+    return tuple(order), tuple(starts), tuple(forward)
+
+
+def brute_clique_sequence(h: Hypergraph, k: int):
+    """K_k copies of the 2-section as sorted tuples, in the order the census
+    walk lists them: vertices in brute_orientation's order, each extended
+    recursively by the common forward neighbours of the clique so far, in
+    that order."""
+    adj = [h.neighbors(v) for v in range(h.n)]
+    order, starts, forward = brute_orientation(h)
+
+    def extend(clique, cands):
+        if len(clique) == k:
+            yield tuple(sorted(clique))
+            return
+        for i, u in enumerate(cands):
+            yield from extend(clique + [u], [w for w in cands[i + 1 :] if w in adj[u]])
+
+    for v, a, b in zip(order, starts, starts[1:]):
+        yield from extend([v], forward[a:b])
+
+
 def brute_observed_signature(h: Hypergraph, s):
     """Signature (e_2 ... e_k) read off the weak substructure induced on s."""
     k = len(s)
