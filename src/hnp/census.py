@@ -10,8 +10,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, combinations
+from math import comb
 from operator import index
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 # two_section is not called here; the benchmark's traced run rebinds hnp.census.two_section
 from .core import Hypergraph, induced_weak, two_section
@@ -48,15 +52,10 @@ def _checked(k: int, cap: int) -> int:
     return k
 
 
-# Incidence sets of vertices above this degree are frozen once per census,
-# and so is the intersection of two such sets: a hub lies in thousands of
-# cliques, and rebuilding its set for each of them was most of the census on
-# heavy-tailed hosts. Below the cut, the edges two vertices share are found
-# from their incidence tuples in at most 2 * 16 set operations, so nothing
-# is kept for them. A set for every vertex would hold 24 MB on a
-# 50440-vertex H(n, p) host at 10x the paper's counts, where no vertex is
-# above the cut.
-_HUB_DEGREE = 16
+# Cliques are signed by array operations over the host's pair table, on at
+# most _SIGN_BLOCK clique pairs and _SIGN_BLOCK (clique, pair, shared edge)
+# rows at a time (one clique may exceed it alone): a working set of a few MB.
+_SIGN_BLOCK = 1 << 14
 
 
 def _clique_groups(
@@ -105,6 +104,58 @@ def _clique_groups(
                 clique.append(u)
                 stack.append(rest)
                 nexts.append(0)
+
+
+def _clique_blocks(h: Hypergraph, k: int, cap: int) -> Iterator[np.ndarray]:
+    """The cliques of _clique_groups in walk order, as the sorted rows of
+    int64 arrays of about _SIGN_BLOCK // C(k, 2) rows each."""
+    groups, held = [], 0
+    for group in chain(_clique_groups(h, k, cap), [None]):
+        if group is not None:
+            groups.append(group)
+            held += len(group[1])
+            if held * comb(k, 2) < _SIGN_BLOCK:
+                continue
+        if groups:
+            cliques = np.empty((held, k), dtype=np.int64)
+            runs = [len(closers) for _, closers in groups]
+            cliques[:, :-1] = np.repeat([prefix for prefix, _ in groups], runs, axis=0)
+            cliques[:, -1] = list(chain.from_iterable(closers for _, closers in groups))
+            cliques.sort(axis=1)
+            yield cliques
+        groups, held = [], 0
+
+
+def _signatures(h: Hypergraph, cliques: np.ndarray) -> np.ndarray:
+    """The signature (e_2 ... e_k) of each sorted row s of cliques: the
+    number of distinct sets e & s of each size from 2 to k. Each pair of s
+    is looked up in the pair table and expanded to its run of edge ids;
+    sorted, the (clique, edge, pair bits) rows put each (clique, edge) in
+    one run, whose OR is the mask of the columns of s in e."""
+    keys, offsets, ids = h._pair_table()
+    c, k = cliques.shape
+    left, right = zip(*combinations(range(k), 2))
+    at = np.searchsorted(keys, cliques[:, left] * h.n + cliques[:, right])
+    start, count = offsets[at], offsets[at + 1] - offsets[at]
+    before = np.concatenate(([0], np.cumsum(count.sum(axis=1))))  # rows of the cliques before each
+    m = len(h.edges)
+    bits = [1 << a | 1 << b for a, b in zip(left, right)]
+    tags = np.arange(c, dtype=np.int64)[:, None] * m << 5 | bits  # clique * m << 5 | pair bits
+    present = np.zeros((c, 1 << k), dtype=bool)  # present[i, mask]: an edge meets clique i in mask
+    lo = 0
+    while lo < c:  # at most _SIGN_BLOCK rows at a time, or one clique
+        hi = max(lo + 1, int(np.searchsorted(before, before[lo] + _SIGN_BLOCK, "right")) - 1)
+        runs = count[lo:hi].ravel()
+        into = np.cumsum(runs) - runs  # where each pair's run starts among the rows
+        row = np.repeat(tags[lo:hi].ravel(), runs)
+        at_row = np.repeat(start[lo:hi].ravel() - into, runs) + np.arange(before[hi] - before[lo])
+        row += ids[at_row].astype(np.int64) << 5
+        row.sort()
+        new = np.flatnonzero(np.diff(row >> 5, prepend=-1))
+        present[(row[new] >> 5) // m, np.bitwise_or.reduceat(row & 31, new)] = True
+        lo = hi
+    popcount = np.array([bin(x).count("1") for x in range(1 << k)])
+    return present.astype(np.int64) @ (popcount[:, None] == np.arange(2, k + 1))
 
 
 def list_k_cliques(
@@ -216,56 +267,23 @@ def census(
     ranked = rank_signatures(table)
     theory_rank = dict(ranked)
 
-    inc = h.incidence
-    hub = [frozenset(ids) if len(ids) > _HUB_DEGREE else None for ids in inc]
-    hub_pairs: Dict[Tuple[int, int], frozenset] = {}
-
-    def shared(a: int, b: int):
-        """Ids of the edges containing both a and b."""
-        sa, sb = hub[a], hub[b]
-        if sa is None:
-            if sb is None:
-                return set(inc[a]).intersection(inc[b])
-            return sb.intersection(inc[a])
-        if sb is None:
-            return sa.intersection(inc[b])
-        key = (a, b) if a < b else (b, a)
-        ab = hub_pairs.get(key)
-        if ab is None:
-            ab = hub_pairs[key] = sa & sb
-        return ab
-
-    # A clique's signature counts the distinct vertex sets e & s by size.
-    # Each edge meeting s in two or more vertices gets the bitmask of the
-    # clique vertices it contains (bit j is the j-th vertex the walk added).
-    # The pairs of a group's k-1 shared vertices are intersected once; each
-    # clique adds only the k-1 pairs with its last vertex.
-    bit = [1 << j for j in range(k)]
-    popcount = [bin(m).count("1") for m in range(1 << k)]
+    radix = [comb(k, r) + 1 for r in range(2, k + 1)]  # e_r is at most C(k, r)
     tallies: Counter = Counter()
-    for prefix, closers in _clique_groups(h, k, cap):
-        meets: Dict[int, int] = {}
-        for b in range(1, k - 1):
-            for a in range(b):
-                ab = bit[a] | bit[b]
-                for i in shared(prefix[a], prefix[b]):
-                    meets[i] = meets.get(i, 0) | ab
-        with_last = [(v, bit[a] | bit[k - 1]) for a, v in enumerate(prefix)]
-        for u in closers:
-            m = meets.copy()
-            for v, au in with_last:
-                for i in shared(v, u):
-                    m[i] = m.get(i, 0) | au
-            sizes = [0] * (k + 1)
-            for x in set(m.values()):
-                sizes[popcount[x]] += 1
-            sig = tuple(sizes[2:])
-            if sig not in table.entries:
-                raise AssertionError(
-                    f"observed signature {sig} on clique {tuple(sorted(prefix + [u]))} "
-                    f"is not feasible; this indicates a bug in the census pipeline"
-                )
-            tallies[sig] += 1
+    for cliques in _clique_blocks(h, k, cap):
+        sizes = _signatures(h, cliques)
+        codes = np.ravel_multi_index(sizes.T, radix)
+        _, first, inverse, counts = np.unique(
+            codes, return_index=True, return_inverse=True, return_counts=True
+        )
+        sigs = [tuple(sig) for sig in sizes[first].tolist()]
+        feasible = np.array([sig in table.entries for sig in sigs])
+        if not feasible.all():
+            i = int(np.argmin(feasible[inverse]))  # the first infeasible clique
+            raise AssertionError(
+                f"observed signature {sigs[inverse[i]]} on clique {tuple(cliques[i].tolist())} "
+                f"is not feasible; this indicates a bug in the census pipeline"
+            )
+        tallies.update(dict(zip(sigs, counts.tolist())))
     total = sum(tallies.values())
 
     observed = sorted(tallies)

@@ -19,7 +19,7 @@ from itertools import combinations
 from math import comb
 from typing import Dict, Iterator, Optional, Tuple
 
-from .core import Hypergraph
+from .core import Hypergraph, _left_sum
 
 __all__ = [
     "extra_overlap",
@@ -80,7 +80,7 @@ def hc_local(h: Hypergraph, v: int) -> float:
     nb = {u: h.neighbors(u) for u in h.neighbors(v) | {v}}
     edge_sets = {i: frozenset(h.edges[i]) for i in ids}
     cand, _ = _pairs_at(h, v, nb, edge_sets)
-    total = sum(_extra_overlap(nb, edge_sets[i], edge_sets[j]) for i, j in sorted(cand))
+    total = _left_sum(_extra_overlap(nb, edge_sets[i], edge_sets[j]) for i, j in sorted(cand))
     return total / comb(len(ids), 2)
 
 
@@ -164,8 +164,8 @@ def clustering_report(h: Hypergraph, bins: int = 100) -> Dict:
         raise ValueError(f"bins must be >= 1, got {bins}")
     edge_sets = [frozenset(e) for e in h.edges]
     nb = [h.neighbors(v) for v in range(h.n)]
-    # the nonzero values in intersecting_pairs order, summed by one sum() at
-    # the end: from Python 3.12 a running += would differ from it
+    # the nonzero values in intersecting_pairs order, summed left to right by
+    # _left_sum at the end, so that every Python gives the same bits
     overlaps = array("d")
     n_pairs = 0
     hist = [0] * bins
@@ -184,13 +184,13 @@ def clustering_report(h: Hypergraph, bins: int = 100) -> Dict:
             if (i, j) not in seen_before:
                 overlaps.append(eo)
             local.append(eo)
-        c = sum(local) / comb(d, 2)
+        c = _left_sum(local) / comb(d, 2)
         if c > 0.0:
             nonzero += 1
         idx = min(int(c * bins), bins - 1)
         hist[idx] += 1
     return {
-        "hc_global": (sum(overlaps) / n_pairs) if n_pairs else 0.0,
+        "hc_global": (_left_sum(overlaps) / n_pairs) if n_pairs else 0.0,
         "n_intersecting_pairs": n_pairs,
         "hc_local_histogram": hist,
         "n_nonzero_local": nonzero,

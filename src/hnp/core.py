@@ -23,6 +23,8 @@ from itertools import combinations
 from operator import index
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 __all__ = [
     "Hypergraph",
     "Graph",
@@ -44,7 +46,7 @@ class Hypergraph:
     or an id outside 0..n-1, raises ValueError.
     """
 
-    __slots__ = ("n", "edges", "incidence", "_edge_set", "_neighbors", "_oriented")
+    __slots__ = ("n", "edges", "incidence", "_edge_set", "_neighbors", "_oriented", "_pairs")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()) -> None:
         try:
@@ -95,6 +97,7 @@ class Hypergraph:
         self._edge_set: Optional[frozenset] = None
         self._neighbors: Dict[int, frozenset] = {}
         self._oriented: Optional[Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]] = None
+        self._pairs: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -180,6 +183,29 @@ class Hypergraph:
             self._oriented = (tuple(order), tuple(starts), tuple(forward))
         return self._oriented
 
+    def _pair_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(keys, offsets, ids) for the 2-section (cached): keys holds a * n + b
+        for each pair a < b of vertices sharing an edge, ascending (int64),
+        and the ids of the edges holding the pair keys[i] are
+        ids[offsets[i]:offsets[i + 1]], ascending (both int32). Each edge
+        size is one slice of the edges and one array, each of its column
+        pairs one array of keys; a single lexsort orders them all."""
+        if self._pairs is None:
+            n, keys, ids, lo = self.n, [np.empty(0, np.int64)], [np.empty(0, np.int32)], 0
+            for r, m in sorted(self.size_counts().items()):
+                block = np.array(self.edges[lo : lo + m], dtype=np.int64)
+                for a, b in combinations(range(r), 2):
+                    keys.append(block[:, a] * n + block[:, b])
+                    ids.append(np.arange(lo, lo + m, dtype=np.int32))
+                lo += m
+            keys, ids = np.concatenate(keys), np.concatenate(ids)
+            order = np.lexsort((ids, keys))
+            keys, ids = keys[order], ids[order]
+            del order
+            first = np.flatnonzero(np.diff(keys, prepend=-1))
+            self._pairs = (keys[first], np.append(first, len(keys)).astype(np.int32), ids)
+        return self._pairs
+
     def size_counts(self) -> Counter:
         """Counter mapping edge size r to the number of edges of that size."""
         return Counter(len(e) for e in self.edges)
@@ -215,11 +241,20 @@ class Graph(Hypergraph):
 
 def two_section(h: Hypergraph) -> Graph:
     """Graph on the same vertices with {u,v} an edge iff some hyperedge
-    contains both. Size-1 edges contribute nothing."""
-    pairs = set()
-    for e in h.edges:
-        pairs.update(combinations(e, 2))
-    return Graph._normalised(h.n, pairs)
+    contains both, read off the host's pair table, whose keys are already
+    in edge order. Size-1 edges contribute nothing."""
+    ints = np.arange(h.n).astype(object)  # one Python int per vertex, shared by its pairs
+    low, high = np.divmod(h._pair_table()[0], max(h.n, 1))
+    return Graph._normalised(h.n, zip(ints[low].tolist(), ints[high].tolist()))
+
+
+def _left_sum(values: Iterable[float]) -> float:
+    """The floats added left to right, as sum() does up to Python 3.11; from
+    3.12 sum() compensates its rounding, which can change the last bit."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _mapping(s: Iterable[int], n: int) -> Tuple[Tuple[int, ...], Dict[int, int]]:

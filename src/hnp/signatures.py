@@ -26,6 +26,7 @@ from typing import Dict, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
+from .core import _left_sum
 from .errors import InputError
 from .model import ProbSequence, covering_probability
 
@@ -290,7 +291,7 @@ def origination_distribution(
     if not logs:
         raise InputError("no feasible signature has positive mass")
     top = max(logs.values())
-    norm = top + math.log(sum(math.exp(lv - top) for lv in logs.values()))
+    norm = top + math.log(_left_sum(math.exp(lv - top) for lv in logs.values()))
     entries = {
         sig: (weights[sig], math.exp(logs[sig] - norm) if sig in logs else 0.0)
         for sig in sorted(weights)

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import re
+from dataclasses import replace
 from importlib import import_module
 from itertools import combinations
 
@@ -157,6 +159,31 @@ class TestCensus:
         p = from_edge_counts(100, {2: 10, 3: 5, 4: 3, 5: 2})
         with pytest.raises(InputError, match=f"k must be 3, 4 or 5, got {k}"):
             census(h, k, p, n=100)
+
+    def test_infeasible_signature_names_the_sorted_clique(self, monkeypatch):
+        # the walk meets the first clique as (2, 5, 7, 0), then the five K4s of
+        # the 5-edge, all with the same signature
+        h = Hypergraph(8, [(0, 2, 5, 7), (0, 1, 3, 4, 6)])
+        p = from_edge_counts(100, {2: 10, 3: 5, 4: 3, 5: 2})
+        real = census_mod.origination_distribution
+
+        def without_0_0_1(k, p, n):
+            table = real(k, p, n)
+            entries = {sig: v for sig, v in table.entries.items() if sig != (0, 0, 1)}
+            return replace(table, entries=entries)
+
+        rows = census(h, 4, p, n=100).rows
+        assert [(r.signature, r.observed_count) for r in rows] == [((0, 0, 1), 6)]
+        monkeypatch.setattr(census_mod, "origination_distribution", without_0_0_1)
+        with pytest.raises(AssertionError, match=re.escape("(0, 0, 1) on clique (0, 2, 5, 7) ")):
+            census(h, 4, p, n=100)
+
+    @pytest.mark.parametrize("h", [Hypergraph(0), Hypergraph(3, [(0,), (2,)])])
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_host_without_pairs_has_no_cliques(self, h, k):
+        p = from_edge_counts(100, {2: 10, 3: 5, 4: 3, 5: 2})
+        report = census(h, k, p, n=100)
+        assert report.total_cliques == 0 and report.rows == ()
 
     def test_negative_cap_is_an_input_error(self):
         h = Hypergraph(5, [(0, 1, 2, 3, 4)])

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from collections import Counter
 
@@ -15,6 +16,7 @@ from hnp import (
     truncate,
     two_section,
 )
+from hnp.core import _left_sum
 from util import random_hypergraph
 
 
@@ -104,6 +106,16 @@ class TestHypergraph:
     def test_graph_requires_pairs(self):
         with pytest.raises(ValueError):
             Graph(3, [(0, 1, 2)])
+
+
+def test_left_sum_adds_left_to_right():
+    # 1e-16 is below half an ulp of 1.0, so each addition rounds back to 1.0;
+    # a compensated sum (sum() from Python 3.12, math.fsum) keeps them
+    xs = [1.0, 1e-16, 1e-16]
+    assert math.fsum(xs) == 1.0000000000000002
+    assert _left_sum(xs) == 1.0
+    assert _left_sum(iter(xs)) == 1.0
+    assert _left_sum([]) == 0.0
 
 
 class TestTwoSection:

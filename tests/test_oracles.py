@@ -7,6 +7,7 @@ from importlib import import_module
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,7 +41,9 @@ from util import (
     brute_is_subedge,
     brute_observed_signature,
     brute_orientation,
+    brute_pair_table,
     brute_strong_maps,
+    brute_two_section,
     brute_weak_maps,
 )
 
@@ -89,19 +92,22 @@ def test_signatures_match_oracle(h, data):
     assert observed_signature(h, s) == brute_observed_signature(h, s)
 
 
+HUB_CUT = 16  # a hub has a degree above this
+
+
 @st.composite
 def hub_hypergraphs(draw):
     """hypergraphs() on 7 to 9 vertices plus edges through one or two hubs,
-    vertices of degree above the census's hub cut: each added edge is the
-    hubs plus a set of at most three other vertices."""
+    vertices of degree above HUB_CUT: each added edge is the hubs plus a
+    set of at most three other vertices."""
     base = draw(hypergraphs(min_n=7))
     hubs = set(range(draw(st.integers(1, 2))))
     rest = range(len(hubs), base.n)
     tails = [set(c) for r in range(4) for c in combinations(rest, r)]
-    m = draw(st.integers(census_mod._HUB_DEGREE + 1, len(tails)))
+    m = draw(st.integers(HUB_CUT + 1, len(tails)))
     added = [hubs | t for t in draw(st.permutations(tails))[:m]]
     h = Hypergraph(base.n, list(base.edges) + added)
-    assert min(h.degree(v) for v in hubs) > census_mod._HUB_DEGREE
+    assert min(h.degree(v) for v in hubs) > HUB_CUT
     return h
 
 
@@ -162,6 +168,47 @@ def test_orientation_cache_is_invisible(h, calls, data):
     for call, k, capped in calls:
         cap = data.draw(st.integers(0, 3)) if capped else census_mod.DEFAULT_CLIQUE_CAP
         assert outcome(h, call, k, cap) == outcome(Hypergraph(h.n, h.edges), call, k, cap)
+
+
+# edgeless hosts (n = 0 among them), and hosts with size-1 and nested edges
+PAIR_HOSTS = st.one_of(st.builds(Hypergraph, st.integers(0, 3)), hypergraphs(), hub_hypergraphs())
+
+
+@settings(deadline=None)
+@given(PAIR_HOSTS)
+def test_pair_table_matches_oracle(h):
+    table = h._pair_table()
+    assert [a.dtype for a in table] == [np.int64, np.int32, np.int32]
+    assert tuple(a.tolist() for a in table) == brute_pair_table(h)
+    assert h._pair_table() is table
+
+
+@settings(deadline=None)
+@given(PAIR_HOSTS)
+def test_two_section_matches_oracle(h):
+    g, want = two_section(h), brute_two_section(h)
+    assert type(g) is type(want)
+    assert (g.n, g.edges, g.incidence) == (want.n, want.edges, want.incidence)
+    assert all(type(v) is int for e in g.edges for v in e)
+
+
+@settings(deadline=None)
+@given(
+    PAIR_HOSTS,
+    st.lists(st.tuples(st.sampled_from((two_section, census)), st.sampled_from(KS)), max_size=6),
+)
+def test_pair_table_cache_is_invisible(h, calls):
+    """two_section and censuses in any order on one host give what each
+    gives on a fresh host."""
+
+    def outcome(host, call, k):
+        if call is census:
+            return census(host, k, CENSUS_P, n=100).to_dict()
+        g = two_section(host)
+        return g.edges, g.incidence
+
+    for call, k in calls:
+        assert outcome(h, call, k) == outcome(Hypergraph(h.n, h.edges), call, k)
 
 
 @settings(deadline=None)

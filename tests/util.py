@@ -281,6 +281,31 @@ def brute_clique_sequence(h: Hypergraph, k: int):
         yield from extend([v], forward[a:b])
 
 
+def brute_pair_table(h: Hypergraph):
+    """(keys, offsets, ids) as Hypergraph._pair_table defines them, as
+    lists: every pair a < b of each edge, in a dict to the ids of the edges
+    holding it, read out in pair order."""
+    holding = defaultdict(list)
+    for i, e in enumerate(h.edges):
+        for pair in combinations(e, 2):
+            holding[pair].append(i)
+    keys, offsets, ids = [], [0], []
+    for a, b in sorted(holding):
+        keys.append(a * h.n + b)
+        ids += holding[(a, b)]
+        offsets.append(len(ids))
+    return keys, offsets, ids
+
+
+def brute_two_section(h: Hypergraph) -> Graph:
+    """The 2-section from the pairs of every edge, through the public
+    constructor."""
+    pairs = set()
+    for e in h.edges:
+        pairs.update(combinations(e, 2))
+    return Graph(h.n, pairs)
+
+
 def brute_observed_signature(h: Hypergraph, s):
     """Signature (e_2 ... e_k) read off the weak substructure induced on s."""
     k = len(s)
