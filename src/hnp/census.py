@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 from operator import index
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,24 +58,26 @@ def _checked(k: int, cap: int) -> int:
 _SIGN_BLOCK = 1 << 14
 
 
-def _clique_groups(
-    h: Hypergraph, k: int, cap: int
-) -> Iterator[Tuple[List[int], List[int]]]:
-    """Every k-set forming a clique in two_section(h), each exactly once,
-    grouped by the walk node it closes: for each node whose children are
-    cliques, the node's k-1 vertices in the order the walk added them, and
-    the later vertices that each close a clique with them.
+def _clique_blocks(h: Hypergraph, k: int, cap: int) -> Iterator[np.ndarray]:
+    """Every k-set forming a clique in two_section(h), each exactly once, in
+    walk order, as the sorted rows of int64 arrays of about
+    _SIGN_BLOCK // C(k, 2) rows each.
 
     The walk follows the host's cached degeneracy orientation: each vertex
     in order is extended by its forward neighbours, and a vertex added to
     the clique narrows the candidates after it to its own neighbours,
     keeping their order. One loop over an explicit stack of candidate
-    lists, one per vertex of the clique so far. A group that takes the
-    clique count past the cap raises CliqueCapError naming the cap. k and
-    cap are as _checked returns them."""
+    lists, one per vertex of the clique so far. A node whose children are
+    cliques adds its k-1 vertices once, as the prefix of the later
+    vertices that each close a clique with them. A node that takes the
+    clique count past the cap adds nothing: the cliques held so far are
+    handed over, then CliqueCapError names the cap. k and cap are as
+    _checked returns them."""
     order, starts, forward = h._orientation()
     nbrs = h.neighbors
+    pairs = comb(k, 2)
     emitted = 0
+    prefixes, runs, closers = [], [], []  # held nodes: k-1 vertices, closer count; all closers
     for v, a, b in zip(order, starts, starts[1:]):
         if b - a < k - 1:
             continue
@@ -98,32 +100,31 @@ def _clique_groups(
                 if rest:
                     emitted += len(rest)
                     if emitted > cap:
+                        if closers:
+                            yield _sorted_block(prefixes, runs, closers)
                         raise CliqueCapError(cap)
-                    yield clique + [u], rest
+                    prefixes.append(clique + [u])
+                    runs.append(len(rest))
+                    closers.extend(rest)
+                    if len(closers) * pairs >= _SIGN_BLOCK:
+                        yield _sorted_block(prefixes, runs, closers)
+                        prefixes, runs, closers = [], [], []
             elif len(rest) >= need - 1:
                 clique.append(u)
                 stack.append(rest)
                 nexts.append(0)
+    if closers:
+        yield _sorted_block(prefixes, runs, closers)
 
 
-def _clique_blocks(h: Hypergraph, k: int, cap: int) -> Iterator[np.ndarray]:
-    """The cliques of _clique_groups in walk order, as the sorted rows of
-    int64 arrays of about _SIGN_BLOCK // C(k, 2) rows each."""
-    groups, held = [], 0
-    for group in chain(_clique_groups(h, k, cap), [None]):
-        if group is not None:
-            groups.append(group)
-            held += len(group[1])
-            if held * comb(k, 2) < _SIGN_BLOCK:
-                continue
-        if groups:
-            cliques = np.empty((held, k), dtype=np.int64)
-            runs = [len(closers) for _, closers in groups]
-            cliques[:, :-1] = np.repeat([prefix for prefix, _ in groups], runs, axis=0)
-            cliques[:, -1] = list(chain.from_iterable(closers for _, closers in groups))
-            cliques.sort(axis=1)
-            yield cliques
-        groups, held = [], 0
+def _sorted_block(prefixes, runs, closers) -> np.ndarray:
+    """The clique prefix + [u] for each prefix and each u in its run of
+    closers, as sorted int64 rows."""
+    cliques = np.empty((len(closers), len(prefixes[0]) + 1), dtype=np.int64)
+    cliques[:, :-1] = np.repeat(prefixes, runs, axis=0)
+    cliques[:, -1] = closers
+    cliques.sort(axis=1)
+    return cliques
 
 
 def _signatures(h: Hypergraph, cliques: np.ndarray) -> np.ndarray:
@@ -169,11 +170,7 @@ def list_k_cliques(
     4 or 5 and a negative cap raise InputError at the call.
     """
     k = _checked(k, cap)
-    return (
-        tuple(sorted(prefix + [u]))
-        for prefix, closers in _clique_groups(h, k, cap)
-        for u in closers
-    )
+    return (tuple(row) for cliques in _clique_blocks(h, k, cap) for row in cliques.tolist())
 
 
 def observed_signature(h: Hypergraph, s: Sequence[int]) -> Signature:
@@ -262,8 +259,7 @@ def census(
     CliqueCapError.
     """
     k = _checked(k, cap)
-    n_theory = h.n if n is None else n
-    table = origination_distribution(k, p, n_theory)
+    table = origination_distribution(k, p, h.n if n is None else n)
     ranked = rank_signatures(table)
     theory_rank = dict(ranked)
 
@@ -314,7 +310,7 @@ def census(
     )
     return CensusReport(
         k=k,
-        n=n_theory,
+        n=table.n,
         total_cliques=total,
         rows=rows,
         unobserved=unobserved,

@@ -17,6 +17,7 @@ from __future__ import annotations
 from array import array
 from itertools import combinations
 from math import comb
+from operator import index
 from typing import Dict, Iterator, Optional, Tuple
 
 from .core import Hypergraph, _left_sum
@@ -71,17 +72,15 @@ def intersecting_pairs(h: Hypergraph) -> Iterator[Tuple[int, int]]:
 
 def hc_local(h: Hypergraph, v: int) -> float:
     """Mean extra overlap over pairs of edges containing v; 0 when v lies
-    in at most one edge. Scores only the pairs _pairs_at finds."""
+    in at most one edge. Sums only the pairs _pairs_at scores."""
     if not 0 <= v < h.n:
         raise ValueError(f"vertex {v} outside 0..{h.n - 1}")
     ids = h.incidence[v]
     if len(ids) <= 1:
         return 0.0
     nb = {u: h.neighbors(u) for u in h.neighbors(v) | {v}}
-    edge_sets = {i: frozenset(h.edges[i]) for i in ids}
-    cand, _ = _pairs_at(h, v, nb, edge_sets)
-    total = _left_sum(_extra_overlap(nb, edge_sets[i], edge_sets[j]) for i, j in sorted(cand))
-    return total / comb(len(ids), 2)
+    _, overlaps, _ = _pairs_at(h, v, nb, {i: frozenset(h.edges[i]) for i in ids})
+    return _left_sum(overlaps) / comb(len(ids), 2)
 
 
 def hc_global(h: Hypergraph) -> float:
@@ -96,33 +95,27 @@ def graph_cc(g: Hypergraph) -> Tuple[Optional[float], Optional[float]]:
     degrees contribute 0 and are excluded from the denominator); C' is
     3 * triangles / adjacent edge pairs. Both are None when no vertex has
     degree >= 2.
-    """
+
+    On a graph the extra overlap of the edges vx, vy is 1 when x and y are
+    adjacent and 0 otherwise, so hc_local(g, v) is v's local coefficient
+    and hc_global is C', both to the bit: every sum is of whole numbers."""
     if not g.is_uniform(2):
         raise ValueError("graph clustering needs a 2-uniform input")
-    eligible = [v for v in range(g.n) if len(g.neighbors(v)) >= 2]
+    eligible = [v for v in range(g.n) if g.degree(v) >= 2]
     if not eligible:
         return None, None
-    tri_sum = 0
-    wedge_sum = 0
-    local_sum = 0.0
-    for v in eligible:
-        nb = sorted(g.neighbors(v))
-        tri = sum(1 for x, y in combinations(nb, 2) if y in g.neighbors(x))
-        wedges = comb(len(nb), 2)
-        tri_sum += tri
-        wedge_sum += wedges
-        local_sum += tri / wedges
-    return local_sum / len(eligible), tri_sum / wedge_sum
+    return _left_sum(hc_local(g, v) for v in eligible) / len(eligible), hc_global(g)
 
 
 def _pairs_at(h: Hypergraph, v: int, nb, edge_sets):
     """At a vertex v in two or more edges: the pairs (i, j), i < j, of edges
-    at v that can score above 0, that is, with some x in e_i \\ e_j and y in
-    e_j \\ e_i that are 2-section neighbours (both lie in N(v)), found from
-    a map of each x in N(v) to its edges at v and one N(x) & N(v) per x;
-    and the pairs at v that also share a vertex below v, which were met
-    there first. nb[u] is u's neighbour set and edge_sets[i] edge i, for v,
-    N(v) and the edges at v."""
+    at v that can score above 0, in ascending order; their extra overlaps,
+    in the same order; and the pairs at v that also share a vertex below v,
+    which were met there first. A pair can score above 0 when some x in
+    e_i \\ e_j and y in e_j \\ e_i are 2-section neighbours (both lie in
+    N(v)); such pairs are found from a map of each x in N(v) to its edges
+    at v and one N(x) & N(v) per x. nb[u] is u's neighbour set and
+    edge_sets[i] edge i, for v, N(v) and the edges at v."""
     link: Dict[int, list] = {}
     for i in h.incidence[v]:
         for x in h.edges[i]:
@@ -145,7 +138,8 @@ def _pairs_at(h: Hypergraph, v: int, nb, edge_sets):
                     for j in ly:
                         if j not in lx:
                             cand.add((i, j) if i < j else (j, i))
-    return cand, seen_before
+    pairs = sorted(cand)
+    return pairs, [_extra_overlap(nb, edge_sets[i], edge_sets[j]) for i, j in pairs], seen_before
 
 
 def clustering_report(h: Hypergraph, bins: int = 100) -> Dict:
@@ -160,6 +154,10 @@ def clustering_report(h: Hypergraph, bins: int = 100) -> Dict:
     several vertices is scored at each of them, to the same float each
     time; it joins the global sum only at its smallest common vertex, as in
     intersecting_pairs."""
+    try:
+        bins = index(bins)
+    except TypeError:
+        raise ValueError(f"bins must be an integer, got {bins!r}") from None
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     edge_sets = [frozenset(e) for e in h.edges]
@@ -176,14 +174,9 @@ def clustering_report(h: Hypergraph, bins: int = 100) -> Dict:
         if d < 2:
             hist[0] += 1  # a local coefficient of 0.0
             continue
-        cand, seen_before = _pairs_at(h, v, nb, edge_sets)
+        pairs, local, seen_before = _pairs_at(h, v, nb, edge_sets)
         n_pairs += comb(d, 2) - len(seen_before)
-        local = []
-        for i, j in sorted(cand):
-            eo = _extra_overlap(nb, edge_sets[i], edge_sets[j])
-            if (i, j) not in seen_before:
-                overlaps.append(eo)
-            local.append(eo)
+        overlaps.extend([eo for pair, eo in zip(pairs, local) if pair not in seen_before])
         c = _left_sum(local) / comb(d, 2)
         if c > 0.0:
             nonzero += 1

@@ -49,17 +49,18 @@ class Embedding:
     witnesses: Optional[Tuple[int, ...]] = None
 
 
+def _size_profile(h: Hypergraph, v: int) -> Tuple[int, ...]:
+    """The sizes of the edges at v in descending order: edges are ordered by
+    size, so an incidence list runs in ascending size. Its length is v's
+    degree."""
+    return tuple(len(h.edges[i]) for i in reversed(h.incidence[v]))
+
+
 def _pattern_order(pattern: Hypergraph, first: Tuple[int, ...] = ()) -> List[int]:
     """Vertex order: the vertices of first as given, then high (degree,
     incident-size profile) first, preferring vertices adjacent to
     already-ordered ones."""
-    profile = {
-        v: (
-            pattern.degree(v),
-            tuple(sorted((len(pattern.edges[i]) for i in pattern.incidence[v]), reverse=True)),
-        )
-        for v in range(pattern.n)
-    }
+    profile = [_size_profile(pattern, v) for v in range(pattern.n)]
     order: List[int] = list(first)
     placed = set(first)
     while len(order) < pattern.n:
@@ -69,7 +70,7 @@ def _pattern_order(pattern: Hypergraph, first: Tuple[int, ...] = ()) -> List[int
             if v in placed:
                 continue
             anchored = len(pattern.neighbors(v) & placed)
-            key = (anchored, profile[v], -v)
+            key = (anchored, len(profile[v]), profile[v], -v)
             if best_key is None or key > best_key:
                 best, best_key = v, key
         order.append(best)
@@ -130,11 +131,8 @@ def _embeddings(
     for fi, f in enumerate(pattern.edges):
         steps = tuple(sorted(rank[v] for v in f))
         checks[steps[-1]].append((fi, steps))
-    # edges are ordered by size, so an incidence list runs in ascending size
     if weak:
-        # sizes in descending order, compared position by position
-        def profile(h: Hypergraph, v: int) -> Tuple[int, ...]:
-            return tuple(len(h.edges[i]) for i in reversed(h.incidence[v]))
+        profile = _size_profile  # compared position by position
     else:
         # number of incident edges of each size up to the largest pattern edge
         top = range(len(pattern.edges[-1]) + 1 if pattern.edges else 1)
@@ -345,12 +343,7 @@ def canonical_form(h: Hypergraph) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
 
 
 def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> bool:
-    if h1.n != h2.n or len(h1.edges) != len(h2.edges):
-        return False
-    if h1.size_counts() != h2.size_counts():
-        return False
-    if sorted(len(i) for i in h1.incidence) != sorted(len(i) for i in h2.incidence):
-        return False
+    """Whether h1 and h2 are isomorphic: equal canonical forms."""
     return canonical_form(h1) == canonical_form(h2)
 
 

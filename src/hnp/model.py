@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -51,6 +52,7 @@ class ProbSequence:
     powerlaw: Optional[Mapping[int, Tuple[float, Fraction]]] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "M", _integer(self.M, "M"))
         if self.M < 1:
             raise InputError(f"M must be >= 1, got {self.M}")
         if (self.numeric is None) == (self.powerlaw is None):
@@ -144,6 +146,17 @@ class ProbSequence:
         raise InputError("probability sequence needs a 'numeric' or 'powerlaw' key")
 
 
+def _integer(value, name: str) -> int:
+    """value as an int, numpy integers included; anything else, a boolean
+    too, raises InputError."""
+    try:
+        if not isinstance(value, bool):
+            return index(value)
+    except TypeError:
+        pass
+    raise InputError(f"{name} must be an integer, got {value!r}")
+
+
 def _float(value, name: str) -> float:
     """A JSON number as a float; a string, boolean or null is not read as one."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -153,6 +166,7 @@ def _float(value, name: str) -> float:
 
 def from_edge_counts(n: int, counts: Mapping[int, int]) -> ProbSequence:
     """Numeric sequence with p_i = m_i / C(n, i) matching expected counts."""
+    n = _integer(n, "n")
     if not counts:
         raise InputError("no edge counts given")
     numeric: Dict[int, float] = {}
@@ -199,6 +213,7 @@ def covering_probability(p: ProbSequence, n: int, r: int) -> float:
     with a positive exponent yields exactly 1.
     """
     _check_r(p, r)
+    n = _integer(n, "n")
     if n < r:
         raise InputError(f"n={n} is below the set size {r}")
     log_miss = 0.0
@@ -231,6 +246,7 @@ def sample(n: int, p: ProbSequence, seed: int) -> Hypergraph:
     Raises BudgetError for any level whose expected edge count, or drawn
     edge count, exceeds DEFAULT_EDGE_BUDGET.
     """
+    n = _integer(n, "n")
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     if not p.is_numeric:

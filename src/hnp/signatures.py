@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import _left_sum
 from .errors import InputError
-from .model import ProbSequence, covering_probability
+from .model import ProbSequence, _integer, covering_probability
 
 __all__ = [
     "Signature",
@@ -259,6 +259,7 @@ def origination_distribution(
     are signature_weights(k, weight_mode), computed in-process.
     """
     k = _check_k(k)
+    n = _integer(n, "n")
     if not p.is_numeric:
         raise InputError("origination needs a numeric probability sequence")
     if p.M < k:

@@ -99,6 +99,26 @@ class TestListKCliques:
             2418, "1f35a6f6af53e774c0233daa3f22e9beaf4f4c12e5c5e41b92ad1bf4b0f1ec46"
         )
 
+    @pytest.mark.parametrize(
+        "k, cap, yielded, digest",
+        [
+            (3, 7007, 7006, "87c675416d77d6668c46aba3ef8c377e52a3c1756e9b671969a4cedb64eebff7"),
+            (4, 4001, 4000, "f04797ec75b2c969e2b6e04346a8605dc3abb9dac8371243a4cca80c38185315"),
+            (5, 2008, 2007, "ba7c09076c9908454338cf93b024545ad74921353ee389e8c65819ed326532bb"),
+        ],
+    )
+    def test_capped_listing_pinned(self, k, cap, yielded, digest):
+        # each cap falls inside a run of cliques that close one walk node, in
+        # the second block of cliques the walk hands over: every clique before
+        # that node is yielded, then the error is raised
+        n = 300
+        h = sample(n, from_edge_counts(n, {2: 600, 3: 300, 4: 300, 5: 800}), seed=1)
+        got = []
+        with pytest.raises(CliqueCapError, match=f"cap of {cap} cliques"):
+            for clique in list_k_cliques(h, k, cap=cap):
+                got.append(clique)
+        assert (len(got), hashlib.sha256(repr(got).encode()).hexdigest()) == (yielded, digest)
+
 
 class TestObservedSignature:
     def test_single_4_edge(self):
@@ -196,6 +216,15 @@ class TestCensus:
         p = from_edge_counts(100, {2: 10, 3: 5, 4: 3, 5: 2})
         rep = census(h, np.int64(4), p, n=100)
         assert json.dumps(rep.to_dict()) == json.dumps(census(h, 4, p, n=100).to_dict())
+
+    def test_n_read_as_an_integer(self):
+        h = Hypergraph(5, [(0, 1, 2, 3, 4)])
+        p = from_edge_counts(100, {2: 10, 3: 5, 4: 3, 5: 2})
+        rep = census(h, 4, p, n=np.int64(100))
+        assert type(rep.n) is int
+        assert json.dumps(rep.to_dict()) == json.dumps(census(h, 4, p, n=100).to_dict())
+        with pytest.raises(InputError, match="n must be an integer, got 100.0"):
+            census(h, 4, p, n=100.0)
 
     def test_single_5_edge(self):
         h = Hypergraph(5, [(0, 1, 2, 3, 4)])

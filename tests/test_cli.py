@@ -261,6 +261,38 @@ class TestClustering:
         assert "--n" in capsys.readouterr().err
 
 
+class TestWorkerPool:
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["clustering", "--n", "60", "--counts", "2=40,3=10", "--samples", "2",
+              "--seed", "5"], "clustering.json"),
+            (["mc-threshold", "--n", "30", "--counts", "2=30", "--trials", "4",
+              "--seed", "3"], "mc_threshold.json"),
+        ],
+    )
+    def test_two_workers_write_what_one_writes(self, argv, name, triangle_file, tmp_path,
+                                               monkeypatch):
+        # a real pool of two worker processes, watched only for its size
+        pools = []
+
+        class CountedPool(hnp.cli.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(hnp.cli, "ProcessPoolExecutor", CountedPool)
+        if argv[0] == "mc-threshold":
+            argv = argv + ["--pattern", triangle_file]
+        files = []
+        for parallel in ("1", "2"):
+            out = tmp_path / parallel
+            assert main(argv + ["--parallel", parallel, "--out", str(out)]) == 0
+            files.append((out / name).read_bytes())
+        assert pools == [2]
+        assert files[0] == files[1]
+
+
 class TestMcThreshold:
     def test_smoke(self, triangle_file, tmp_path, capsys):
         out = tmp_path / "mc"

@@ -1,6 +1,8 @@
+import json
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from hnp import (
@@ -182,6 +184,16 @@ class TestClusteringReport:
     def test_bins_below_one_rejected(self, bins):
         with pytest.raises(ValueError, match="bins must be >= 1"):
             clustering_report(TRIANGLE, bins)
+
+    @pytest.mark.parametrize("bins", [2.0, "2", None])
+    def test_bins_must_be_an_integer(self, bins):
+        with pytest.raises(ValueError, match="bins must be an integer"):
+            clustering_report(TRIANGLE, bins)
+
+    def test_bins_read_as_an_integer(self):
+        rep = clustering_report(TRIANGLE, np.int64(2))
+        assert rep == clustering_report(TRIANGLE, 2)
+        assert json.dumps(rep) == json.dumps(clustering_report(TRIANGLE, 2))
 
 
 def _histogram(counts):

@@ -78,6 +78,16 @@ class TestProbSequence:
         p = ProbSequence(M=2, powerlaw={2: (5.0, Fraction(0))})
         assert p.prob_at(2, 100) == 1.0
 
+    @pytest.mark.parametrize("M", [2.5, 2.0, True, "2", None])
+    def test_M_must_be_an_integer(self, M):
+        with pytest.raises(InputError, match="M must be an integer"):
+            ProbSequence(M=M, numeric={1: 0.1})
+
+    def test_M_read_as_an_integer(self):
+        p = ProbSequence(M=np.int64(3), numeric={2: 0.1})
+        assert type(p.M) is int and p == ProbSequence(M=3, numeric={2: 0.1})
+        assert json.loads(p.to_json())["M"] == 3
+
 
 class TestFromEdgeCounts:
     def test_bench_p2(self, bench):
@@ -95,6 +105,11 @@ class TestFromEdgeCounts:
     def test_count_exceeding_total(self):
         with pytest.raises(InputError):
             from_edge_counts(4, {2: 7})
+
+    def test_n_read_as_an_integer(self):
+        assert from_edge_counts(np.int64(4), {2: 3}) == from_edge_counts(4, {2: 3})
+        with pytest.raises(InputError, match="n must be an integer, got 4.0"):
+            from_edge_counts(4.0, {2: 3})
 
 
 class TestCoveringFunctionals:
@@ -149,6 +164,12 @@ class TestCoveringFunctionals:
         p = ProbSequence(M=3, numeric={2: 1.0})
         assert covering_probability(p, 30, 2) == 1.0
         assert covering_probability(p, 30, 1) == 1.0
+
+    def test_n_read_as_an_integer(self, bench):
+        q = covering_probability(bench, BENCH_N, 3)
+        assert covering_probability(bench, np.int64(BENCH_N), 3) == q
+        with pytest.raises(InputError, match="n must be an integer, got 5044.0"):
+            covering_probability(bench, float(BENCH_N), 3)
 
     def test_out_of_range_r(self, bench):
         with pytest.raises(InputError):
@@ -250,6 +271,14 @@ class TestSample:
         h = sample(n, ProbSequence(M=max(probs), numeric=probs), seed)
         text = json.dumps(h.edges)
         assert (len(h.edges), hashlib.sha256(text.encode()).hexdigest()) == (edges, digest)
+
+    def test_n_read_as_an_integer(self):
+        p = from_edge_counts(300, {2: 300, 3: 100})
+        h = sample(np.int64(300), p, 1)
+        assert type(h.n) is int and h == sample(300, p, 1)
+        assert json.dumps({"n": h.n}) == '{"n": 300}'
+        with pytest.raises(InputError, match="n must be an integer, got 300.0"):
+            sample(300.0, p, 1)
 
     def test_rejects_powerlaw(self):
         p = ProbSequence(M=2, powerlaw={2: (1.0, Fraction(1, 2))})

@@ -36,6 +36,7 @@ from util import (
     brute_aut,
     brute_canonical_form,
     brute_clustering_report,
+    brute_graph_cc,
     brute_clique_sequence,
     brute_hc_local,
     brute_is_subedge,
@@ -288,6 +289,12 @@ def test_graph_cc_matches_networkx(g):
     # the mean's summation order is not part of the definition
     assert c == pytest.approx(sum(local[v] for v in eligible) / len(eligible), rel=1e-12)
     assert c_prime == nx.transitivity(nxg)
+
+
+@settings(deadline=None)
+@given(graphs(max_n=20))
+def test_graph_cc_matches_triangle_loop_bit_for_bit(g):
+    assert graph_cc(g) == brute_graph_cc(g)
 
 
 @st.composite

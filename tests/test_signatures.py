@@ -101,6 +101,14 @@ class TestFeasibleEnumeration:
         with pytest.raises(InputError, match="got 4.0"):
             origination_distribution(4.0, p, 100)
 
+    def test_n_read_as_an_integer(self):
+        p = from_edge_counts(100, {2: 10, 3: 5, 4: 3, 5: 2})
+        table = origination_distribution(4, p, np.int64(100))
+        assert type(table.n) is int
+        assert table == origination_distribution(4, p, 100)
+        with pytest.raises(InputError, match="n must be an integer, got 100.0"):
+            origination_distribution(4, p, 100.0)
+
 
 class TestWeights:
     def test_one_2edge_two_3edges(self):

@@ -223,6 +223,26 @@ def oracle_graph_cc(g: Hypergraph):
     return c_avg, c_glob
 
 
+def brute_graph_cc(g: Hypergraph):
+    """Classical clustering coefficients by one triangle and wedge count per
+    vertex of degree >= 2, each local coefficient added to a running float
+    sum in vertex order."""
+    eligible = [v for v in range(g.n) if len(g.neighbors(v)) >= 2]
+    if not eligible:
+        return None, None
+    tri_sum = 0
+    wedge_sum = 0
+    local_sum = 0.0
+    for v in eligible:
+        nb = sorted(g.neighbors(v))
+        tri = sum(1 for x, y in combinations(nb, 2) if y in g.neighbors(x))
+        wedges = comb(len(nb), 2)
+        tri_sum += tri
+        wedge_sum += wedges
+        local_sum += tri / wedges
+    return local_sum / len(eligible), tri_sum / wedge_sum
+
+
 def brute_degeneracy_order(adj):
     """Repeated minimum-degree removal by scanning every bucket; ties go to
     the smallest id."""
