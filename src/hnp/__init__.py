@@ -8,8 +8,6 @@ from .core import (
     induced_strong,
     induced_weak,
     profiles,
-    remove_isolated,
-    truncate,
     two_section,
 )
 from .errors import BudgetError, CliqueCapError, GuardError, InputError
@@ -18,7 +16,6 @@ from .isomorphism import (
     Embedding,
     automorphism_count,
     canonical_form,
-    enumerate_strong_subgraphs,
     find_strong_copies,
     find_weak_copies,
     is_isomorphic,
@@ -47,7 +44,6 @@ from .thresholds import (
 )
 from .signatures import (
     OriginationTable,
-    enumerate_feasible,
     labelled_total,
     labelled_weight,
     origination_distribution,

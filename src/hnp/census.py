@@ -39,17 +39,22 @@ __all__ = [
 DEFAULT_CLIQUE_CAP = 100_000_000
 
 
-def _checked(k: int, cap: int) -> int:
-    """k as an int, after InputError unless k is 3, 4 or 5 and cap >= 0."""
+def _checked(k: int, cap: int) -> Tuple[int, int]:
+    """(k, cap) as ints, after InputError unless k is 3, 4 or 5 and cap is an
+    integer >= 0."""
     try:
         k = index(k)
     except TypeError:
         raise InputError(f"k must be 3, 4 or 5, got {k!r}") from None
     if k not in (3, 4, 5):
         raise InputError(f"k must be 3, 4 or 5, got {k}")
+    try:
+        cap = index(cap)
+    except TypeError:
+        raise InputError(f"clique cap must be an integer, got {cap!r}") from None
     if cap < 0:
         raise InputError(f"clique cap must be >= 0, got {cap}")
-    return k
+    return k, cap
 
 
 # Cliques are signed by array operations over the host's pair table, on at
@@ -167,9 +172,10 @@ def list_k_cliques(
 
     Expansion follows a degeneracy ordering of the 2-section; exceeding
     the per-run cap raises CliqueCapError naming the cap. k other than 3,
-    4 or 5 and a negative cap raise InputError at the call.
+    4 or 5 and a cap that is not an integer >= 0 raise InputError at the
+    call.
     """
-    k = _checked(k, cap)
+    k, cap = _checked(k, cap)
     return (tuple(row) for cliques in _clique_blocks(h, k, cap) for row in cliques.tolist())
 
 
@@ -255,10 +261,10 @@ def census(
     Every observed signature must be feasible; an infeasible one indicates
     an implementation bug and raises AssertionError. n defaults to the
     host's vertex count for the theory side. k other than 3, 4 or 5 and a
-    negative cap raise InputError; more than cap cliques raise
-    CliqueCapError.
+    cap that is not an integer >= 0 raise InputError; more than cap
+    cliques raise CliqueCapError.
     """
-    k = _checked(k, cap)
+    k, cap = _checked(k, cap)
     table = origination_distribution(k, p, h.n if n is None else n)
     ranked = rank_signatures(table)
     theory_rank = dict(ranked)

@@ -16,7 +16,6 @@ corrupt hypergraph.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from heapq import heappop, heappush
 from itertools import combinations
@@ -31,8 +30,6 @@ __all__ = [
     "two_section",
     "induced_strong",
     "induced_weak",
-    "remove_isolated",
-    "truncate",
     "profiles",
 ]
 
@@ -111,15 +108,6 @@ class Hypergraph:
         if self._edge_set is None:
             self._edge_set = frozenset(frozenset(e) for e in self.edges)
         return self._edge_set
-
-    def edge_index(self, e: Iterable[int]) -> int:
-        """Id of the edge equal (as a set) to e, by binary search over the
-        edges' (size, tuple) order; KeyError if absent."""
-        t = tuple(sorted(e))
-        i = bisect_left(self.edges, (len(t), t), key=lambda x: (len(x), x))
-        if i == len(self.edges) or self.edges[i] != t:
-            raise KeyError(t)
-        return i
 
     def neighbors(self, v: int) -> frozenset:
         """Vertices sharing at least one edge with v, excluding v (cached)."""
@@ -311,19 +299,6 @@ def _compacted(edges: Sequence[Tuple[int, ...]]) -> Tuple[Hypergraph, Dict[int, 
     return Hypergraph._normalised(len(support), edges), mapping
 
 
-def remove_isolated(h: Hypergraph) -> Tuple[Hypergraph, Dict[int, int]]:
-    """Drop vertices contained in no edge and compact ids."""
-    return _compacted(h.edges)
-
-
-def truncate(h: Hypergraph, max_size: int) -> Tuple[Hypergraph, Dict[int, int]]:
-    """Remove edges larger than max_size, then remove isolated vertices and
-    compact ids. Idempotent at the same max_size."""
-    if max_size < 1:
-        raise ValueError(f"max_size must be >= 1, got {max_size}")
-    return _compacted([e for e in h.edges if len(e) <= max_size])
-
-
 def profiles(h: Hypergraph) -> Tuple[Counter, Counter]:
     """(degree histogram, edge-size histogram).
 
@@ -331,6 +306,4 @@ def profiles(h: Hypergraph) -> Tuple[Counter, Counter]:
     vertices appear under degree 0); the size histogram maps edge size ->
     number of edges.
     """
-    degree_hist = Counter(len(inc) for inc in h.incidence)
-    size_hist = Counter(len(e) for e in h.edges)
-    return degree_hist, size_hist
+    return Counter(len(inc) for inc in h.incidence), h.size_counts()

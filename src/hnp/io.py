@@ -8,8 +8,8 @@ dropped and counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Dict
 
 from .core import Hypergraph
 from .errors import InputError
@@ -24,32 +24,30 @@ class ParsedEdgeList:
     hypergraph: Hypergraph
     token_to_id: Dict[str, int]
     duplicate_edges: int
-    line_count: int
     dropped_oversize: int = 0
-    oversize_examples: List[int] = field(default_factory=list)
 
 
 def read_edge_list(path: str, max_edge_size: int | None = None) -> ParsedEdgeList:
     """Parse an edge-list file into a hypergraph.
 
     Tokens are mapped to dense ids in first-seen order. With max_edge_size
-    set, larger lines are dropped (counted, with their line numbers noted)
-    before the hypergraph is built; isolated vertices left behind by the
-    drop are not created since ids are assigned only for surviving lines.
+    set, larger lines are dropped (counted) before the hypergraph is built;
+    isolated vertices left behind by the drop are not created since ids are
+    assigned only for surviving lines. This is the package's only
+    truncation of a host; max_edge_size below 1 raises InputError.
     """
+    if max_edge_size is not None and max_edge_size < 1:
+        raise InputError(f"max_edge_size must be >= 1, got {max_edge_size}")
     token_to_id: Dict[str, int] = {}
     new_id = token_to_id.setdefault
     edges = set()
     duplicates = 0
     dropped = 0
-    oversize_lines: List[int] = []
-    line_count = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            line_count += 1
             tokens = line.split()
             if len(set(tokens)) != len(tokens):
                 seen = set()
@@ -57,7 +55,6 @@ def read_edge_list(path: str, max_edge_size: int | None = None) -> ParsedEdgeLis
                 raise InputError(f"{path}:{lineno}: repeated token {dup!r} in hyperedge")
             if max_edge_size is not None and len(tokens) > max_edge_size:
                 dropped += 1
-                oversize_lines.append(lineno)
                 continue
             # a repeated line (as a set) has all its tokens mapped already,
             # so it gives no new ids and the same sorted id tuple
@@ -70,9 +67,7 @@ def read_edge_list(path: str, max_edge_size: int | None = None) -> ParsedEdgeLis
         hypergraph=Hypergraph._normalised(len(token_to_id), edges),
         token_to_id=token_to_id,
         duplicate_edges=duplicates,
-        line_count=line_count,
         dropped_oversize=dropped,
-        oversize_examples=oversize_lines[:20],
     )
 
 

@@ -17,7 +17,7 @@ from itertools import permutations
 from operator import ge
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .core import Hypergraph, _compacted
+from .core import Hypergraph
 from .errors import GuardError, InputError
 
 __all__ = [
@@ -25,14 +25,11 @@ __all__ = [
     "find_strong_copies",
     "find_weak_copies",
     "automorphism_count",
-    "enumerate_strong_subgraphs",
     "canonical_form",
     "is_isomorphic",
 ]
 
 MAX_PATTERN_VERTICES = 12
-MAX_ENUM_VERTICES = 10
-MAX_ENUM_EDGES = 16
 
 
 @dataclass(frozen=True)
@@ -345,40 +342,3 @@ def canonical_form(h: Hypergraph) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
 def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> bool:
     """Whether h1 and h2 are isomorphic: equal canonical forms."""
     return canonical_form(h1) == canonical_form(h2)
-
-
-def _edge_subsets(h: Hypergraph) -> Iterator[List[Tuple[int, ...]]]:
-    """The chosen edges of every nonempty edge subset of h, lazily, in mask
-    order (bit i of the mask selects h.edges[i]). The size guard is
-    checked on the call, before the first subset is asked for."""
-    if h.n > MAX_ENUM_VERTICES:
-        raise GuardError(f"{h.n} vertices, guard is {MAX_ENUM_VERTICES}")
-    m = len(h.edges)
-    if m > MAX_ENUM_EDGES:
-        raise GuardError(f"{m} edges, practical guard is {MAX_ENUM_EDGES}")
-    return ([h.edges[i] for i in range(m) if mask >> i & 1] for mask in range(1, 1 << m))
-
-
-def enumerate_strong_subgraphs(
-    h: Hypergraph, require_edges: bool = False
-) -> List[Hypergraph]:
-    """All isomorphism classes of (vertex-subset, edge-subset) substructures
-    with nonempty vertex set.
-
-    With require_edges=True only classes with at least one edge and no
-    isolated vertices are returned (the forms the threshold theorems need).
-    """
-    subsets = _edge_subsets(h)
-    classes: Dict[tuple, Hypergraph] = {}
-    if not require_edges:
-        for v in range(1, h.n + 1):
-            classes[(v, ())] = Hypergraph(v)
-    for chosen in subsets:
-        base, _ = _compacted(chosen)
-        key = canonical_form(base)
-        classes.setdefault(key, base)
-        if not require_edges:
-            for order in range(base.n + 1, h.n + 1):
-                if (order, key[1]) not in classes:
-                    classes[(order, key[1])] = Hypergraph._normalised(order, base.edges)
-    return [classes[k] for k in sorted(classes)]

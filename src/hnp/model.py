@@ -58,19 +58,28 @@ class ProbSequence:
         if (self.numeric is None) == (self.powerlaw is None):
             raise InputError("exactly one of numeric/powerlaw must be given")
         if self.numeric is not None:
+            object.__setattr__(self, "numeric", self._sized(self.numeric))
             for r, p in self.numeric.items():
-                if not 1 <= r <= self.M:
-                    raise InputError(f"size {r} outside 1..M={self.M}")
                 if not 0.0 <= p <= 1.0:
                     raise InputError(f"p_{r}={p} outside [0, 1]")
         else:
+            object.__setattr__(self, "powerlaw", self._sized(self.powerlaw))
             for r, (c, alpha) in self.powerlaw.items():
-                if not 1 <= r <= self.M:
-                    raise InputError(f"size {r} outside 1..M={self.M}")
                 if not 0 < c < math.inf:
                     raise InputError(f"coefficient c_{r}={c} must be finite and > 0")
                 if not isinstance(alpha, Fraction) or alpha < 0:
                     raise InputError(f"alpha_{r} must be a nonnegative Fraction")
+
+    def _sized(self, levels: Mapping) -> Dict[int, object]:
+        """levels with each size key read as an int in 1..M; a key that is
+        not an integer (a float or a boolean too) raises InputError."""
+        out = {}
+        for r, v in levels.items():
+            r = _integer(r, "size")
+            if not 1 <= r <= self.M:
+                raise InputError(f"size {r} outside 1..M={self.M}")
+            out[r] = v
+        return out
 
     @property
     def is_numeric(self) -> bool:

@@ -36,7 +36,6 @@ __all__ = [
     "lattice_size",
     "signature_lattice",
     "signature_weights",
-    "enumerate_feasible",
     "labelled_weight",
     "labelled_total",
     "origination_distribution",
@@ -199,12 +198,6 @@ def signature_weights(k: int, weight_mode: str = "labelled") -> Dict[Signature, 
     if key not in _memo:
         _memo[key] = _labelled_weights(k) if weight_mode == "labelled" else _aut_weights(k)
     return _memo[key]
-
-
-def enumerate_feasible(k: int) -> set:
-    """Signatures admitting at least one labelled hypergraph on [k] whose
-    2-section is exactly K_k."""
-    return set(signature_weights(k))
 
 
 def labelled_weight(sig: Signature) -> int:

@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .core import Graph, Hypergraph, _compacted
 from .errors import GuardError, InputError
-from .isomorphism import MAX_ENUM_VERTICES, _edge_subsets
 from .isomorphism import _embeddings, canonical_form
 from .model import ProbSequence
 
@@ -40,6 +39,8 @@ __all__ = [
 
 Exponent = Optional[Fraction]  # None = -infinity
 
+MAX_ENUM_VERTICES = 10
+MAX_ENUM_EDGES = 16
 MAX_SUBEDGE_VERTICES = 10
 MAX_COVER_VERTICES = 7
 
@@ -117,6 +118,18 @@ def weak_exponent(h: Hypergraph, p: ProbSequence) -> Exponent:
 
 
 # -- family minimum over strong subgraphs ----------------------------------
+
+
+def _edge_subsets(h: Hypergraph) -> Iterator[List[Tuple[int, ...]]]:
+    """The chosen edges of every nonempty edge subset of h, lazily, in mask
+    order (bit i of the mask selects h.edges[i]). The size guard is
+    checked on the call, before the first subset is asked for."""
+    if h.n > MAX_ENUM_VERTICES:
+        raise GuardError(f"{h.n} vertices, guard is {MAX_ENUM_VERTICES}")
+    m = len(h.edges)
+    if m > MAX_ENUM_EDGES:
+        raise GuardError(f"{m} edges, practical guard is {MAX_ENUM_EDGES}")
+    return ([h.edges[i] for i in range(m) if mask >> i & 1] for mask in range(1, 1 << m))
 
 
 def _family_minimum(

@@ -82,6 +82,23 @@ class TestListKCliques:
         with pytest.raises(InputError, match="cap must be >= 0, got -1"):
             list_k_cliques(h, 4, cap=-1)
 
+    @pytest.mark.parametrize("cap", [1.5, "5", None])
+    def test_cap_must_be_an_integer(self, cap):
+        h = Hypergraph(5, [(0, 1, 2, 3, 4)])
+        p = from_edge_counts(100, {2: 10, 3: 5, 4: 3, 5: 2})
+        with pytest.raises(InputError, match="clique cap must be an integer"):
+            list_k_cliques(h, 3, cap=cap)
+        with pytest.raises(InputError, match="clique cap must be an integer"):
+            census(h, 3, p, n=100, cap=cap)
+
+    def test_cap_read_as_an_integer(self):
+        h = Hypergraph(5, [(0, 1, 2, 3, 4)])
+        p = from_edge_counts(100, {2: 10, 3: 5, 4: 3, 5: 2})
+        assert len(list(list_k_cliques(h, 3, cap=np.int64(10)))) == 10
+        assert census(h, 3, p, n=100, cap=np.int64(10)).total_cliques == 10
+        with pytest.raises(CliqueCapError, match="cap of 9 cliques"):
+            list(list_k_cliques(h, 3, cap=np.int64(9)))
+
     def test_emission_order_pinned(self):
         # the unsorted sequence, hashed; a change in the degeneracy order or
         # in the expansion order changes it

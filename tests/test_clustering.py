@@ -20,7 +20,7 @@ TRIANGLE = Hypergraph(3, [(0, 1), (1, 2), (0, 2)])
 
 
 def _eo(h, e1, e2):
-    return extra_overlap(h, h.edge_index(e1), h.edge_index(e2))
+    return extra_overlap(h, h.edges.index(e1), h.edges.index(e2))
 
 
 class TestExtraOverlap:

@@ -12,8 +12,6 @@ from hnp import (
     induced_strong,
     induced_weak,
     profiles,
-    remove_isolated,
-    truncate,
     two_section,
 )
 from hnp.core import _left_sum
@@ -78,30 +76,6 @@ class TestHypergraph:
         b = Hypergraph(3, [(1, 2), (1, 0)])
         assert a == b and hash(a) == hash(b)
         assert a != Hypergraph(4, [(0, 1), (1, 2)])
-
-    def test_edge_index_round_trip_and_absent_edges(self):
-        rng = random.Random(8)
-        for _ in range(200):
-            n = rng.randint(1, 8)
-            h = random_hypergraph(rng, n, rng.randint(0, 12))
-            for i, e in enumerate(h.edges):
-                shuffled = list(e)
-                rng.shuffle(shuffled)
-                assert h.edge_index(shuffled) == i
-            size = rng.randint(1, n)
-            absent = tuple(rng.sample(range(n), size))
-            if frozenset(absent) not in h.edge_set:
-                with pytest.raises(KeyError):
-                    h.edge_index(absent)
-            with pytest.raises(KeyError):
-                h.edge_index(range(n + 1))  # larger than any edge
-            with pytest.raises(KeyError):
-                h.edge_index((n,))  # vertex outside 0..n-1
-        h = Hypergraph(4, [(0, 1), (2, 3), (0, 1, 2)])
-        with pytest.raises(KeyError):
-            h.edge_index((1, 2))  # absent, same size as two edges
-        with pytest.raises(KeyError):
-            h.edge_index((0, 1, 2, 3))  # absent, larger than every edge
 
     def test_graph_requires_pairs(self):
         with pytest.raises(ValueError):
@@ -196,46 +170,6 @@ class TestInducedWeak:
             lhs = two_section(induced_strong(h, s)[0])
             rhs = induced_strong(two_section(h), s)[0]
             assert set(lhs.edges) <= set(rhs.edges)
-
-
-class TestTruncate:
-    def test_drops_oversize_and_isolated(self):
-        h = Hypergraph(8, [(0, 1), (2, 3, 4, 5, 6, 7)])
-        sub, mapping = truncate(h, 5)
-        assert sub == Hypergraph(2, [(0, 1)])
-        assert mapping == {0: 0, 1: 1}
-
-    def test_identity_when_nothing_oversize(self):
-        h = Hypergraph(4, [(0, 1), (1, 2, 3)])
-        sub, _ = truncate(h, 5)
-        assert sub == h
-
-    def test_all_oversize(self):
-        h = Hypergraph(3, [(0, 1, 2)])
-        sub, mapping = truncate(h, 2)
-        assert sub == Hypergraph(0)
-        assert mapping == {}
-
-    def test_idempotent(self):
-        rng = random.Random(8)
-        for _ in range(20):
-            h = random_hypergraph(rng, rng.randint(1, 8), rng.randint(0, 10))
-            once, _ = truncate(h, 3)
-            twice, _ = truncate(once, 3)
-            assert once == twice
-
-    def test_requires_positive_max(self):
-        with pytest.raises(ValueError):
-            truncate(Hypergraph(1, [(0,)]), 0)
-
-
-class TestRemoveIsolated:
-    def test_keeps_singleton_edges(self):
-        # a vertex in a size-1 edge is not isolated
-        h = Hypergraph(3, [(1,)])
-        sub, mapping = remove_isolated(h)
-        assert sub == Hypergraph(1, [(0,)])
-        assert mapping == {1: 0}
 
 
 class TestProfiles:

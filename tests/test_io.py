@@ -1,4 +1,9 @@
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hnp import Hypergraph, InputError, read_edge_list, write_edge_list
 
@@ -43,8 +48,48 @@ def test_oversize_dropped_and_counted(tmp_path):
     path.write_text("a b\np q r s t u\n", encoding="utf-8")
     parsed = read_edge_list(str(path), max_edge_size=5)
     assert parsed.dropped_oversize == 1
-    assert parsed.oversize_examples == [2]
     assert parsed.hypergraph.n == 2  # tokens of the dropped line get no ids
+
+
+@st.composite
+def hosts(draw):
+    n = draw(st.integers(1, 9))
+    edges = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=6), max_size=14))
+    return Hypergraph(n, edges)
+
+
+@settings(deadline=None)
+@given(hosts())
+def test_truncation_at_ingestion(h):
+    # the only truncation: edges above m are dropped, no vertex is isolated,
+    # and truncating the result again at the same m changes nothing
+    def host_edges(parsed):
+        token = {i: int(t) for t, i in parsed.token_to_id.items()}
+        return {tuple(sorted(token[v] for v in e)) for e in parsed.hypergraph.edges}
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = os.path.join(tmp, "h.edges"), os.path.join(tmp, "again.edges")
+        write_edge_list(h, path)
+        for m in range(1, 6):
+            parsed = read_edge_list(path, max_edge_size=m)
+            kept = {e for e in h.edges if len(e) <= m}
+            assert host_edges(parsed) == kept
+            assert parsed.dropped_oversize == len(h.edges) - len(kept)
+            got = parsed.hypergraph
+            assert all(got.incidence[v] for v in range(got.n))
+            write_edge_list(got, again)
+            twice = read_edge_list(again, max_edge_size=m)
+            assert twice.dropped_oversize == 0
+            assert twice.hypergraph.n == got.n and host_edges(twice) == set(got.edges)
+
+
+def test_max_edge_size_must_be_positive(tmp_path):
+    path = tmp_path / "one.edges"
+    path.write_text("a\n", encoding="utf-8")
+    for m in (0, -1):
+        with pytest.raises(InputError, match=f"max_edge_size must be >= 1, got {m}"):
+            read_edge_list(str(path), max_edge_size=m)
+    assert read_edge_list(str(path), max_edge_size=1).hypergraph == Hypergraph(1, [(0,)])
 
 
 def test_empty_file(tmp_path):

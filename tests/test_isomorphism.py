@@ -11,7 +11,6 @@ from hnp import (
     Hypergraph,
     InputError,
     automorphism_count,
-    enumerate_strong_subgraphs,
     find_strong_copies,
     find_weak_copies,
     from_edge_counts,
@@ -21,7 +20,6 @@ from hnp import (
 from util import (
     brute_aut,
     brute_strong_count,
-    brute_subgraph_classes,
     brute_weak_count,
     complete_hypergraph,
     random_hypergraph,
@@ -167,37 +165,6 @@ class TestEmptyPattern:
     def test_automorphism_count(self):
         with pytest.raises(InputError, match="at least one vertex"):
             automorphism_count(Hypergraph(0))
-
-
-class TestEnumerateStrongSubgraphs:
-    def test_single_edge(self):
-        assert len(enumerate_strong_subgraphs(EDGE2)) == 3
-
-    def test_triangle(self):
-        assert len(enumerate_strong_subgraphs(TRIANGLE)) == 7
-
-    def test_density_figure_containment(self):
-        g = Hypergraph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (2, 4)])
-        gp = Hypergraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)])
-        classes = enumerate_strong_subgraphs(g)
-        assert any(is_isomorphic(c, gp) for c in classes)
-
-    def test_matches_brute_classes(self):
-        rng = random.Random(25)
-        for _ in range(15):
-            h = random_hypergraph(rng, rng.randint(1, 4), rng.randint(0, 4))
-            assert len(enumerate_strong_subgraphs(h)) == len(brute_subgraph_classes(h))
-
-    def test_restricted_family(self):
-        classes = enumerate_strong_subgraphs(TRIANGLE, require_edges=True)
-        # single edge, path, triangle: no isolated vertices, at least one edge
-        assert len(classes) == 3
-        assert all(c.edges for c in classes)
-        assert all(all(c.incidence[v] for v in range(c.n)) for c in classes)
-
-    def test_guard(self):
-        with pytest.raises(GuardError):
-            enumerate_strong_subgraphs(Hypergraph(11, [(0, 1)]))
 
 
 class TestIsomorphic:

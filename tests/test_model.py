@@ -88,6 +88,23 @@ class TestProbSequence:
         assert type(p.M) is int and p == ProbSequence(M=3, numeric={2: 0.1})
         assert json.loads(p.to_json())["M"] == 3
 
+    @pytest.mark.parametrize("r", [2.5, 2.0, True, "2", None])
+    @pytest.mark.parametrize("mode", ["numeric", "powerlaw"])
+    def test_size_keys_must_be_integers(self, r, mode):
+        level = 0.3 if mode == "numeric" else (1.0, Fraction(1))
+        with pytest.raises(InputError, match="size must be an integer"):
+            ProbSequence(M=3, **{mode: {r: level}})
+
+    def test_size_keys_read_as_integers(self):
+        p = ProbSequence(M=3, numeric={np.int64(2): 0.3})
+        assert [type(r) for r in p.numeric] == [int]
+        assert p == ProbSequence(M=3, numeric={2: 0.3}) and p.prob_at(2, 10) == 0.3
+        assert ProbSequence.from_json(p.to_json()) == p
+        q = ProbSequence(M=3, powerlaw={np.int32(3): (1.0, Fraction(1))})
+        assert [type(r) for r in q.powerlaw] == [int] and q.alpha(3) == 1
+        with pytest.raises(InputError, match="size 4 outside 1..M=3"):
+            ProbSequence(M=3, numeric={np.int64(4): 0.3})
+
 
 class TestFromEdgeCounts:
     def test_bench_p2(self, bench):

@@ -18,11 +18,10 @@ from hnp import (
     classify_strong,
     classify_weak,
     covering_weight_exponent,
-    enumerate_strong_subgraphs,
     minimal_two_section_covers,
     pad_amount,
 )
-from hnp.isomorphism import _edge_subsets
+from hnp.thresholds import _edge_subsets
 from util import (
     brute_covering_weight,
     brute_family_minimum,
@@ -147,8 +146,6 @@ def test_edge_subset_walk_guards_on_call():
         for q in (p, no_pairs):
             with pytest.raises(GuardError):
                 classify_strong(h, q)
-        with pytest.raises(GuardError):
-            enumerate_strong_subgraphs(h)
     # inside the guard the walk is lazy, in mask order
     walk = _edge_subsets(Hypergraph(7, list(combinations(range(7), 2))[:16]))
     assert next(walk) == [(0, 1)]

@@ -159,33 +159,6 @@ def brute_canonical_form(h: Hypergraph):
     return (h.n, best)
 
 
-def brute_subgraph_classes(h: Hypergraph):
-    """Isomorphism classes of (vertex subset, edge subset) substructures."""
-
-    def iso(a, b):
-        (na, ea), (nb, eb) = a, b
-        if na != nb or len(ea) != len(eb):
-            return False
-        target = set(frozenset(e) for e in eb)
-        for perm in permutations(range(na)):
-            if set(frozenset(perm[v] for v in e) for e in ea) == target:
-                return True
-        return False
-
-    reps = []
-    for size in range(1, h.n + 1):
-        for vs in combinations(range(h.n), size):
-            vset = set(vs)
-            inside = [e for e in h.edges if set(e) <= vset]
-            remap = {v: i for i, v in enumerate(vs)}
-            for mask in range(1 << len(inside)):
-                chosen = [inside[i] for i in range(len(inside)) if mask >> i & 1]
-                cand = (size, [tuple(sorted(remap[v] for v in e)) for e in chosen])
-                if not any(iso(cand, r) for r in reps):
-                    reps.append(cand)
-    return reps
-
-
 def complete_hypergraph(n: int) -> Hypergraph:
     edges = []
     for r in range(1, n + 1):
