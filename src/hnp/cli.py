@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .census import CensusReport, census
+from .census import DEFAULT_CLIQUE_CAP, CensusReport, census
 from .clustering import clustering_report
 from .core import profiles
 from .errors import GuardError, InputError
@@ -496,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     _add_sequence(sp, "numeric")
     sp.add_argument("--n", type=_int_at_least(0), default=None, help="theory n (default: input n)")
-    sp.add_argument("--clique-cap", type=_int_at_least(0), default=100_000_000)
+    sp.add_argument("--clique-cap", type=_int_at_least(0), default=DEFAULT_CLIQUE_CAP)
     _add_common(sp, fmt=True, max_edge=True)
     sp.set_defaults(func=cmd_census)
 

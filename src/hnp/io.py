@@ -13,6 +13,7 @@ from typing import Dict
 
 from .core import Hypergraph
 from .errors import InputError
+from .model import _integer
 
 __all__ = ["ParsedEdgeList", "read_edge_list", "write_edge_list"]
 
@@ -34,9 +35,10 @@ def read_edge_list(path: str, max_edge_size: int | None = None) -> ParsedEdgeLis
     set, larger lines are dropped (counted) before the hypergraph is built;
     isolated vertices left behind by the drop are not created since ids are
     assigned only for surviving lines. This is the package's only
-    truncation of a host; max_edge_size below 1 raises InputError.
+    truncation of a host; a max_edge_size that is not an integer or is
+    below 1 raises InputError.
     """
-    if max_edge_size is not None and max_edge_size < 1:
+    if max_edge_size is not None and _integer(max_edge_size, "max_edge_size") < 1:
         raise InputError(f"max_edge_size must be >= 1, got {max_edge_size}")
     token_to_id: Dict[str, int] = {}
     new_id = token_to_id.setdefault

@@ -180,6 +180,7 @@ def from_edge_counts(n: int, counts: Mapping[int, int]) -> ProbSequence:
         raise InputError("no edge counts given")
     numeric: Dict[int, float] = {}
     for r, m in counts.items():
+        r, m = _integer(r, "edge size"), _integer(m, f"count for size {r}")
         if r < 1:
             raise InputError(f"edge size {r} must be >= 1")
         if m < 0:
@@ -201,7 +202,7 @@ def covering_weight(p: ProbSequence, n: int, r: int) -> float:
     Simple upper-bound surrogate for the expected number of edges covering
     a fixed r-set; may exceed 1.
     """
-    _check_r(p, r)
+    r = _check_r(p, r)
     return sum(float(n) ** i * p.prob_at(r + i, n) for i in range(p.M - r + 1))
 
 
@@ -211,7 +212,7 @@ def expected_covering_edges(p: ProbSequence, n: int, r: int) -> float:
     Leading-order expected number of edges containing a fixed r-set (the
     binomials are in n, not n-r); may exceed 1.
     """
-    _check_r(p, r)
+    r = _check_r(p, r)
     return sum(math.comb(n, i) * p.prob_at(r + i, n) for i in range(p.M - r + 1))
 
 
@@ -221,7 +222,7 @@ def covering_probability(p: ProbSequence, n: int, r: int) -> float:
     1 - prod_j (1 - p_j)^C(n-r, j-r), evaluated in log space. Any p_j = 1
     with a positive exponent yields exactly 1.
     """
-    _check_r(p, r)
+    r = _check_r(p, r)
     n = _integer(n, "n")
     if n < r:
         raise InputError(f"n={n} is below the set size {r}")
@@ -239,9 +240,12 @@ def covering_probability(p: ProbSequence, n: int, r: int) -> float:
     return -math.expm1(log_miss)
 
 
-def _check_r(p: ProbSequence, r: int) -> None:
+def _check_r(p: ProbSequence, r: int) -> int:
+    """r as an int in 1..M; anything else raises InputError."""
+    r = _integer(r, "size")
     if not 1 <= r <= p.M:
         raise InputError(f"size {r} outside 1..M={p.M}")
+    return r
 
 
 def sample(n: int, p: ProbSequence, seed: int) -> Hypergraph:

@@ -15,12 +15,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import Graph, Hypergraph, _compacted
 from .errors import GuardError, InputError
 from .isomorphism import _embeddings, canonical_form
-from .model import ProbSequence
+from .model import ProbSequence, _integer
 
 __all__ = [
     "ContainmentVerdict",
@@ -40,7 +40,6 @@ __all__ = [
 Exponent = Optional[Fraction]  # None = -infinity
 
 MAX_ENUM_VERTICES = 10
-MAX_ENUM_EDGES = 16
 MAX_SUBEDGE_VERTICES = 10
 MAX_COVER_VERTICES = 7
 
@@ -64,6 +63,7 @@ def _dominant_level(p: ProbSequence, r: int) -> Tuple[Optional[int], Exponent]:
     (None, None) when every level from r up is identically zero, as every
     level above M is."""
     _require_powerlaw(p)
+    r = _integer(r, "edge size")
     if r < 1:
         raise InputError(f"edge size {r} must be >= 1")
     best_i, best = None, None
@@ -120,18 +120,6 @@ def weak_exponent(h: Hypergraph, p: ProbSequence) -> Exponent:
 # -- family minimum over strong subgraphs ----------------------------------
 
 
-def _edge_subsets(h: Hypergraph) -> Iterator[List[Tuple[int, ...]]]:
-    """The chosen edges of every nonempty edge subset of h, lazily, in mask
-    order (bit i of the mask selects h.edges[i]). The size guard is
-    checked on the call, before the first subset is asked for."""
-    if h.n > MAX_ENUM_VERTICES:
-        raise GuardError(f"{h.n} vertices, guard is {MAX_ENUM_VERTICES}")
-    m = len(h.edges)
-    if m > MAX_ENUM_EDGES:
-        raise GuardError(f"{m} edges, practical guard is {MAX_ENUM_EDGES}")
-    return ([h.edges[i] for i in range(m) if mask >> i & 1] for mask in range(1, 1 << m))
-
-
 def _family_minimum(
     h: Hypergraph, p: ProbSequence, weak: bool
 ) -> Tuple[Exponent, Hypergraph]:
@@ -141,24 +129,35 @@ def _family_minimum(
     minimum below 1 (padding with isolated vertices raises the exponent by
     one each; edgeless classes have exponent equal to their order), so the
     single-vertex class caps the search at exponent 1. An edge whose term
-    is -infinity makes the minimum -infinity; the walk's mask order first
-    reaches it at the lowest-index such edge alone, the witness.
+    is -infinity makes the minimum -infinity, witnessed by the lowest-index
+    such edge alone. Below 1, an optimal edge set is the set N(S) of the
+    negative-term edges inside its own vertex set S (each lowers the value;
+    an edge with term >= 0 never does), so the walk values each vertex set
+    S as |S| plus the terms of N(S). The witness is the optimal N(S) of
+    smallest edge mask (bit i for h.edges[i]).
     """
     _require_powerlaw(p)
     if h.n < 1:
         raise InputError("pattern must have at least one vertex")
-    subsets = _edge_subsets(h)
+    if h.n > MAX_ENUM_VERTICES:
+        raise GuardError(f"{h.n} vertices, guard is {MAX_ENUM_VERTICES}")
     per_size = {r: _size_exponent(p, r, weak) for r in set(len(e) for e in h.edges)}
     for e in h.edges:
         if per_size[len(e)] is None:
             return None, _compacted([e])[0]
 
-    best, best_wit = Fraction(1), Hypergraph(1)
-    for chosen in subsets:
-        val = len(set().union(*chosen)) + sum(per_size[len(e)] for e in chosen)
-        if val < best:
-            best, best_wit = val, _compacted(chosen)[0]
-    return best, best_wit
+    negative = [
+        (sum(1 << v for v in e), 1 << i, per_size[len(e)])
+        for i, e in enumerate(h.edges)
+        if per_size[len(e)] < 0
+    ]
+    best, mask = Fraction(1), 0  # the single-vertex class; an S with empty N(S) is worth |S| >= 1
+    for s in range(1, 1 << h.n):
+        inside = [(bit, term) for verts, bit, term in negative if verts & s == verts]
+        val = s.bit_count() + sum(term for _, term in inside)
+        best, mask = min((best, mask), (val, sum(bit for bit, _ in inside)))
+    chosen = [e for i, e in enumerate(h.edges) if mask >> i & 1]
+    return best, (_compacted(chosen)[0] if chosen else Hypergraph(1))
 
 
 def _verdict(exponent: Exponent, witness: Hypergraph, kind: str) -> ContainmentVerdict:

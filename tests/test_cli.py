@@ -4,6 +4,7 @@ import json
 import pytest
 
 import hnp.cli
+from hnp.census import DEFAULT_CLIQUE_CAP
 from hnp.cli import main
 
 
@@ -167,6 +168,10 @@ class TestCensus:
              "--n", "100", "--out", str(tmp_path / "out")]
         ) == 2
         assert capsys.readouterr().err == f"error: k must be 3, 4 or 5, got {k}\n"
+
+    def test_clique_cap_default_is_the_census_default(self):
+        args = hnp.cli.build_parser().parse_args(["census", "--input", "x.edges", "--k", "4"])
+        assert args.clique_cap == DEFAULT_CLIQUE_CAP
 
     def test_clique_cap_exit_3(self, tmp_path):
         inp = _write(tmp_path / "five.edges", "0 1 2 3 4\n")

@@ -1,6 +1,7 @@
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +91,21 @@ def test_max_edge_size_must_be_positive(tmp_path):
         with pytest.raises(InputError, match=f"max_edge_size must be >= 1, got {m}"):
             read_edge_list(str(path), max_edge_size=m)
     assert read_edge_list(str(path), max_edge_size=1).hypergraph == Hypergraph(1, [(0,)])
+
+
+@pytest.mark.parametrize("m", [2.5, True, "3"])
+def test_max_edge_size_must_be_an_integer(tmp_path, m):
+    path = tmp_path / "two.edges"
+    path.write_text("a b\na b c\n", encoding="utf-8")
+    with pytest.raises(InputError, match=f"max_edge_size must be an integer, got {m!r}"):
+        read_edge_list(str(path), max_edge_size=m)
+
+
+def test_max_edge_size_read_as_an_integer(tmp_path):
+    path = tmp_path / "two.edges"
+    path.write_text("a b\na b c\n", encoding="utf-8")
+    parsed = read_edge_list(str(path), max_edge_size=np.int64(2))
+    assert parsed.hypergraph == Hypergraph(2, [(0, 1)]) and parsed.dropped_oversize == 1
 
 
 def test_empty_file(tmp_path):

@@ -128,8 +128,40 @@ class TestFromEdgeCounts:
         with pytest.raises(InputError, match="n must be an integer, got 4.0"):
             from_edge_counts(4.0, {2: 3})
 
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ({2: 3.5}, "count for size 2 must be an integer, got 3.5"),
+            ({2: True}, "count for size 2 must be an integer, got True"),
+            ({2.5: 3}, "edge size must be an integer, got 2.5"),
+            ({True: 3}, "edge size must be an integer, got True"),
+        ],
+    )
+    def test_sizes_and_counts_must_be_integers(self, counts, message):
+        with pytest.raises(InputError, match=message):
+            from_edge_counts(10, counts)
+
+    def test_sizes_and_counts_read_as_integers(self):
+        p = from_edge_counts(10, {np.int64(2): np.int32(3)})
+        assert p == from_edge_counts(10, {2: 3}) and [type(r) for r in p.numeric] == [int]
+        assert type(p.M) is int
+
 
 class TestCoveringFunctionals:
+    @pytest.mark.parametrize("r", [2.5, True, "2"])
+    def test_size_must_be_an_integer(self, r):
+        p = ProbSequence(M=3, numeric={2: 0.1, 3: 0.01})
+        for fn in (covering_probability, covering_weight, expected_covering_edges):
+            with pytest.raises(InputError, match=f"size must be an integer, got {r!r}"):
+                fn(p, 10, r)
+
+    def test_size_read_as_an_integer(self):
+        p = ProbSequence(M=3, numeric={2: 0.1, 3: 0.01})
+        for fn in (covering_probability, covering_weight, expected_covering_edges):
+            assert fn(p, 10, np.int64(2)) == fn(p, 10, 2)
+        with pytest.raises(InputError, match="size 4 outside 1..M=3"):
+            covering_probability(p, 10, np.int64(4))
+
     def test_top_level_is_plain_probability(self):
         p = ProbSequence(M=3, numeric={3: 0.125})
         assert covering_weight(p, 50, 3) == 0.125

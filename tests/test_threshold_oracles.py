@@ -21,7 +21,6 @@ from hnp import (
     minimal_two_section_covers,
     pad_amount,
 )
-from hnp.thresholds import _edge_subsets
 from util import (
     brute_covering_weight,
     brute_family_minimum,
@@ -125,7 +124,7 @@ def test_dominant_level_without_upper_levels():
 
 
 @settings(deadline=None, max_examples=60)
-@given(hypergraphs(max_n=10, max_edges=10), powerlaws())
+@given(hypergraphs(max_n=10, max_edges=12), powerlaws())
 def test_family_minimum_matches_brute(h, p):
     for classify, weak in ((classify_strong, False), (classify_weak, True)):
         v = classify(h, p)
@@ -134,20 +133,47 @@ def test_family_minimum_matches_brute(h, p):
         assert (v.witness.n, v.witness.edges) == (witness.n, witness.edges)
 
 
-def test_edge_subset_walk_guards_on_call():
+def test_tied_minimum_takes_the_smallest_edge_mask():
+    # two disjoint subgraphs of exponent 0: the 3-edge lies on the lower
+    # vertices, but the 2-edges of the triangle come first in edge order
+    h = Hypergraph(6, [(0, 1, 2), (3, 4), (4, 5), (3, 5)])
+    p = ProbSequence(M=3, powerlaw={2: (1.0, F(1)), 3: (1.0, F(3))})
+    v = classify_strong(h, p)
+    exponent, witness = brute_family_minimum(h, p, weak=False)
+    assert (v.exponent, v.witness.n, v.witness.edges) == (exponent, witness.n, witness.edges)
+    assert (exponent, witness.edges) == (0, ((0, 1), (0, 2), (1, 2)))
+
+
+def test_family_minimum_guards_on_call():
     p = ProbSequence(M=2, powerlaw={2: (1.0, F(1))})
     # the guard fires before a -infinity term settles the minimum
     no_pairs = ProbSequence(M=2, powerlaw={1: (1.0, F(1))})
     wide = Hypergraph(11, [(0, 1)])
-    dense = Hypergraph(7, list(combinations(range(7), 2))[:17])
-    for h in (wide, dense):
+    for q in (p, no_pairs):
         with pytest.raises(GuardError):
-            _edge_subsets(h)
-        for q in (p, no_pairs):
-            with pytest.raises(GuardError):
-                classify_strong(h, q)
-    # inside the guard the walk is lazy, in mask order
-    walk = _edge_subsets(Hypergraph(7, list(combinations(range(7), 2))[:16]))
-    assert next(walk) == [(0, 1)]
-    assert next(walk) == [(0, 2)]
-    assert next(walk) == [(0, 1), (0, 2)]
+            classify_strong(wide, q)
+
+
+@pytest.mark.parametrize("k", [7, 8, 9, 10])
+@pytest.mark.parametrize("alpha", [F(1, 3), F(1, 2), F(2, 3), F(4, 5), F(1)])
+def test_complete_graph_minimum_is_densest_clique(k, alpha):
+    # every subgraph of K_k on j vertices has at most C(j, 2) pairs, so the
+    # family minimum is min(1, min_j j - alpha * C(j, 2)), witnessed by a K_j
+    p = ProbSequence(M=2, powerlaw={2: (1.0, alpha)})
+    v = classify_strong(Hypergraph(k, list(combinations(range(k), 2))), p)
+    want = min([F(1)] + [j - alpha * (j * (j - 1) // 2) for j in range(2, k + 1)])
+    assert v.exponent == want
+    assert v.witness.edges == tuple(combinations(range(v.witness.n), 2))
+
+
+def test_seventeen_edge_pattern_matches_brute():
+    # 2^17 edge subsets for the oracle; the K5 is the witness and leaves
+    # out the zero-term 1-edge on one of its vertices
+    path = [(v, v + 1) for v in range(4, 9)]
+    h = Hypergraph(10, list(combinations(range(5), 2)) + path + [(1, 5, 9), (0,)])
+    assert len(h.edges) == 17
+    p = ProbSequence(M=3, powerlaw={1: (1.0, F(0)), 2: (1.0, F(3, 4)), 3: (1.0, F(1))})
+    v = classify_strong(h, p)
+    exponent, witness = brute_family_minimum(h, p, weak=False)
+    assert (v.exponent, v.witness.n, v.witness.edges) == (exponent, witness.n, witness.edges)
+    assert (exponent, witness.edges) == (F(-5, 2), tuple(combinations(range(5), 2)))

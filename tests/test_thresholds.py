@@ -2,7 +2,9 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from hnp import (
@@ -24,7 +26,7 @@ from hnp import (
     strong_exponent,
     weak_exponent,
 )
-from util import brute_is_subedge, graph_classes, random_hypergraph
+from util import brute_family_minimum, brute_is_subedge, graph_classes, random_hypergraph
 
 # the three hypergraphs sharing a 2-section: 4-cycle + chord, two 2-edges +
 # one 3-edge, and two 3-edges
@@ -188,6 +190,16 @@ class TestPadding:
         p = ProbSequence(M=3, powerlaw={1: (1.0, F(1))})
         with pytest.raises(InputError):
             pad_amount(p, 2)
+
+    @pytest.mark.parametrize("r", [2.5, True, "2"])
+    def test_size_must_be_an_integer(self, r):
+        for fn in (pad_amount, covering_weight_exponent):
+            with pytest.raises(InputError, match=f"edge size must be an integer, got {r!r}"):
+                fn(PEX, r)
+
+    def test_size_read_as_an_integer(self):
+        assert pad_amount(PEX, np.int64(1)) == 2
+        assert covering_weight_exponent(PEX, np.int64(1)) == covering_weight_exponent(PEX, 1)
 
 
 class TestClassifyInducedWeak:
@@ -397,3 +409,13 @@ class TestPinnedVerdicts:
         assert {"aas_present", "aas_absent", "inconclusive", "GuardError", "InputError"} <= outcomes
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == PINNED_VERDICTS_SHA256
+
+
+@pytest.mark.parametrize("law, p", PINNED_LAWS, ids=[law for law, _ in PINNED_LAWS])
+def test_k6_matches_brute(law, p):
+    # 15 edges: every one of the 2^15 edge subsets against the vertex-set walk
+    k6 = Hypergraph(6, list(combinations(range(6), 2)))
+    for classify, weak in ((classify_strong, False), (classify_weak, True)):
+        v = classify(k6, p)
+        exponent, witness = brute_family_minimum(k6, p, weak)
+        assert (v.exponent, v.witness.n, v.witness.edges) == (exponent, witness.n, witness.edges)
