@@ -12,14 +12,13 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from operator import index
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 # two_section is not called here; the benchmark's traced run rebinds hnp.census.two_section
 from .core import Hypergraph, induced_weak, two_section
-from .errors import CliqueCapError, InputError
+from .errors import CliqueCapError, InputError, _integer
 from .model import ProbSequence
 from .signatures import (
     Signature,
@@ -42,16 +41,10 @@ DEFAULT_CLIQUE_CAP = 100_000_000
 def _checked(k: int, cap: int) -> Tuple[int, int]:
     """(k, cap) as ints, after InputError unless k is 3, 4 or 5 and cap is an
     integer >= 0."""
-    try:
-        k = index(k)
-    except TypeError:
-        raise InputError(f"k must be 3, 4 or 5, got {k!r}") from None
+    k = _integer(k, "k")
     if k not in (3, 4, 5):
         raise InputError(f"k must be 3, 4 or 5, got {k}")
-    try:
-        cap = index(cap)
-    except TypeError:
-        raise InputError(f"clique cap must be an integer, got {cap!r}") from None
+    cap = _integer(cap, "clique cap")
     if cap < 0:
         raise InputError(f"clique cap must be >= 0, got {cap}")
     return k, cap

@@ -17,10 +17,10 @@ from __future__ import annotations
 from array import array
 from itertools import combinations
 from math import comb
-from operator import index
 from typing import Dict, Iterator, Optional, Tuple
 
 from .core import Hypergraph, _left_sum
+from .errors import _integer
 
 __all__ = [
     "extra_overlap",
@@ -48,6 +48,7 @@ def extra_overlap(h: Hypergraph, ei: int, ej: int) -> float:
     both differences empty is impossible since edges are deduplicated.
     """
     m = len(h.edges)
+    ei, ej = _integer(ei, "edge id"), _integer(ej, "edge id")
     for e in (ei, ej):
         if not 0 <= e < m:
             raise ValueError(f"edge id {e} outside 0..{m - 1}")
@@ -73,6 +74,7 @@ def intersecting_pairs(h: Hypergraph) -> Iterator[Tuple[int, int]]:
 def hc_local(h: Hypergraph, v: int) -> float:
     """Mean extra overlap over pairs of edges containing v; 0 when v lies
     in at most one edge. Sums only the pairs _pairs_at scores."""
+    v = _integer(v, "vertex")
     if not 0 <= v < h.n:
         raise ValueError(f"vertex {v} outside 0..{h.n - 1}")
     ids = h.incidence[v]
@@ -154,10 +156,7 @@ def clustering_report(h: Hypergraph, bins: int = 100) -> Dict:
     several vertices is scored at each of them, to the same float each
     time; it joins the global sum only at its smallest common vertex, as in
     intersecting_pairs."""
-    try:
-        bins = index(bins)
-    except TypeError:
-        raise ValueError(f"bins must be an integer, got {bins!r}") from None
+    bins = _integer(bins, "bins")
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     edge_sets = [frozenset(e) for e in h.edges]

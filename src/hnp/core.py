@@ -24,6 +24,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .errors import _integer
+
 __all__ = [
     "Hypergraph",
     "Graph",
@@ -38,18 +40,15 @@ class Hypergraph:
     """Immutable hypergraph on vertex set {0, ..., n-1}.
 
     The constructor stores n as an int and normalizes edges to sorted
-    tuples of int ids, deduplicated as sets. A non-integer or negative n,
-    or an edge that is empty, contains a repeated vertex, a non-integer id
+    tuples of int ids, deduplicated as sets. A non-integer n (a boolean
+    too: InputError) or a negative one, or an edge that is empty, contains a repeated vertex, a non-integer id
     or an id outside 0..n-1, raises ValueError.
     """
 
     __slots__ = ("n", "edges", "incidence", "_edge_set", "_neighbors", "_oriented", "_pairs")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()) -> None:
-        try:
-            n = index(n)
-        except TypeError:
-            raise ValueError(f"vertex count must be an integer, got {n!r}") from None
+        n = _integer(n, "vertex count")
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         seen = set()
@@ -246,7 +245,7 @@ def _left_sum(values: Iterable[float]) -> float:
 
 
 def _mapping(s: Iterable[int], n: int) -> Tuple[Tuple[int, ...], Dict[int, int]]:
-    kept = sorted(set(s))
+    kept = sorted({_integer(v, "vertex") for v in s})
     if kept and (kept[0] < 0 or kept[-1] >= n):
         raise ValueError(f"vertex subset not within 0..{n - 1}")
     return tuple(kept), {v: i for i, v in enumerate(kept)}

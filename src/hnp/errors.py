@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: InputError -> 2, GuardError and its
 subclasses -> 3.
 """
 
+from operator import index
+
 
 class InputError(ValueError):
     """Malformed or out-of-contract user input (files, counts, flags)."""
@@ -23,3 +25,14 @@ class CliqueCapError(GuardError):
     def __init__(self, cap: int):
         super().__init__(f"clique listing exceeded the configured cap of {cap} cliques")
         self.cap = cap
+
+
+def _integer(value, name: str) -> int:
+    """value as an int, numpy integers included; anything else, a boolean
+    too, raises InputError."""
+    try:
+        if not isinstance(value, bool):
+            return index(value)
+    except TypeError:
+        pass
+    raise InputError(f"{name} must be an integer, got {value!r}")

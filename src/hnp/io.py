@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from .core import Hypergraph
-from .errors import InputError
-from .model import _integer
+from .errors import InputError, _integer
 
 __all__ = ["ParsedEdgeList", "read_edge_list", "write_edge_list"]
 

@@ -13,13 +13,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .core import Hypergraph
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, _integer
 
 __all__ = [
     "ProbSequence",
@@ -134,8 +133,6 @@ class ProbSequence:
         try:
             obj = json.loads(text)
             M = obj["M"]
-            if isinstance(M, bool) or not isinstance(M, int):
-                raise InputError(f"M must be a JSON integer, got {json.dumps(M)}")
             if "numeric" in obj:
                 return ProbSequence(
                     M=M,
@@ -153,17 +150,6 @@ class ProbSequence:
                 ZeroDivisionError) as exc:
             raise InputError(f"malformed probability sequence: {exc}") from exc
         raise InputError("probability sequence needs a 'numeric' or 'powerlaw' key")
-
-
-def _integer(value, name: str) -> int:
-    """value as an int, numpy integers included; anything else, a boolean
-    too, raises InputError."""
-    try:
-        if not isinstance(value, bool):
-            return index(value)
-    except TypeError:
-        pass
-    raise InputError(f"{name} must be an integer, got {value!r}")
 
 
 def _float(value, name: str) -> float:
@@ -257,14 +243,15 @@ def sample(n: int, p: ProbSequence, seed: int) -> Hypergraph:
     small, by rejection on a hash set otherwise).
 
     Raises BudgetError for any level whose expected edge count, or drawn
-    edge count, exceeds DEFAULT_EDGE_BUDGET.
+    edge count, exceeds DEFAULT_EDGE_BUDGET, and InputError for a seed that
+    is not an integer.
     """
     n = _integer(n, "n")
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     if not p.is_numeric:
         raise InputError("sampling requires a numeric probability sequence")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed"))
     edges: list = []
     for r in range(1, min(p.M, n) + 1):
         pr = p.prob_at(r, n)

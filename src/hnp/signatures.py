@@ -21,14 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from operator import index
 from typing import Dict, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
 from .core import _left_sum
-from .errors import InputError
-from .model import ProbSequence, _integer, covering_probability
+from .errors import InputError, _integer
+from .model import ProbSequence, covering_probability
 
 __all__ = [
     "Signature",
@@ -52,10 +51,7 @@ _memo: Dict[Tuple[int, str], Dict[Signature, int]] = {}
 
 def _check_k(k: int) -> int:
     """k as an int, after InputError unless it is in MIN_K..MAX_K."""
-    try:
-        k = index(k)
-    except TypeError:
-        raise InputError(f"k must be in {MIN_K}..{MAX_K}, got {k!r}") from None
+    k = _integer(k, "k")
     if not MIN_K <= k <= MAX_K:
         raise InputError(f"k must be in {MIN_K}..{MAX_K}, got {k}")
     return k

@@ -82,7 +82,7 @@ class TestListKCliques:
         with pytest.raises(InputError, match="cap must be >= 0, got -1"):
             list_k_cliques(h, 4, cap=-1)
 
-    @pytest.mark.parametrize("cap", [1.5, "5", None])
+    @pytest.mark.parametrize("cap", [1.5, "5", None, True])
     def test_cap_must_be_an_integer(self, cap):
         h = Hypergraph(5, [(0, 1, 2, 3, 4)])
         p = from_edge_counts(100, {2: 10, 3: 5, 4: 3, 5: 2})
@@ -173,6 +173,17 @@ class TestObservedSignature:
         with pytest.raises(ValueError, match="repeated vertex"):
             observed_signature(h, (0, 0, 1, 2))
 
+    @pytest.mark.parametrize("bad", [0.5, True])
+    def test_vertex_must_be_an_integer(self, bad):
+        # True is not read as vertex 1
+        h = Hypergraph(4, [(0, 1, 2, 3)])
+        with pytest.raises(InputError, match=f"vertex must be an integer, got {bad!r}"):
+            observed_signature(h, (0, bad, 2, 3))
+
+    def test_numpy_vertices(self):
+        h = Hypergraph(6, [(0, 1, 4), (0, 1, 5), (0, 1, 2, 3)])
+        assert observed_signature(h, np.arange(4)) == (1, 0, 1)
+
 
 class TestSpearman:
     def test_perfect(self):
@@ -194,7 +205,8 @@ class TestCensus:
         monkeypatch.setattr(census_mod, "origination_distribution", no_table)
         h = Hypergraph(5, [(0, 1, 2, 3, 4)])
         p = from_edge_counts(100, {2: 10, 3: 5, 4: 3, 5: 2})
-        with pytest.raises(InputError, match=f"k must be 3, 4 or 5, got {k}"):
+        rule = "an integer" if isinstance(k, float) else "3, 4 or 5"
+        with pytest.raises(InputError, match=f"k must be {rule}, got {k}"):
             census(h, k, p, n=100)
 
     def test_infeasible_signature_names_the_sorted_clique(self, monkeypatch):

@@ -502,9 +502,9 @@ class TestOutsideInput:
         "command, probs, message",
         [
             ("origination", '{"M": 2.9, "numeric": {"2": 0.1}}',
-             "M must be a JSON integer, got 2.9"),
+             "M must be an integer, got 2.9"),
             ("origination", '{"M": true, "numeric": {"1": 0.1}}',
-             "M must be a JSON integer, got true"),
+             "M must be an integer, got True"),
             ("origination", '{"M": 3, "numeric": {"2": true}}', "p_2 must be a number, got true"),
             ("thresholds", '{"M": 2, "powerlaw": {"2": {"c": true, "alpha": "1/2"}}}',
              "c_2 must be a number, got true"),

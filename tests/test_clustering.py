@@ -7,6 +7,7 @@ import pytest
 
 from hnp import (
     Hypergraph,
+    InputError,
     clustering_report,
     extra_overlap,
     graph_cc,
@@ -59,6 +60,16 @@ class TestExtraOverlap:
         with pytest.raises(ValueError, match="outside 0..3"):
             extra_overlap(h, ei, ej)
 
+    @pytest.mark.parametrize("bad", [1.0, True])
+    def test_edge_ids_must_be_integers(self, bad):
+        # True is not read as edge 1
+        for ei, ej in ((0, bad), (bad, 0)):
+            with pytest.raises(InputError, match=f"edge id must be an integer, got {bad!r}"):
+                extra_overlap(TRIANGLE, ei, ej)
+
+    def test_numpy_edge_ids(self):
+        assert extra_overlap(TRIANGLE, np.int64(0), np.int32(1)) == extra_overlap(TRIANGLE, 0, 1)
+
 
 class TestIntersectingPairs:
     def test_each_pair_once(self):
@@ -95,6 +106,15 @@ class TestHcLocal:
     def test_vertex_outside_range_rejected(self, v):
         with pytest.raises(ValueError, match="outside 0..2"):
             hc_local(TRIANGLE, v)
+
+    @pytest.mark.parametrize("v", [1.5, True])
+    def test_vertex_must_be_an_integer(self, v):
+        # True is not read as vertex 1
+        with pytest.raises(InputError, match=f"vertex must be an integer, got {v!r}"):
+            hc_local(TRIANGLE, v)
+
+    def test_numpy_vertex(self):
+        assert hc_local(TRIANGLE, np.int64(0)) == hc_local(TRIANGLE, 0)
 
 
 class TestHcGlobal:
@@ -185,7 +205,7 @@ class TestClusteringReport:
         with pytest.raises(ValueError, match="bins must be >= 1"):
             clustering_report(TRIANGLE, bins)
 
-    @pytest.mark.parametrize("bins", [2.0, "2", None])
+    @pytest.mark.parametrize("bins", [2.0, "2", None, True])
     def test_bins_must_be_an_integer(self, bins):
         with pytest.raises(ValueError, match="bins must be an integer"):
             clustering_report(TRIANGLE, bins)

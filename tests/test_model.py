@@ -334,6 +334,17 @@ class TestSample:
         with pytest.raises(InputError):
             sample(10, p, seed=0)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "1"])
+    def test_seed_must_be_an_integer(self, seed):
+        # True is not read as seed 1
+        p = from_edge_counts(10, {2: 5})
+        with pytest.raises(InputError, match=f"seed must be an integer, got {seed!r}"):
+            sample(10, p, seed)
+
+    def test_numpy_seed(self):
+        p = from_edge_counts(300, {2: 300, 3: 100})
+        assert sample(300, p, np.int64(7)) == sample(300, p, 7)
+
 
 class TestUnrank:
     def test_matches_the_subset_pool(self):

@@ -100,6 +100,14 @@ class TestFeasibleEnumeration:
         with pytest.raises(InputError, match="got 4.0"):
             origination_distribution(4.0, p, 100)
 
+    @pytest.mark.parametrize("k", [2.5, True])
+    def test_k_must_be_an_integer(self, k):
+        p = from_edge_counts(100, {2: 10, 3: 5, 4: 3, 5: 2})
+        with pytest.raises(InputError, match=f"k must be an integer, got {k!r}"):
+            signature_weights(k)
+        with pytest.raises(InputError, match=f"k must be an integer, got {k!r}"):
+            origination_distribution(k, p, 100)
+
     def test_n_read_as_an_integer(self):
         p = from_edge_counts(100, {2: 10, 3: 5, 4: 3, 5: 2})
         table = origination_distribution(4, p, np.int64(100))

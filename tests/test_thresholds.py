@@ -223,6 +223,24 @@ class TestClassifyInducedWeak:
             classify_induced_weak(k3, p).outcome == classify_weak(k3, p).outcome
         )
 
+    def test_no_vertex_guard_of_its_own(self):
+        # the size-1 non-edge settles it: its covering weight grows like n^(1/4)
+        path = Hypergraph(11, [(i, i + 1) for i in range(10)])
+        v = classify_induced_weak(path, P_34_52)
+        assert (v.outcome, v.exponent) == ("aas_absent", F(1, 4))
+
+    def test_guard_of_the_weak_verdict_still_holds(self):
+        # no non-edge is covered, so the weak verdict decides, with its guard
+        path = Hypergraph(11, [(i, i + 1) for i in range(10)])
+        p = ProbSequence(M=2, powerlaw={2: (1.0, F(3, 2))})
+        with pytest.raises(GuardError, match="11 vertices, guard is 10"):
+            classify_induced_weak(path, p)
+
+    def test_rejects_numeric(self):
+        for h in (HG, Hypergraph(2, [(0,), (1,), (0, 1)])):
+            with pytest.raises(InputError, match="requires a power-law sequence"):
+                classify_induced_weak(h, ProbSequence(M=2, numeric={2: 0.5}))
+
 
 class TestSubedgeSystems:
     def test_single_edge_in_superset_edge(self):

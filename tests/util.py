@@ -3,7 +3,7 @@
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
+from math import comb, lcm
 
 from hnp import (
     Graph,
@@ -364,7 +364,11 @@ def brute_pad_amount(p, r):
 def brute_family_minimum(h: Hypergraph, p, weak: bool):
     """(minimum exponent, witness) over every nonempty edge subset in mask
     order, the single-vertex class capping it at 1; the witness is the
-    first strict minimum, on its own support relabelled in sorted order."""
+    first strict minimum, on its own support relabelled in sorted order.
+
+    Each subset is valued in integers: its terms scaled by the least common
+    multiple of their denominators, its support an OR of vertex bitmasks,
+    both built from the subset without its lowest edge."""
     per_size = {}
     for r in set(len(e) for e in h.edges):
         if r > p.M:
@@ -374,19 +378,32 @@ def brute_family_minimum(h: Hypergraph, p, weak: bool):
         else:
             a = p.alpha(r)
             per_size[r] = None if a is None else -a
-    minus_inf = float("-inf")
-    best, best_wit = Fraction(1), Hypergraph(1)
+    scale = lcm(*(t.denominator for t in per_size.values() if t is not None))
     m = len(h.edges)
+    verts = [sum(1 << v for v in e) for e in h.edges]
+    terms = [per_size[len(e)] for e in h.edges]
+    scaled = [0 if t is None else int(t * scale) for t in terms]
+    minus_inf_edges = sum(1 << i for i, t in enumerate(terms) if t is None)
+    minus_inf = float("-inf")
+    support, total = [0] * (1 << m), [0] * (1 << m)
+    best, best_mask = scale, 0
     for mask in range(1, 1 << m):
-        chosen = [h.edges[i] for i in range(m) if mask >> i & 1]
-        support = set().union(*chosen)
-        sizes = [per_size[len(e)] for e in chosen]
-        val = minus_inf if None in sizes else len(support) + sum(sizes)
+        low = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        support[mask] = support[rest] | verts[low]
+        total[mask] = total[rest] + scaled[low]
+        if mask & minus_inf_edges:
+            val = minus_inf
+        else:
+            val = scale * support[mask].bit_count() + total[mask]
         if val < best:
-            best = val
-            remap = {v: i for i, v in enumerate(sorted(support))}
-            best_wit = Hypergraph(len(support), [tuple(remap[v] for v in e) for e in chosen])
-    return (None if best == minus_inf else best), best_wit
+            best, best_mask = val, mask
+    best = None if best == minus_inf else Fraction(best, scale)
+    if not best_mask:
+        return best, Hypergraph(1)
+    chosen = [h.edges[i] for i in range(m) if best_mask >> i & 1]
+    remap = {v: i for i, v in enumerate(sorted(set().union(*chosen)))}
+    return best, Hypergraph(len(remap), [tuple(remap[v] for v in e) for e in chosen])
 
 
 def brute_two_section_covers(g: Hypergraph):
