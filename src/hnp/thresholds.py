@@ -61,15 +61,16 @@ def _dominant_level(p: ProbSequence, r: int) -> Tuple[Optional[int], Exponent]:
     """The i in 0..M-r maximizing the exponent i - alpha_{r+i} of
     n^i p_{r+i} (ties broken toward smaller i) and that maximum;
     (None, None) when every level from r up is identically zero, as every
-    level above M is."""
+    level above M is. Only the given levels are visited, so the cost does
+    not grow with M."""
     _require_powerlaw(p)
     r = _integer(r, "edge size")
     if r < 1:
         raise InputError(f"edge size {r} must be >= 1")
     best_i, best = None, None
-    for i in range(p.M - r + 1):
-        a = p.alpha(r + i)
-        if a is not None and (best is None or i - a > best):
+    for s, (_, a) in sorted(p.powerlaw.items()):
+        i = s - r
+        if i >= 0 and (best is None or i - a > best):
             best_i, best = i, i - a
     return best_i, best
 
@@ -230,14 +231,17 @@ def classify_induced_weak(h: Hypergraph, p: ProbSequence) -> ContainmentVerdict:
     A non-edge of size r with positive covering-weight exponent forbids
     induced appearance; when the smallest non-edge size has bounded
     covering weight and a vanishing level probability, the plain weak
-    verdict carries over; otherwise inconclusive. Nothing is enumerated
-    here, so only a pattern that needs the weak verdict meets its guard.
+    verdict carries over; otherwise inconclusive. Sizes above M have no
+    covering weight, so the scan stops at min(v(h), M) and takes a
+    binomial only for sizes that have edges. Only a pattern that needs the
+    weak verdict meets its guard.
     """
+    _require_powerlaw(p)
     k = h.n
-    counts = h.size_counts()
-    nonedge_sizes = [r for r in range(1, k + 1) if counts.get(r, 0) < math.comb(k, r)]
-    if not nonedge_sizes:
+    full = {r for r, c in h.size_counts().items() if c == math.comb(k, r)}
+    if len(full) == k:  # h is complete: no non-edge
         return classify_weak(h, p)
+    nonedge_sizes = [r for r in range(1, min(k, p.M) + 1) if r not in full]
     for r in nonedge_sizes:
         e = covering_weight_exponent(p, r)
         if e is not None and e > 0:
@@ -250,7 +254,9 @@ def classify_induced_weak(h: Hypergraph, p: ProbSequence) -> ContainmentVerdict:
                     f"so every weak copy gets that set covered"
                 ),
             )
-    r0 = min(nonedge_sizes)
+    # with no non-edge size up to M, the smallest lies above M, where the
+    # covering weight and p_r both vanish identically
+    r0 = nonedge_sizes[0] if nonedge_sizes else p.M + 1
     e0 = covering_weight_exponent(p, r0)
     a0 = p.alpha(r0)
     if (e0 is None or e0 <= 0) and (a0 is None or a0 > 0):

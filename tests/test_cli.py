@@ -505,6 +505,9 @@ class TestOutsideInput:
              "M must be an integer, got 2.9"),
             ("origination", '{"M": true, "numeric": {"1": 0.1}}',
              "M must be an integer, got True"),
+            # the constructor checks M, so a bad level read before it is reported first
+            ("origination", '{"M": 2.9, "numeric": {"2": true}}', "p_2 must be a number, got true"),
+            ("origination", '{"M": true}', "needs a 'numeric' or 'powerlaw' key"),
             ("origination", '{"M": 3, "numeric": {"2": true}}', "p_2 must be a number, got true"),
             ("thresholds", '{"M": 2, "powerlaw": {"2": {"c": true, "alpha": "1/2"}}}',
              "c_2 must be a number, got true"),

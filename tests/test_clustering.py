@@ -38,6 +38,8 @@ class TestExtraOverlap:
     def test_worked_example(self):
         h = Hypergraph(5, [(0, 1, 2), (2, 3, 4), (0, 3)])
         assert _eo(h, (0, 1, 2), (2, 3, 4)) == 0.5
+        ei, ej = h.edges.index((0, 1, 2)), h.edges.index((2, 3, 4))
+        assert extra_overlap(h, np.int64(ei), np.int32(ej)) == 0.5
 
     def test_symmetry_and_bounds(self):
         rng = random.Random(51)
@@ -67,9 +69,6 @@ class TestExtraOverlap:
             with pytest.raises(InputError, match=f"edge id must be an integer, got {bad!r}"):
                 extra_overlap(TRIANGLE, ei, ej)
 
-    def test_numpy_edge_ids(self):
-        assert extra_overlap(TRIANGLE, np.int64(0), np.int32(1)) == extra_overlap(TRIANGLE, 0, 1)
-
 
 class TestIntersectingPairs:
     def test_each_pair_once(self):
@@ -97,6 +96,7 @@ class TestHcLocal:
 
     def test_triangle_center(self):
         assert hc_local(TRIANGLE, 0) == 1.0
+        assert hc_local(TRIANGLE, np.int64(0)) == 1.0
 
     def test_path_center(self):
         path = Hypergraph(3, [(0, 1), (1, 2)])
@@ -112,9 +112,6 @@ class TestHcLocal:
         # True is not read as vertex 1
         with pytest.raises(InputError, match=f"vertex must be an integer, got {v!r}"):
             hc_local(TRIANGLE, v)
-
-    def test_numpy_vertex(self):
-        assert hc_local(TRIANGLE, np.int64(0)) == hc_local(TRIANGLE, 0)
 
 
 class TestHcGlobal:

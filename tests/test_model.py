@@ -239,7 +239,7 @@ class TestSample:
     def test_deterministic_per_seed(self):
         p = from_edge_counts(BENCH_N, BENCH_COUNTS)
         a = sample(BENCH_N, p, seed=42)
-        b = sample(BENCH_N, p, seed=42)
+        b = sample(BENCH_N, p, seed=np.int64(42))  # a numpy seed draws the same sample
         c = sample(BENCH_N, p, seed=43)
         assert a.edges == b.edges
         assert a.edges != c.edges
@@ -340,10 +340,6 @@ class TestSample:
         p = from_edge_counts(10, {2: 5})
         with pytest.raises(InputError, match=f"seed must be an integer, got {seed!r}"):
             sample(10, p, seed)
-
-    def test_numpy_seed(self):
-        p = from_edge_counts(300, {2: 300, 3: 100})
-        assert sample(300, p, np.int64(7)) == sample(300, p, 7)
 
 
 class TestUnrank:

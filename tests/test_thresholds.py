@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -235,6 +236,18 @@ class TestClassifyInducedWeak:
         p = ProbSequence(M=2, powerlaw={2: (1.0, F(3, 2))})
         with pytest.raises(GuardError, match="11 vertices, guard is 10"):
             classify_induced_weak(path, p)
+
+    def test_scan_follows_edge_sizes_not_vertex_count(self):
+        # only sizes up to M and sizes that have edges are scanned, so a
+        # 10^5-vertex path is answered at once, as is its guard error
+        n = 10**5
+        path = Hypergraph(n, [(i, i + 1) for i in range(n - 1)])
+        start = time.perf_counter()
+        v = classify_induced_weak(path, P_34_52)
+        assert (v.outcome, v.exponent) == ("aas_absent", F(1, 4))
+        with pytest.raises(GuardError, match=f"{n} vertices, guard is 10"):
+            classify_induced_weak(path, ProbSequence(M=2, powerlaw={2: (1.0, F(3, 2))}))
+        assert time.perf_counter() - start < 2.0
 
     def test_rejects_numeric(self):
         for h in (HG, Hypergraph(2, [(0,), (1,), (0, 1)])):
