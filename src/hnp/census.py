@@ -50,79 +50,78 @@ def _checked(k: int, cap: int) -> Tuple[int, int]:
     return k, cap
 
 
-# Cliques are signed by array operations over the host's pair table, on at
-# most _SIGN_BLOCK clique pairs and _SIGN_BLOCK (clique, pair, shared edge)
-# rows at a time (one clique may exceed it alone): a working set of a few MB.
+# Cliques are listed and signed by array operations over the host's pair
+# table, on at most _SIGN_BLOCK candidate pairs, clique pairs or (clique, pair,
+# shared edge) rows at a time (one node or clique may exceed it alone).
 _SIGN_BLOCK = 1 << 14
 
 
 def _clique_blocks(h: Hypergraph, k: int, cap: int) -> Iterator[np.ndarray]:
     """Every k-set forming a clique in two_section(h), each exactly once, in
-    walk order, as the sorted rows of int64 arrays of about
-    _SIGN_BLOCK // C(k, 2) rows each.
-
-    The walk follows the host's cached degeneracy orientation: each vertex
-    in order is extended by its forward neighbours, and a vertex added to
-    the clique narrows the candidates after it to its own neighbours,
-    keeping their order. One loop over an explicit stack of candidate
-    lists, one per vertex of the clique so far. A node whose children are
-    cliques adds its k-1 vertices once, as the prefix of the later
-    vertices that each close a clique with them. A node that takes the
-    clique count past the cap adds nothing: the cliques held so far are
-    handed over, then CliqueCapError names the cap. k and cap are as
-    _checked returns them."""
+    walk order, as the sorted rows of int64 arrays of at most
+    _SIGN_BLOCK // C(k, 2) rows each. The walk's roots are the vertices of
+    the host's cached degeneracy orientation, with their forward neighbours
+    as candidates. A node that takes the clique count past the cap adds
+    nothing: the rows before its run are handed over, then CliqueCapError
+    names the cap. k and cap are as _checked returns them."""
     order, starts, forward = h._orientation()
-    nbrs = h.neighbors
-    pairs = comb(k, 2)
-    emitted = 0
-    prefixes, runs, closers = [], [], []  # held nodes: k-1 vertices, closer count; all closers
-    for v, a, b in zip(order, starts, starts[1:]):
-        if b - a < k - 1:
-            continue
-        clique = [v]
-        stack = [forward[a:b]]  # stack[j]: the common later neighbours of clique[:j + 1]
-        nexts = [0]  # nexts[j]: index in stack[j] of the next vertex to add
-        while stack:
-            cands, i = stack[-1], nexts[-1]
-            need = k - len(clique)
-            if len(cands) - i < need:
-                stack.pop()
-                nexts.pop()
-                clique.pop()
-                continue
-            nexts[-1] = i + 1
-            u = cands[i]
-            nu = nbrs(u)
-            rest = [w for w in cands[i + 1 :] if w in nu]
-            if need == 2:
-                if rest:
-                    emitted += len(rest)
-                    if emitted > cap:
-                        if closers:
-                            yield _sorted_block(prefixes, runs, closers)
-                        raise CliqueCapError(cap)
-                    prefixes.append(clique + [u])
-                    runs.append(len(rest))
-                    closers.extend(rest)
-                    if len(closers) * pairs >= _SIGN_BLOCK:
-                        yield _sorted_block(prefixes, runs, closers)
-                        prefixes, runs, closers = [], [], []
-            elif len(rest) >= need - 1:
-                clique.append(u)
-                stack.append(rest)
-                nexts.append(0)
-    if closers:
-        yield _sorted_block(prefixes, runs, closers)
+    block, emitted = _SIGN_BLOCK // comb(k, 2), 0
+    walk = _walk(h._pair_table()[0], h.n, order[:, None], forward, starts, k - 1)
+    for prefix, cands, off in walk:
+        cliques = np.column_stack((np.repeat(prefix, np.diff(off), axis=0), cands))
+        cliques.sort(axis=1)
+        stop = len(cands)
+        if emitted + stop > cap:  # to the start of the run holding clique cap + 1
+            stop = int(off[np.searchsorted(off, cap - emitted, "right") - 1])
+        for lo in range(0, stop, block):
+            yield cliques[lo : min(stop, lo + block)]
+        if stop < len(cands):
+            raise CliqueCapError(cap)
+        emitted += stop
 
 
-def _sorted_block(prefixes, runs, closers) -> np.ndarray:
-    """The clique prefix + [u] for each prefix and each u in its run of
-    closers, as sorted int64 rows."""
-    cliques = np.empty((len(closers), len(prefixes[0]) + 1), dtype=np.int64)
-    cliques[:, :-1] = np.repeat(prefixes, runs, axis=0)
-    cliques[:, -1] = closers
-    cliques.sort(axis=1)
-    return cliques
+def _walk(
+    keys: np.ndarray, n: int, prefix: np.ndarray, cands: np.ndarray, off: np.ndarray, need: int
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The last-depth nodes below the given ones, in depth-first order, in
+    groups (prefix, cands, off): node i is the clique prefix[i], need
+    vertices short, with the candidates cands[off[i]:off[i + 1]]. Each
+    candidate u with need - 1 later ones or more opens a child prefix + [u],
+    whose candidates are the later ones adjacent to u (binary search in the
+    pair keys a * n + b, a < b). Groups of consecutive nodes testing at most
+    _SIGN_BLOCK pairs (or one node's) are each walked to the end in turn."""
+    if need == 1:
+        yield prefix, cands, off
+        return
+    m = np.diff(off)
+    opened = np.maximum(m - need + 1, 0)  # children of each node
+    tests = opened * (m - 1) - opened * (opened - 1) // 2  # pairs each node tests
+    for lo, hi in _spans(np.concatenate(([0], np.cumsum(tests))), _SIGN_BLOCK):
+        parent = np.repeat(np.arange(lo, hi), opened[lo:hi])
+        at = off[parent] + _within(opened[lo:hi])  # where each child's vertex is in cands
+        later = off[parent + 1] - at - 1
+        child = np.repeat(np.arange(len(at)), later)
+        u, w = cands[at], cands[at[child] + 1 + _within(later)]
+        pair = np.minimum(u[child], w) * n + np.maximum(u[child], w)
+        hit = keys.take(np.searchsorted(keys, pair), mode="clip") == pair
+        counts = np.bincount(child[hit], minlength=len(at))
+        prefix_u = np.column_stack((prefix[parent], u))
+        yield from _walk(keys, n, prefix_u, w[hit], np.append(0, np.cumsum(counts)), need - 1)
+
+
+def _within(runs: np.ndarray) -> np.ndarray:
+    """For consecutive runs of the given lengths, each item's index in its run."""
+    return np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
+
+
+def _spans(before: np.ndarray, limit: int) -> Iterator[Tuple[int, int]]:
+    """Consecutive (lo, hi) covering the items whose running totals from 0
+    are before, each with before[hi] - before[lo] <= limit or hi = lo + 1."""
+    lo, end = 0, len(before) - 1
+    while lo < end:
+        hi = max(lo + 1, int(np.searchsorted(before, before[lo] + limit, "right")) - 1)
+        yield lo, hi
+        lo = hi
 
 
 def _signatures(h: Hypergraph, cliques: np.ndarray) -> np.ndarray:
@@ -141,18 +140,14 @@ def _signatures(h: Hypergraph, cliques: np.ndarray) -> np.ndarray:
     bits = [1 << a | 1 << b for a, b in zip(left, right)]
     tags = np.arange(c, dtype=np.int64)[:, None] * m << 5 | bits  # clique * m << 5 | pair bits
     present = np.zeros((c, 1 << k), dtype=bool)  # present[i, mask]: an edge meets clique i in mask
-    lo = 0
-    while lo < c:  # at most _SIGN_BLOCK rows at a time, or one clique
-        hi = max(lo + 1, int(np.searchsorted(before, before[lo] + _SIGN_BLOCK, "right")) - 1)
+    for lo, hi in _spans(before, _SIGN_BLOCK):  # at most _SIGN_BLOCK rows, or one clique
         runs = count[lo:hi].ravel()
-        into = np.cumsum(runs) - runs  # where each pair's run starts among the rows
         row = np.repeat(tags[lo:hi].ravel(), runs)
-        at_row = np.repeat(start[lo:hi].ravel() - into, runs) + np.arange(before[hi] - before[lo])
+        at_row = np.repeat(start[lo:hi].ravel(), runs) + _within(runs)
         row += ids[at_row].astype(np.int64) << 5
         row.sort()
         new = np.flatnonzero(np.diff(row >> 5, prepend=-1))
         present[(row[new] >> 5) // m, np.bitwise_or.reduceat(row & 31, new)] = True
-        lo = hi
     popcount = np.array([bin(x).count("1") for x in range(1 << k)])
     return present.astype(np.int64) @ (popcount[:, None] == np.arange(2, k + 1))
 

@@ -92,7 +92,7 @@ class Hypergraph:
         self.incidence: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, inc))
         self._edge_set: Optional[frozenset] = None
         self._neighbors: Dict[int, frozenset] = {}
-        self._oriented: Optional[Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]] = None
+        self._oriented: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._pairs: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # -- basic accessors -------------------------------------------------
@@ -120,11 +120,11 @@ class Hypergraph:
             self._neighbors[v] = cached
         return cached
 
-    def _orientation(self) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
-        """(order, starts, forward) for the 2-section (cached). order is a
-        degeneracy order, by repeated minimum-degree removal with ties to
-        the smallest id; the neighbours of order[i] removed after it are
-        forward[starts[i]:starts[i + 1]], in removal order.
+    def _orientation(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(order, starts, forward), int64 arrays, for the 2-section (cached).
+        order is a degeneracy order, by repeated minimum-degree removal with
+        ties to the smallest id; the neighbours of order[i] removed after it
+        are forward[starts[i]:starts[i + 1]], in removal order.
 
         Bucket queue (Matula & Beck 1983): a min-heap of ids per degree
         whose stale entries are skipped on pop; the minimum drops by at most
@@ -167,7 +167,7 @@ class Hypergraph:
                         heappush(buckets[deg[u]], u)
                 d = max(d - 1, 0)
             del buckets, adj, deg, removed, fill  # free the work lists before the copies
-            self._oriented = (tuple(order), tuple(starts), tuple(forward))
+            self._oriented = tuple(np.array(a, dtype=np.int64) for a in (order, starts, forward))
         return self._oriented
 
     def _pair_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from itertools import permutations
 from operator import ge
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .core import Hypergraph
+from .core import Hypergraph, profiles
 from .errors import GuardError, InputError
 
 __all__ = [
@@ -340,5 +340,5 @@ def canonical_form(h: Hypergraph) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
 
 
 def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> bool:
-    """Whether h1 and h2 are isomorphic: equal canonical forms."""
-    return canonical_form(h1) == canonical_form(h2)
+    """Whether h1 and h2 are isomorphic: equal profiles, then canonical forms."""
+    return profiles(h1) == profiles(h2) and canonical_form(h1) == canonical_form(h2)

@@ -244,14 +244,17 @@ def sample(n: int, p: ProbSequence, seed: int) -> Hypergraph:
 
     Raises BudgetError for any level whose expected edge count, or drawn
     edge count, exceeds DEFAULT_EDGE_BUDGET, and InputError for a seed that
-    is not an integer.
+    is not an integer >= 0.
     """
     n = _integer(n, "n")
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     if not p.is_numeric:
         raise InputError("sampling requires a numeric probability sequence")
-    rng = np.random.default_rng(_integer(seed, "seed"))
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
     edges: list = []
     for r in range(1, min(p.M, n) + 1):
         pr = p.prob_at(r, n)

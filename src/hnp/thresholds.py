@@ -41,7 +41,7 @@ Exponent = Optional[Fraction]  # None = -infinity
 
 MAX_ENUM_VERTICES = 10
 MAX_SUBEDGE_VERTICES = 10
-MAX_COVER_VERTICES = 7
+MAX_COVER_VERTICES = 6
 
 
 @dataclass(frozen=True)

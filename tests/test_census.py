@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 from importlib import import_module
 from itertools import combinations
@@ -98,6 +99,20 @@ class TestListKCliques:
         assert census(h, 3, p, n=100, cap=np.int64(10)).total_cliques == 10
         with pytest.raises(CliqueCapError, match="cap of 9 cliques"):
             list(list_k_cliques(h, 3, cap=np.int64(9)))
+
+    def test_working_set_bounded(self):
+        # one 45-vertex edge holds C(45, 5) = 1221759 5-cliques; the walk
+        # expands consecutive groups of nodes, never a whole depth at once
+        h = Hypergraph(45, [tuple(range(45))])
+        tracemalloc.start()
+        try:
+            blocks = census_mod._clique_blocks(h, 5, census_mod.DEFAULT_CLIQUE_CAP)
+            total = sum(len(cliques) for cliques in blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total == 1221759
+        assert peak < 16 << 20
 
     def test_emission_order_pinned(self):
         # the unsorted sequence, hashed; a change in the degeneracy order or

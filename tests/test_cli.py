@@ -118,6 +118,14 @@ class TestThresholds:
         ) == 0
         assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["verdict"] == "aas_present"
 
+    def test_two_section_k7_exit_3(self, tmp_path, capsys):
+        k7 = "".join(f"{a} {b}\n" for a in range(7) for b in range(a))
+        pat = _write(tmp_path / "k7.edges", k7)
+        assert main(
+            ["thresholds", "--pattern", pat, "--mode", "2section", "--powerlaw", "2=3/4,3=5/2"]
+        ) == 3
+        assert "guard is 6" in capsys.readouterr().err
+
     def test_two_section_non_pair_edge_exit_2(self, tmp_path, capsys):
         pat = _write(tmp_path / "hyper.edges", "0 1\n1 2 3\n")
         assert main(

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import time
+from importlib import import_module
 from itertools import combinations
 
 import pytest
@@ -178,6 +179,16 @@ class TestIsomorphic:
         assert not is_isomorphic(
             Hypergraph(3, [(0, 1)]), Hypergraph(3, [(0, 1), (1, 2)])
         )
+
+    def test_profiles_decide_before_canonical_forms(self, monkeypatch):
+        # C9 and P9 differ in their edge counts; no canonical form is built
+        def refuse(h):
+            raise AssertionError("canonical_form called")
+
+        monkeypatch.setattr(import_module("hnp.isomorphism"), "canonical_form", refuse)
+        c9 = Hypergraph(9, [(i, (i + 1) % 9) for i in range(9)])
+        p9 = Hypergraph(9, [(i, i + 1) for i in range(8)])
+        assert not is_isomorphic(c9, p9)
 
     def test_random_permutation_invariance(self):
         rng = random.Random(26)

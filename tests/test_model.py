@@ -341,6 +341,11 @@ class TestSample:
         with pytest.raises(InputError, match=f"seed must be an integer, got {seed!r}"):
             sample(10, p, seed)
 
+    def test_negative_seed(self):
+        p = from_edge_counts(10, {2: 5})
+        with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+            sample(10, p, -1)
+
 
 class TestUnrank:
     def test_matches_the_subset_pool(self):
