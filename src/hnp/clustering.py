@@ -74,9 +74,7 @@ def intersecting_pairs(h: Hypergraph) -> Iterator[Tuple[int, int]]:
 def hc_local(h: Hypergraph, v: int) -> float:
     """Mean extra overlap over pairs of edges containing v; 0 when v lies
     in at most one edge. Sums only the pairs _pairs_at scores."""
-    v = _integer(v, "vertex")
-    if not 0 <= v < h.n:
-        raise ValueError(f"vertex {v} outside 0..{h.n - 1}")
+    v = h._vertex(v)
     ids = h.incidence[v]
     if len(ids) <= 1:
         return 0.0

@@ -97,9 +97,16 @@ class Hypergraph:
 
     # -- basic accessors -------------------------------------------------
 
+    def _vertex(self, v) -> int:
+        """v read by _integer; an id outside 0..n-1 raises ValueError."""
+        v = _integer(v, "vertex")
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
+        return v
+
     def degree(self, v: int) -> int:
         """Number of hyperedges containing v."""
-        return len(self.incidence[v])
+        return len(self.incidence[self._vertex(v)])
 
     @property
     def edge_set(self) -> frozenset:
@@ -109,9 +116,13 @@ class Hypergraph:
         return self._edge_set
 
     def neighbors(self, v: int) -> frozenset:
-        """Vertices sharing at least one edge with v, excluding v (cached)."""
+        """Vertices sharing at least one edge with v, excluding v (cached).
+        v is checked as in degree, but an int found in the cache is not."""
+        if type(v) is not int:  # a boolean or a float can equal a cached id as a key
+            v = self._vertex(v)
         cached = self._neighbors.get(v)
         if cached is None:
+            v = self._vertex(v)
             acc = set()
             for i in self.incidence[v]:
                 acc.update(self.edges[i])
@@ -126,20 +137,23 @@ class Hypergraph:
         ties to the smallest id; the neighbours of order[i] removed after it
         are forward[starts[i]:starts[i + 1]], in removal order.
 
-        Bucket queue (Matula & Beck 1983): a min-heap of ids per degree
-        whose stale entries are skipped on pop; the minimum drops by at most
-        1 per removal. A vertex's degree when it is removed is the length of
-        its forward run, so the run is placed then; removing v visits its
-        neighbours once, and each one removed earlier gets v as the next
-        entry of its run."""
+        Read off the pair table: the degrees are counts of the pairs' ends,
+        and one stable sort of the ends gives a flat adjacency. Bucket
+        queue (Matula & Beck 1983): a min-heap of ids per degree whose
+        stale entries are skipped on pop; the minimum drops by at most 1 per
+        removal. Each heap pops the smallest id whatever order it was filled
+        in, so the adjacency needs no order within a vertex. Then each pair,
+        as the positions i < j of its ends in the order, is keyed i * n + j,
+        and one sort of the keys gives the forward runs."""
         if self._oriented is None:
             n = self.n
-            adj = [self.neighbors(v) for v in range(n)]
-            deg = [len(a) for a in adj]
+            low, high = np.divmod(self._pair_table()[0], max(n, 1))
+            deg = np.bincount(low, minlength=n) + np.bincount(high, minlength=n)
+            offsets = np.concatenate(([0], np.cumsum(deg))).tolist()
+            adj = np.concatenate((high, low))[np.argsort(np.concatenate((low, high)), kind="stable")]
+            adj = np.arange(n).astype(object)[adj].tolist()  # one Python int per vertex, shared
+            deg = deg.tolist()
             removed = [False] * n
-            forward = [0] * (sum(deg) // 2)
-            fill = [0] * n  # next free slot of each removed vertex's run
-            starts = [0]
             buckets: List[List[int]] = [[] for _ in range(max(deg, default=0) + 1)]
             for v in range(n):
                 buckets[deg[v]].append(v)  # ascending ids, so already a heap
@@ -156,18 +170,19 @@ class Hypergraph:
                 v = heappop(b)
                 removed[v] = True
                 order.append(v)
-                fill[v] = starts[-1]
-                starts.append(starts[-1] + d)
-                for u in adj[v]:
-                    if removed[u]:
-                        forward[fill[u]] = v
-                        fill[u] += 1
-                    else:
+                for u in adj[offsets[v] : offsets[v + 1]]:
+                    if not removed[u]:
                         deg[u] -= 1
                         heappush(buckets[deg[u]], u)
                 d = max(d - 1, 0)
-            del buckets, adj, deg, removed, fill  # free the work lists before the copies
-            self._oriented = tuple(np.array(a, dtype=np.int64) for a in (order, starts, forward))
+            del buckets, adj, deg, removed, offsets  # free the work lists before the arrays
+            order = np.array(order, dtype=np.int64)
+            pos = np.argsort(order)  # each vertex's place in the order
+            a, b = pos[low], pos[high]
+            first, later = np.divmod(np.sort(np.minimum(a, b) * n + np.maximum(a, b)), n)
+            forward = order[later]
+            starts = np.concatenate(([0], np.cumsum(np.bincount(first, minlength=n))))
+            self._oriented = (order, starts, forward)
         return self._oriented
 
     def _pair_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

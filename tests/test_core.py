@@ -82,6 +82,27 @@ class TestHypergraph:
         with pytest.raises(ValueError):
             Graph(3, [(0, 1, 2)])
 
+    @pytest.mark.parametrize("v", [-1, -3, 3, 10])
+    def test_neighbors_and_degree_reject_ids_outside_the_range(self, v):
+        h = Hypergraph(3, [(0, 1), (1, 2)])
+        assert [h.neighbors(u) for u in range(3)] == [{1}, {0, 2}, {1}]
+        assert [h.degree(u) for u in range(3)] == [1, 2, 1]
+        assert h.neighbors(np.int64(1)) == {0, 2} and h.degree(np.int64(1)) == 2
+        h._neighbors.clear()
+        for ask in (h.neighbors, h.degree):
+            with pytest.raises(ValueError, match=rf"vertex {v} outside 0\.\.2"):
+                ask(v)
+        assert h._neighbors == {}
+
+    @pytest.mark.parametrize("v", [True, False, 1.0, "1", None])
+    def test_neighbors_and_degree_reject_non_integer_ids(self, v):
+        h = Hypergraph(3, [(0, 1), (1, 2)])
+        h.neighbors(0), h.neighbors(1)  # a boolean must not be answered from the cache
+        for ask in (h.neighbors, h.degree):
+            with pytest.raises(InputError, match=f"vertex must be an integer, got {v!r}"):
+                ask(v)
+        assert set(h._neighbors) == {0, 1}
+
 
 def test_left_sum_adds_left_to_right():
     # 1e-16 is below half an ulp of 1.0, so each addition rounds back to 1.0;
