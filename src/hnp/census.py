@@ -60,7 +60,7 @@ def _clique_blocks(h: Hypergraph, k: int, cap: int) -> Iterator[np.ndarray]:
     """Every k-set forming a clique in two_section(h), each exactly once, in
     walk order, as the sorted rows of int64 arrays of at most
     _SIGN_BLOCK // C(k, 2) rows each. The walk's roots are the vertices of
-    the host's cached degeneracy orientation, with their forward neighbours
+    the host's cached degree orientation, with their forward neighbours
     as candidates. A node that takes the clique count past the cap adds
     nothing: the rows before its run are handed over, then CliqueCapError
     names the cap. k and cap are as _checked returns them."""
@@ -158,7 +158,7 @@ def list_k_cliques(
     """Every k-set forming a clique in two_section(h), each exactly once, as
     sorted tuples in deterministic order.
 
-    Expansion follows a degeneracy ordering of the 2-section; exceeding
+    Expansion follows the degree order of the 2-section; exceeding
     the per-run cap raises CliqueCapError naming the cap. k other than 3,
     4 or 5 and a cap that is not an integer >= 0 raise InputError at the
     call.

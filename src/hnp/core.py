@@ -17,10 +17,9 @@ corrupt hypergraph.
 from __future__ import annotations
 
 from collections import Counter
-from heapq import heappop, heappush
 from itertools import combinations
 from operator import index
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,50 +132,21 @@ class Hypergraph:
 
     def _orientation(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(order, starts, forward), int64 arrays, for the 2-section (cached).
-        order is a degeneracy order, by repeated minimum-degree removal with
-        ties to the smallest id; the neighbours of order[i] removed after it
-        are forward[starts[i]:starts[i + 1]], in removal order.
+        order is the degree order, ascending with ties to the smallest id;
+        the neighbours of order[i] placed after it are
+        forward[starts[i]:starts[i + 1]], in order.
 
         Read off the pair table: the degrees are counts of the pairs' ends,
-        and one stable sort of the ends gives a flat adjacency. Bucket
-        queue (Matula & Beck 1983): a min-heap of ids per degree whose
-        stale entries are skipped on pop; the minimum drops by at most 1 per
-        removal. Each heap pops the smallest id whatever order it was filled
-        in, so the adjacency needs no order within a vertex. Then each pair,
-        as the positions i < j of its ends in the order, is keyed i * n + j,
-        and one sort of the keys gives the forward runs."""
+        and one stable sort of them gives the order. Listing K_k along a
+        degree order takes O(k a(G)^(k-2) m) time, a(G) the arboricity
+        (Chiba & Nishizeki 1985). Each pair, as the positions i < j of its
+        ends in the order, is keyed i * n + j, and one sort of the keys
+        gives the forward runs."""
         if self._oriented is None:
             n = self.n
             low, high = np.divmod(self._pair_table()[0], max(n, 1))
             deg = np.bincount(low, minlength=n) + np.bincount(high, minlength=n)
-            offsets = np.concatenate(([0], np.cumsum(deg))).tolist()
-            adj = np.concatenate((high, low))[np.argsort(np.concatenate((low, high)), kind="stable")]
-            adj = np.arange(n).astype(object)[adj].tolist()  # one Python int per vertex, shared
-            deg = deg.tolist()
-            removed = [False] * n
-            buckets: List[List[int]] = [[] for _ in range(max(deg, default=0) + 1)]
-            for v in range(n):
-                buckets[deg[v]].append(v)  # ascending ids, so already a heap
-            order = []
-            d = 0
-            for _ in range(n):
-                while True:
-                    b = buckets[d]
-                    while b and deg[b[0]] != d:
-                        heappop(b)
-                    if b:
-                        break
-                    d += 1
-                v = heappop(b)
-                removed[v] = True
-                order.append(v)
-                for u in adj[offsets[v] : offsets[v + 1]]:
-                    if not removed[u]:
-                        deg[u] -= 1
-                        heappush(buckets[deg[u]], u)
-                d = max(d - 1, 0)
-            del buckets, adj, deg, removed, offsets  # free the work lists before the arrays
-            order = np.array(order, dtype=np.int64)
+            order = np.argsort(deg, kind="stable")
             pos = np.argsort(order)  # each vertex's place in the order
             a, b = pos[low], pos[high]
             first, later = np.divmod(np.sort(np.minimum(a, b) * n + np.maximum(a, b)), n)

@@ -30,7 +30,8 @@ class ParsedEdgeList:
 def read_edge_list(path: str, max_edge_size: int | None = None) -> ParsedEdgeList:
     """Parse an edge-list file into a hypergraph.
 
-    Tokens are mapped to dense ids in first-seen order. With max_edge_size
+    Tokens are mapped to dense ids in first-seen order; a UTF-8 byte-order
+    mark at the start of the file is skipped. With max_edge_size
     set, larger lines are dropped (counted) before the hypergraph is built;
     isolated vertices left behind by the drop are not created since ids are
     assigned only for surviving lines. This is the package's only
@@ -44,7 +45,7 @@ def read_edge_list(path: str, max_edge_size: int | None = None) -> ParsedEdgeLis
     edges = set()
     duplicates = 0
     dropped = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -5,7 +5,7 @@ import re
 import tracemalloc
 from dataclasses import replace
 from importlib import import_module
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from hnp import (
     two_section,
 )
 from hnp.census import spearman_rank_correlation
-from util import random_hypergraph
+from util import brute_clique_sequence, random_hypergraph
 
 census_mod = import_module("hnp.census")  # the package's `census` is the function
 
@@ -115,8 +115,8 @@ class TestListKCliques:
         assert peak < 16 << 20
 
     def test_emission_order_pinned(self):
-        # the unsorted sequence, hashed; a change in the degeneracy order or
-        # in the expansion order changes it
+        # the unsorted sequence, hashed; a change in the degree order or in
+        # the expansion order changes it
         def digest(rows):
             text = "\n".join(",".join(map(str, r)) for r in rows)
             return hashlib.sha256(text.encode()).hexdigest()
@@ -128,15 +128,16 @@ class TestListKCliques:
         ), "the sampled host changed, not the clique order"
         cliques = list(list_k_cliques(h, 4))
         assert (len(cliques), digest(cliques)) == (
-            2418, "1f35a6f6af53e774c0233daa3f22e9beaf4f4c12e5c5e41b92ad1bf4b0f1ec46"
+            2418, "5f98bf9720433d1af2e72f01b20571e3c91efa559bdeec9f56777472f52bf632"
         )
+        assert cliques == list(brute_clique_sequence(h, 4))
 
     @pytest.mark.parametrize(
         "k, cap, yielded, digest",
         [
-            (3, 7007, 7006, "87c675416d77d6668c46aba3ef8c377e52a3c1756e9b671969a4cedb64eebff7"),
-            (4, 4001, 4000, "f04797ec75b2c969e2b6e04346a8605dc3abb9dac8371243a4cca80c38185315"),
-            (5, 2008, 2007, "ba7c09076c9908454338cf93b024545ad74921353ee389e8c65819ed326532bb"),
+            (3, 4440, 4439, "4f6a4bf00e424a0bdbd7733767366242456f1bf200629cfba54a72e129179f3a"),
+            (4, 2740, 2739, "c53aa853c9174d985da0a58c110d9d408c3083d5af24672794c9637d007764c7"),
+            (5, 1254, 1253, "9f6e96bec72432875b1f4078a4323a41f68ed2a4c4b3797de45d4aef64e7b7a0"),
         ],
     )
     def test_capped_listing_pinned(self, k, cap, yielded, digest):
@@ -150,6 +151,7 @@ class TestListKCliques:
             for clique in list_k_cliques(h, k, cap=cap):
                 got.append(clique)
         assert (len(got), hashlib.sha256(repr(got).encode()).hexdigest()) == (yielded, digest)
+        assert got == list(islice(brute_clique_sequence(h, k), yielded))
 
 
 class TestObservedSignature:

@@ -114,3 +114,16 @@ def test_empty_file(tmp_path):
     parsed = read_edge_list(str(path))
     assert parsed.hypergraph == Hypergraph(0)
     assert parsed.duplicate_edges == 0
+
+
+def test_byte_order_mark_is_not_a_token(tmp_path):
+    # Windows tools may start a UTF-8 file with a byte-order mark; read as
+    # text, it would glue itself to the first token as a distinct vertex
+    plain, marked = tmp_path / "plain.edges", tmp_path / "marked.edges"
+    plain.write_text("0 1\n1 2\n0 2\n", encoding="utf-8")
+    marked.write_text("0 1\n1 2\n0 2\n", encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    parsed = read_edge_list(str(marked))
+    assert parsed == read_edge_list(str(plain))
+    assert parsed.token_to_id == {"0": 0, "1": 1, "2": 2}
+    assert parsed.hypergraph == Hypergraph(3, [(0, 1), (1, 2), (0, 2)])

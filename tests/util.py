@@ -216,37 +216,18 @@ def brute_graph_cc(g: Hypergraph):
     return local_sum / len(eligible), tri_sum / wedge_sum
 
 
-def brute_degeneracy_order(adj):
-    """Repeated minimum-degree removal by scanning every bucket; ties go to
-    the smallest id."""
-    n = len(adj)
-    deg = [len(a) for a in adj]
-    removed = [False] * n
-    buckets = {}
-    for v in range(n):
-        buckets.setdefault(deg[v], set()).add(v)
-    order = []
-    for _ in range(n):
-        d = min(b for b in buckets if buckets[b])
-        v = min(buckets[d])
-        buckets[d].discard(v)
-        removed[v] = True
-        order.append(v)
-        for u in adj[v]:
-            if not removed[u]:
-                buckets[deg[u]].discard(u)
-                deg[u] -= 1
-                buckets.setdefault(deg[u], set()).add(u)
-    return order
+def brute_degree_order(adj):
+    """Vertices by ascending degree, ties to the smallest id."""
+    return sorted(range(len(adj)), key=lambda v: (len(adj[v]), v))
 
 
 def brute_orientation(h: Hypergraph):
     """(order, starts, forward) as Hypergraph._orientation defines them:
-    brute_degeneracy_order, and each vertex's later neighbours sorted by
+    brute_degree_order, and each vertex's later neighbours sorted by
     position, concatenated in order with starts marking where each run
     begins."""
     adj = [h.neighbors(v) for v in range(h.n)]
-    order = brute_degeneracy_order(adj)
+    order = brute_degree_order(adj)
     pos = {v: i for i, v in enumerate(order)}
     starts, forward = [0], []
     for v in order:
