@@ -99,7 +99,7 @@ def _sequence(args, n: Optional[int]) -> Tuple[ProbSequence, Optional[Dict[int, 
         return _parse_powerlaw(args.powerlaw), None
     if args.probs is None:
         raise InputError(f"give {' or '.join(_SEQUENCE_FLAGS[kind])}")
-    with open(args.probs, "r", encoding="utf-8") as fh:
+    with open(args.probs, "r", encoding="utf-8-sig") as fh:
         p = ProbSequence.from_json(fh.read())
     if kind != "any" and p.is_numeric != (kind == "numeric"):
         raise InputError(f"this subcommand needs a {kind} sequence")

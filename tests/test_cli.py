@@ -556,6 +556,22 @@ class TestOutsideInput:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert "'utf-8' codec can't decode" in capsys.readouterr().err
 
+    def test_probs_with_byte_order_mark(self, tmp_path, monkeypatch, capsys):
+        # Windows tools may start a UTF-8 file with a byte-order mark; read as
+        # utf-8-sig it gives the same outputs as the plain file
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path / "host.edges", "0 1 2\n2 3\n3 4 5\n0 5\n1 3\n")
+        text = hnp.from_edge_counts(50, {2: 30, 3: 5}).to_json()
+        outputs = []
+        for name, encoding in (("plain", "utf-8"), ("marked", "utf-8-sig")):
+            (tmp_path / f"{name}.json").write_text(text, encoding=encoding)
+            argv = ["census", "--input", "host.edges", "--k", "3", "--probs", f"{name}.json"]
+            assert main(argv + ["--out", "out"]) == 0
+            files = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()}
+            outputs.append((capsys.readouterr().out, files))
+        assert (tmp_path / "marked.json").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("command", ["ingest", "census", "clustering"])
     def test_directory_as_input_exit_2(self, command, tmp_path, capsys):
         argv = [command, "--input", str(tmp_path)]

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -279,3 +280,25 @@ class TestCandidatePairs:
             "hc_local_histogram": _histogram({0: 1, 66: 3, 80: 1, 99: 1}),
             "n_nonzero_local": 5,
         }
+
+
+def test_working_set_bounded():
+    # one 150-vertex edge, with C(150, 3) triangles inside it, and 2000 edges
+    # of 2 to 5 vertices; with the pair table and the orientation built, the
+    # report's tracemalloc peak was 1.9 MiB (numpy 2.4), and 4.5 MiB with the
+    # clustering blocks unchunked
+    rng = random.Random(24)
+    n = 1500
+    edges = [rng.sample(range(n), 150)]
+    edges += [rng.sample(range(n), rng.randint(2, 5)) for _ in range(2000)]
+    h = Hypergraph(n, edges)
+    h._pair_table()
+    h._orientation()
+    tracemalloc.start()
+    try:
+        clustering_report(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+    assert h._neighbors == {}  # no neighbour set is built

@@ -19,6 +19,7 @@ from hnp import (
     canonical_form,
     census,
     clustering_report,
+    extra_overlap,
     find_strong_copies,
     find_weak_copies,
     from_edge_counts,
@@ -36,6 +37,7 @@ from util import (
     brute_aut,
     brute_canonical_form,
     brute_clustering_report,
+    brute_extra_overlap,
     brute_graph_cc,
     brute_clique_sequence,
     brute_hc_local,
@@ -251,7 +253,7 @@ def test_pair_table_cache_is_invisible(h, calls):
 
 
 @settings(deadline=None)
-@given(hypergraphs(), st.integers(1, 12))
+@given(PAIR_HOSTS, st.integers(1, 12))
 def test_clustering_report_matches_oracle(h, bins):
     assert clustering_report(h) == brute_clustering_report(h)
     assert clustering_report(h, bins) == brute_clustering_report(h, bins)
@@ -278,6 +280,37 @@ def test_clustering_report_matches_oracle_on_sparse_hub_hosts(h):
     assert report == brute_clustering_report(h)
     assert report["n_intersecting_pairs"] == len(list(intersecting_pairs(h)))
     assert [hc_local(h, v) for v in range(h.n)] == [brute_hc_local(h, v) for v in range(h.n)]
+
+
+@st.composite
+def big_edge_hosts(draw):
+    """Hosts on up to 40 vertices with one edge of 8 to 25 vertices, edges of
+    2 to 4 vertices (some inside the large one, some nested in others) and
+    size-1 edges: most triangles lie inside the large edge, and most of
+    those score nothing."""
+    n = draw(st.integers(8, 40))
+    vertex = st.integers(0, n - 1)
+    big = draw(st.sets(vertex, min_size=8, max_size=min(25, n)))
+    edges = [big] + draw(st.lists(st.sets(vertex, min_size=2, max_size=4), max_size=15))
+    inside = st.sets(st.sampled_from(sorted(big)), min_size=2, max_size=4)
+    edges += draw(st.lists(inside, max_size=5))
+    for e in draw(st.lists(st.sampled_from(edges[1:]), max_size=3)) if len(edges) > 1 else []:
+        edges.append(draw(st.sets(st.sampled_from(sorted(e)), min_size=1)))
+    edges += [{v} for v in draw(st.lists(vertex, max_size=3))]
+    return Hypergraph(n, edges)
+
+
+@settings(deadline=None)
+@given(big_edge_hosts(), st.data())
+def test_clustering_matches_oracle_on_big_edge_hosts(h, data):
+    assert clustering_report(h) == brute_clustering_report(h)
+    assert [hc_local(h, v) for v in range(h.n)] == [brute_hc_local(h, v) for v in range(h.n)]
+    if len(h.edges) > 1:
+        ids = st.integers(0, len(h.edges) - 1)
+        i, j = data.draw(st.lists(ids, min_size=2, max_size=2, unique=True))
+        assert extra_overlap(h, i, j) == brute_extra_overlap(h, i, j)
+    g = two_section(h)
+    assert graph_cc(g) == brute_graph_cc(g)
 
 
 def _networkx_cliques(h, k):

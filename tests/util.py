@@ -9,8 +9,6 @@ from hnp import (
     Graph,
     Hypergraph,
     canonical_form,
-    extra_overlap,
-    intersecting_pairs,
     is_subedge_system,
 )
 from hnp.core import induced_weak
@@ -288,38 +286,77 @@ def brute_observed_signature(h: Hypergraph, s):
     return tuple(counts.get(r, 0) for r in range(2, k + 1))
 
 
+def _adjacency(h: Hypergraph):
+    """2-section neighbour sets from every pair of every edge."""
+    adj = defaultdict(set)
+    for e in h.edges:
+        for x, y in combinations(e, 2):
+            adj[x].add(y)
+            adj[y].add(x)
+    return adj
+
+
+def _overlap(adj, a, b) -> float:
+    """The extra overlap of the vertex sets a, b from its definition."""
+    dij, dji = a - b, b - a
+    num = sum(1 for y in dji if adj[y] & dij) + sum(1 for x in dij if adj[x] & dji)
+    return num / (len(dij) + len(dji))
+
+
+def brute_extra_overlap(h: Hypergraph, i: int, j: int) -> float:
+    """extra_overlap from its definition."""
+    return _overlap(_adjacency(h), set(h.edges[i]), set(h.edges[j]))
+
+
+def _left_to_right(values) -> float:
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def _edges_at(h: Hypergraph, v: int):
+    return [i for i, e in enumerate(h.edges) if v in e]
+
+
 def brute_hc_local(h: Hypergraph, v: int) -> float:
-    """hc_local by scoring every one of the C(d, 2) pairs of edges at v."""
-    ids = h.incidence[v]
+    """hc_local by scoring every one of the C(d, 2) pairs of edges at v from
+    the definition, added left to right."""
+    ids = _edges_at(h, v)
     if len(ids) <= 1:
         return 0.0
-    total = sum(extra_overlap(h, i, j) for i, j in combinations(ids, 2))
-    return total / comb(len(ids), 2)
+    adj = _adjacency(h)
+    overlaps = (_overlap(adj, set(h.edges[i]), set(h.edges[j])) for i, j in combinations(ids, 2))
+    return _left_to_right(overlaps) / comb(len(ids), 2)
 
 
 def brute_clustering_report(h: Hypergraph, bins: int = 100):
-    """clustering_report in two passes: the extra overlap of every
-    intersecting pair into a dict, then each vertex's local mean from it."""
-    eo = {}
-    for i, j in intersecting_pairs(h):
-        eo[(i, j)] = extra_overlap(h, i, j)
+    """clustering_report in two passes: the extra overlap of every pair of
+    edges sharing a vertex, from the definition, into a dict in (smallest
+    common vertex, i, j) order, then each vertex's local mean from it; every
+    sum is added left to right."""
+    adj = _adjacency(h)
+    sets = [set(e) for e in h.edges]
+    meeting = sorted(
+        (min(sets[i] & sets[j]), i, j)
+        for i, j in combinations(range(len(sets)), 2)
+        if sets[i] & sets[j]
+    )
+    eo = {(i, j): _overlap(adj, sets[i], sets[j]) for _, i, j in meeting}
     hist = [0] * bins
     nonzero = 0
     for v in range(h.n):
-        ids = h.incidence[v]
+        ids = _edges_at(h, v)
         if len(ids) <= 1:
             c = 0.0
         else:
-            total = sum(
-                eo[(i, j) if i < j else (j, i)] for i, j in combinations(ids, 2)
-            )
-            c = total / comb(len(ids), 2)
+            c = _left_to_right(eo[pair] for pair in combinations(ids, 2)) / comb(len(ids), 2)
         if c > 0.0:
             nonzero += 1
         idx = min(int(c * bins), bins - 1)
         hist[idx] += 1
     return {
-        "hc_global": (sum(eo.values()) / len(eo)) if eo else 0.0,
+        "hc_global": (_left_to_right(eo.values()) / len(eo)) if eo else 0.0,
         "n_intersecting_pairs": len(eo),
         "hc_local_histogram": hist,
         "n_nonzero_local": nonzero,
