@@ -11,19 +11,19 @@ averages EO over pairs of edges containing v; HC_global averages over all
 intersecting pairs. On a graph both coincide exactly with the classical
 coefficients.
 
-Every coefficient is read off one array kernel. A pair (i, j) at v scores
-above 0 exactly when some x in D_ij and y in D_ji are adjacent: then
-{v, x, y} is a triangle of the 2-section, e_i holds vx but not y and e_j
-holds vy but not x, and every such (i, j) is a pair of that kind. So the
-pairs that can score are read off the triangles that census._walk lists,
-each is scored once in blocks of array operations, and every other pair
-scores exactly 0.0. A triangle through a vertex in only one edge yields no
-pair: that edge holds both of the vertex's pairs, and the third one too.
+Every coefficient is read off one pass over the triangles of the
+2-section. A pair (i, j) scores above 0 exactly when some x in D_ij and y
+in D_ji are adjacent, and then {v, x, y} is a triangle at every common
+vertex v (e_i holds vx but not y, e_j holds vy but not x). So the
+triangles that census._walk lists give each pair that scores above 0 with
+its common vertices and its far vertices, the members of D_ij and D_ji
+that EO's numerator counts; every other pair scores exactly 0.0. A
+triangle through a vertex in only one edge yields no pair: that edge holds
+both of the vertex's pairs, and the third one too.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import combinations
 from math import comb
 from typing import Dict, Iterator, Optional, Tuple
@@ -43,9 +43,13 @@ __all__ = [
     "clustering_report",
 ]
 
+_KEY_LIMIT = 2**63 - 1  # no key of the triangle pass exceeds it, so int64 holds them all
+
 
 def extra_overlap(h: Hypergraph, ei: int, ej: int) -> float:
-    """Extra overlap of the edges with ids ei, ej (must differ).
+    """Extra overlap of the edges with ids ei, ej (must differ), from its
+    definition: each x in D_ij and y in D_ji are looked up as a pair in the
+    pair-table keys.
 
     Nested edges score 0 (one difference is empty, so the numerator is 0);
     both differences empty is impossible since edges are deduplicated.
@@ -57,8 +61,11 @@ def extra_overlap(h: Hypergraph, ei: int, ej: int) -> float:
             raise ValueError(f"edge id {e} outside 0..{m - 1}")
     if ei == ej:
         raise ValueError("extra overlap needs two distinct edges")
-    eo, _, _ = _overlaps(h, np.array([min(ei, ej) * m + max(ei, ej)]))
-    return float(eo[0])
+    a, b = np.array(h.edges[ei]), np.array(h.edges[ej])
+    x, y = np.setdiff1d(a, b, assume_unique=True), np.setdiff1d(b, a, assume_unique=True)
+    keys, pair = h._pair_table()[0], np.minimum.outer(x, y) * h.n + np.maximum.outer(x, y)
+    hit = (keys.take(np.searchsorted(keys, pair), mode="clip") if len(keys) else -1) == pair
+    return (int(hit.any(axis=1).sum()) + int(hit.any(axis=0).sum())) / (len(x) + len(y))
 
 
 def intersecting_pairs(h: Hypergraph) -> Iterator[Tuple[int, int]]:
@@ -75,8 +82,8 @@ def intersecting_pairs(h: Hypergraph) -> Iterator[Tuple[int, int]]:
 
 def hc_local(h: Hypergraph, v: int) -> float:
     """Mean extra overlap over pairs of edges containing v; 0 when v lies
-    in at most one edge. Sums, in ascending (i, j) order, the pairs found
-    on the triangles through v."""
+    in at most one edge. Sums, in ascending (i, j) order, the pairs found at
+    v on the triangles through v."""
     v = h._vertex(v)
     d = len(h.incidence[v])
     if d <= 1:
@@ -84,8 +91,8 @@ def hc_local(h: Hypergraph, v: int) -> float:
     low, high = np.divmod(h._pair_table()[0], max(h.n, 1))
     nb = np.concatenate((low[high == v], high[low == v])).tolist()  # ascending
     nb = np.array([u for u in nb if len(h.incidence[u]) > 1], np.int64)
-    eo, row, vertex = _overlaps(h, _scoring_pairs(h, np.array([[v]]), nb, np.array([0, len(nb)])))
-    return _left_sum(eo[np.sort(row[vertex == v])].tolist()) / comb(d, 2)
+    eo, row, vertex = _scores(h, np.array([[v]]), nb, np.array([0, len(nb)]), _shared(h))
+    return _left_sum(eo[row[vertex == v]].tolist()) / comb(d, 2)
 
 
 def hc_global(h: Hypergraph) -> float:
@@ -145,33 +152,64 @@ def _clustering(h: Hypergraph) -> Tuple[np.ndarray, float, int]:
     deg = np.fromiter(map(len, h.incidence), np.int64, h.n)
     kept = np.repeat(deg[order] > 1, np.diff(starts)) & (deg[forward] > 1)
     off = np.concatenate(([0], np.cumsum(kept)))[starts]
-    eo, row, vertex = _overlaps(h, _scoring_pairs(h, order[:, None], forward[kept], off))
-    least = np.full(len(eo), h.n)  # each pair's smallest common vertex
-    np.minimum.at(least, row, vertex)
-    total = float(np.cumsum(eo[np.argsort(least, kind="stable")])[-1]) if len(eo) else 0.0
+    shared = _shared(h)
+    eo, row, vertex = _scores(h, order[:, None], forward[kept], off, shared)
+    total = float(np.cumsum(eo[np.argsort(vertex[_starts(row)], kind="stable")])[-1]) if len(eo) else 0.0
     sums = _left_sums(eo[row[np.lexsort((row, vertex))]], np.bincount(vertex, minlength=h.n))
     wedges = deg * (deg - 1) // 2
     local = np.divide(sums, wedges, out=np.zeros(h.n), where=wedges > 0)
-    return local, total, int(wedges.sum()) - _shared_excess(h)
+    return local, total, int(wedges.sum() - (shared[1] - 1).sum())
 
 
-def _scoring_pairs(
-    h: Hypergraph, prefix: np.ndarray, cands: np.ndarray, off: np.ndarray
-) -> np.ndarray:
-    """The distinct pairs (i, j), i < j, of edges that score above 0 at a
-    vertex of a triangle found by census._walk below the given nodes, as
-    ascending keys i * m + j, m the number of edges (the pair table's edge
-    ids are int32, so a key stays below 2**62).
+def _scores(
+    h: Hypergraph, prefix: np.ndarray, cands: np.ndarray, off: np.ndarray, shared: Tuple[np.ndarray, np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eo, row, vertex) for the distinct pairs (i, j), i < j, that _keys
+    finds, ascending: eo[t] is the t-th pair's extra overlap, and vertex[s]
+    an apex (ascending for each pair) at which pair row[s] was found. EO is
+    the far vertices over |e_i| + |e_j| - 2 s, s the vertices the pair
+    shares as shared gives them (1 if it is not there): one true division
+    of two integers, the float Python gives."""
+    m, width = len(h.edges), max(h.n, 1)
+    span = _KEY_LIMIT // width
+    found = _keys(h, prefix, cands, off, width, span)
+    eo, row, vertex = [np.empty(0)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for at in sorted({at for at, _ in found}):
+        apex, far = _distinct(found.pop((at, True))), _distinct(found.pop((at, False)))
+        first = _starts(apex // width)  # the same pairs, in the same order, as far's
+        pair = apex[first] // width + at * span
+        vertex.append(apex % width)
+        row.append(np.cumsum(first) - 1 + sum(map(len, eo)))
+        far = np.diff(np.append(np.flatnonzero(_starts(far // width)), len(far)))
+        size = np.zeros(m, np.int64)  # the size of each edge in a pair
+        used = np.flatnonzero(np.bincount(np.concatenate(np.divmod(pair, m)), minlength=m))
+        size[used] = [len(h.edges[e]) for e in used.tolist()]
+        den = size[pair // m] + size[pair % m] - 2
+        place = np.searchsorted(shared[0], pair)  # less 2 (s - 1) where s > 1
+        hit = np.append(shared[0], -1)[place] == pair
+        den[hit] -= 2 * shared[1][place[hit]] - 2
+        eo.append(far / den)
+        del apex, far, first, pair, den, place, hit  # before the outputs are copied
+    return np.concatenate(eo), np.concatenate(row), np.concatenate(vertex)
 
-    At the apex v of a triangle {v, x, y}, the pairs are E(vx) \\ E(vy) times
-    E(vy) \\ E(vx), E(ab) the run of edges holding ab in the pair table. An
-    apex whose two runs are one and the same edge yields none and is
-    dropped first; in the product of the others, an edge found in both runs
-    (one holding the whole triangle) is dropped from both sides."""
+
+def _keys(
+    h: Hypergraph, prefix: np.ndarray, cands: np.ndarray, off: np.ndarray, width: int, span: int
+) -> Dict[Tuple[int, bool], np.ndarray]:
+    """The triangle pass. At each apex v of each triangle {v, x, y} that
+    census._walk finds below the given nodes, each pair (i, j) of edges with
+    i in E(vx) \\ E(vy) and j in E(vy) \\ E(vx), E(ab) the run of edges
+    holding ab in the pair table, has the apex v and the far vertices x and
+    y. Each (p, vertex), p = i * m + j (i < j, m edges), is kept once as the
+    key (p % span) * width + vertex in window p // span, under (window,
+    whether an apex); a vertex is below width, so keys stay below
+    span * width for any m and n. An apex whose two runs are one and the
+    same edge is dropped first, and an edge in both runs (it holds the
+    whole triangle) from both sides."""
     keys, offsets, ids = h._pair_table()
     m, count = len(h.edges), np.diff(offsets)
     solo = np.where(count == 1, ids[offsets[:-1]], -1)  # each pair's only edge, if one
-    found = np.empty(0, np.int64)
+    found = {}
     for pre, w, o in _walk(keys, h.n, prefix, cands, off, 2):
         r, u = np.repeat(pre, np.diff(o), axis=0).T
         ru = np.repeat(_at(h, pre[:, 0], pre[:, 1]), np.diff(o))
@@ -179,11 +217,12 @@ def _scoring_pairs(
         # ru and rw held by one and the same edge alone: it holds the
         # triangle, so at each apex one run lies within the other
         live = (solo[ru] < 0) | (solo[ru] != solo[rw])
-        ru, rw = ru[live], rw[live]
-        uw = _at(h, u[live], w[live])
-        for one, two in ((ru, rw), (ru, uw), (rw, uw)):  # the two runs at each apex
+        r, u, w, ru, rw = r[live], u[live], w[live], ru[live], rw[live]
+        uw = _at(h, u, w)
+        # each apex, its two far vertices and the runs of its two pairs
+        for v, x, y, one, two in ((r, u, w, ru, rw), (u, r, w, ru, uw), (w, r, u, rw, uw)):
             live = (solo[one] < 0) | (solo[one] != solo[two])
-            one, two = one[live], two[live]
+            v, x, y, one, two = v[live], x[live], y[live], one[live], two[live]
             s1, c1, s2, c2 = offsets[one], count[one], offsets[two], count[two]
             size = c1.astype(np.int64) * c2
             for lo, hi in _spans(np.concatenate(([0], np.cumsum(size))), _SIGN_BLOCK):
@@ -196,83 +235,37 @@ def _scoring_pairs(
                 both1 = np.bincount(slot1[i == j], minlength=int(c1[lo:hi].sum())) > 0
                 both2 = np.bincount(slot2[i == j], minlength=int(c2[lo:hi].sum())) > 0
                 keep = ~both1[slot1] & ~both2[slot2]
-                i, j = i[keep].astype(np.int64), j[keep].astype(np.int64)
-                pairs = _distinct(np.minimum(i, j) * m + np.maximum(i, j))
-                # grown in place: a list of small arrays, made between the
-                # temporaries, left hub_census about 0.5 MB higher in peak RSS
-                found.resize(len(found) + len(pairs), refcheck=False)
-                found[len(found) - len(pairs) :] = pairs
-    return _distinct(found)
+                i, j, apex = i[keep].astype(np.int64), j[keep].astype(np.int64), apex[keep] + lo
+                window, low = np.divmod(np.minimum(i, j) * m + np.maximum(i, j), span)
+                low *= width
+                for at in _distinct(window.copy()).tolist():
+                    here = window == at
+                    for tag, is_apex in ((v, True), (x, False), (y, False)):
+                        new = _distinct(low[here] + tag[apex[here]])
+                        # grown in place: a list of small arrays, made between the
+                        # temporaries, left hub_census about 0.5 MB higher in peak RSS
+                        held = found.setdefault((at, is_apex), np.empty(0, np.int64))
+                        held.resize(len(held) + len(new), refcheck=False)
+                        held[len(held) - len(new) :] = new
+    return found
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values of an array, ascending; sorts it in place."""
     values.sort()
+    return values[_starts(values)]
+
+
+def _starts(values: np.ndarray) -> np.ndarray:
+    """Whether each value of a sorted array starts a run of equal values."""
     new = np.ones(len(values), bool)
     np.not_equal(values[1:], values[:-1], out=new[1:])
-    return values[new]
+    return new
 
 
 def _at(h: Hypergraph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Where each pair of 2-section neighbours (a[t], b[t]) is in the pair keys."""
     return np.searchsorted(h._pair_table()[0], np.minimum(a, b) * h.n + np.maximum(a, b))
-
-
-def _overlaps(h: Hypergraph, pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(eo, row, vertex): the extra overlap eo[t] of each pair of edges
-    (i, j) given as pairs[t] = i * m + j, m the number of edges, and their
-    common vertices, vertex[s] one of pair row[s], in no particular order.
-
-    The pairs are scored in dense blocks of one pair of edge sizes (a, b)
-    and at most _SIGN_BLOCK vertex pairs (x, y), x in e_i and y in e_j (or
-    one pair of edges). Adjacency is a binary search in the pair keys, and
-    eo is one true division of two integers, the float Python gives."""
-    keys, n, edges = h._pair_table()[0], h.n, h.edges
-    order, groups = _by_sizes(h, pairs)
-    eo = np.empty(len(pairs))
-    rows, vertices = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for first, end, a, b in groups:
-        step = max(1, _SIGN_BLOCK // (a * b))
-        for lo in range(first, end, step):
-            t = order[lo : min(end, lo + step)]
-            i, j = np.divmod(pairs[t], len(edges))
-            ei = np.array([edges[e] for e in i.tolist()], np.int64)
-            ej = np.array([edges[e] for e in j.tolist()], np.int64)
-            x, y = np.broadcast_arrays(ei[:, :, None], ej[:, None, :])
-            same = x == y
-            in_j, in_i = same.any(axis=2), same.any(axis=1)  # the common vertices, each side
-            pair = np.minimum(x, y) * n + np.maximum(x, y)
-            hit = np.zeros(pair.shape, bool)
-            if len(keys):  # else the host has no pairs
-                hit = keys.take(np.searchsorted(keys, pair), mode="clip") == pair
-            hit &= ~in_j[:, :, None] & ~in_i[:, None, :]
-            num = hit.any(axis=2).sum(axis=1) + hit.any(axis=1).sum(axis=1)
-            eo[t] = num / (a + b - in_j.sum(axis=1) - in_i.sum(axis=1))
-            r, c = np.nonzero(in_j)
-            rows.append(t[r])
-            vertices.append(ei[r, c])
-    return eo, np.concatenate(rows), np.concatenate(vertices)
-
-
-def _by_sizes(h: Hypergraph, pairs: np.ndarray) -> Tuple[np.ndarray, list]:
-    """(order, groups) for pairs of edges given as keys i * m + j: the order
-    putting them in runs of one pair of sizes (|e_i|, |e_j|), and each run
-    as (start, end, |e_i|, |e_j|) in that order. The edges are in (size,
-    tuple) order, so each size is one range of edge ids."""
-    sizes, firsts, lo = [], [], 0
-    while lo < len(h.edges):
-        sizes.append(len(h.edges[lo]))
-        firsts.append(lo)
-        lo = bisect_right(h.edges, sizes[-1], lo, key=len)
-    sizes, firsts = np.array(sizes, np.int64), np.array(firsts, np.int64)
-    i, j = np.divmod(pairs, max(len(h.edges), 1))
-    shape = sizes[np.searchsorted(firsts, i, "right") - 1] * (h.n + 1)
-    shape += sizes[np.searchsorted(firsts, j, "right") - 1]
-    order = np.argsort(shape, kind="stable")
-    shape = shape[order]
-    new = np.flatnonzero(np.diff(shape, prepend=-1)).tolist()
-    runs = zip(new, new[1:] + [len(pairs)])
-    return order, [(lo, hi, *divmod(int(shape[lo]), h.n + 1)) for lo, hi in runs]
 
 
 def _left_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -296,14 +289,15 @@ def _left_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _shared_excess(h: Hypergraph) -> int:
-    """The sum of s - 1 over the pairs of edges sharing s >= 2 vertices.
-    Such a pair lies in C(s, 2) runs of the pair table; the pairs of each
-    run are listed in blocks of at most _SIGN_BLOCK (or one run's), and
-    tallied per block and then over all blocks."""
+def _shared(h: Hypergraph) -> Tuple[np.ndarray, np.ndarray]:
+    """(pairs, s): the pairs (i, j), i < j, of edges sharing s >= 2
+    vertices, as ascending keys i * m + j (m edges), and s, read off the
+    runs of the pair table: such a pair lies in C(s, 2) of them. Each run's
+    pairs are listed in blocks of at most _SIGN_BLOCK (or one run's) and
+    tallied, then summed."""
     _, offsets, ids = h._pair_table()
-    m, count = len(h.edges), np.diff(offsets).astype(np.int64)
-    start, count = offsets[:-1][count > 1].astype(np.int64), count[count > 1]
+    m, count = len(h.edges), np.diff(offsets)
+    start, count = offsets[:-1][count > 1].astype(np.int64), count[count > 1].astype(np.int64)
     pairs, tally = [np.empty(0, np.int64)], [np.empty(0, np.int64)]  # keys i * m + j
     for lo, hi in _spans(np.concatenate(([0], np.cumsum(count * (count - 1) // 2))), _SIGN_BLOCK):
         at = np.repeat(start[lo:hi], count[lo:hi]) + _within(count[lo:hi])
@@ -313,10 +307,6 @@ def _shared_excess(h: Hypergraph) -> int:
         block, counts = np.unique(block, return_counts=True)
         pairs.append(block)
         tally.append(counts)
-    pairs, tally = np.concatenate(pairs), np.concatenate(tally)
-    if not len(tally):
-        return 0
-    order = np.argsort(pairs, kind="stable")
-    new = np.flatnonzero(np.diff(pairs[order], prepend=-1))
-    shared = np.add.reduceat(tally[order], new)  # C(s, 2) for each pair
-    return int(((1 + np.sqrt(1 + 8 * shared).round()) // 2 - 1).sum())
+    pairs, index = np.unique(np.concatenate(pairs), return_inverse=True)
+    shared = np.bincount(index, np.concatenate(tally))  # C(s, 2) for each pair
+    return pairs, (1 + np.sqrt(1 + 8 * shared).round().astype(np.int64)) // 2

@@ -302,3 +302,28 @@ def test_working_set_bounded():
         tracemalloc.stop()
     assert peak < 3 * 2**20
     assert h._neighbors == {}  # no neighbour set is built
+
+
+def test_working_set_bounded_on_a_hub_host():
+    # three hubs, each in 150 edges, among 600 edges of 2 to 4 vertices;
+    # with the pair table and the orientation built, the report peaked at
+    # 1.44 MiB (numpy 2.4) when each pair was scored again from its edges
+    # after the triangle pass, and the bound keeps the headroom of
+    # test_working_set_bounded over that
+    rng = random.Random(25)
+    n = 400
+    edges = [rng.sample(range(n), rng.randint(2, 4)) for _ in range(600)]
+    for hub in rng.sample(range(n), 3):
+        others = [u for u in range(n) if u != hub]
+        edges += [[hub] + rng.sample(others, rng.randint(1, 3)) for _ in range(150)]
+    h = Hypergraph(n, edges)
+    h._pair_table()
+    h._orientation()
+    tracemalloc.start()
+    try:
+        clustering_report(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.44 * 3 / 1.9 * 2**20
+    assert h._neighbors == {}  # no neighbour set is built

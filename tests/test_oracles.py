@@ -51,6 +51,7 @@ from util import (
 )
 
 census_mod = import_module("hnp.census")  # the package's `census` is the function
+clustering_mod = import_module("hnp.clustering")
 KS = (3, 4, 5)
 
 
@@ -311,6 +312,30 @@ def test_clustering_matches_oracle_on_big_edge_hosts(h, data):
         assert extra_overlap(h, i, j) == brute_extra_overlap(h, i, j)
     g = two_section(h)
     assert graph_cc(g) == brute_graph_cc(g)
+
+
+@settings(deadline=None)
+@given(st.one_of(PAIR_HOSTS, big_edge_hosts()))
+def test_extra_overlap_matches_oracle_on_every_pair(h):
+    """Every ordered pair of distinct edges: disjoint, nested and size-1
+    edges among them."""
+    for i in range(len(h.edges)):
+        for j in range(len(h.edges)):
+            if i != j:
+                eo = extra_overlap(h, i, j)
+                assert eo == brute_extra_overlap(h, i, j)
+                assert eo == extra_overlap(h, j, i)
+
+
+@settings(deadline=None)
+@given(st.one_of(hub_hypergraphs(), sparse_hub_hosts(), big_edge_hosts()), st.integers(1, 12))
+def test_clustering_matches_oracle_in_narrow_key_windows(h, span):
+    """Pair keys spread over windows of span keys each, as they would be on
+    a host whose m^2 * n passed 2^63."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering_mod, "_KEY_LIMIT", span * max(h.n, 1))
+        assert clustering_report(h) == brute_clustering_report(h)
+        assert [hc_local(h, v) for v in range(h.n)] == [brute_hc_local(h, v) for v in range(h.n)]
 
 
 def _networkx_cliques(h, k):
