@@ -23,8 +23,6 @@ from .isomorphism import (
 from .model import (
     ProbSequence,
     covering_probability,
-    covering_weight,
-    expected_covering_edges,
     from_edge_counts,
     sample,
 )

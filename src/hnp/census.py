@@ -250,13 +250,17 @@ def census(
     an implementation bug and raises AssertionError. n defaults to the
     host's vertex count for the theory side. k other than 3, 4 or 5 and a
     cap that is not an integer >= 0 raise InputError; more than cap
-    cliques raise CliqueCapError.
+    cliques raise CliqueCapError, before any listing when one edge alone
+    holds more than cap k-subsets, each of them a clique.
     """
     k, cap = _checked(k, cap)
     table = origination_distribution(k, p, h.n if n is None else n)
     ranked = rank_signatures(table)
     theory_rank = dict(ranked)
 
+    # every k-subset of an edge is a clique, and the last edge is a largest
+    if h.edges and comb(len(h.edges[-1]), k) > cap:
+        raise CliqueCapError(cap)
     radix = [comb(k, r) + 1 for r in range(2, k + 1)]  # e_r is at most C(k, r)
     tallies: Counter = Counter()
     for cliques in _clique_blocks(h, k, cap):

@@ -20,12 +20,16 @@ its common vertices and its far vertices, the members of D_ij and D_ji
 that EO's numerator counts; every other pair scores exactly 0.0. A
 triangle through a vertex in only one edge yields no pair: that edge holds
 both of the vertex's pairs, and the third one too.
+
+Each host runs the pass once, on first use, and keeps every vertex's local
+coefficient, the global sum and the pair count; clustering_report,
+hc_global, graph_cc and hc_local all read them, so hc_local costs the
+whole pass on its first call on a host and a lookup after that.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
@@ -82,17 +86,10 @@ def intersecting_pairs(h: Hypergraph) -> Iterator[Tuple[int, int]]:
 
 def hc_local(h: Hypergraph, v: int) -> float:
     """Mean extra overlap over pairs of edges containing v; 0 when v lies
-    in at most one edge. Sums, in ascending (i, j) order, the pairs found at
-    v on the triangles through v."""
+    in at most one edge. Read off the host's one clustering pass: the first
+    call on a host runs the whole pass, and later calls look v up."""
     v = h._vertex(v)
-    d = len(h.incidence[v])
-    if d <= 1:
-        return 0.0
-    low, high = np.divmod(h._pair_table()[0], max(h.n, 1))
-    nb = np.concatenate((low[high == v], high[low == v])).tolist()  # ascending
-    nb = np.array([u for u in nb if len(h.incidence[u]) > 1], np.int64)
-    eo, row, vertex = _scores(h, np.array([[v]]), nb, np.array([0, len(nb)]), _shared(h))
-    return _left_sum(eo[row[vertex == v]].tolist()) / comb(d, 2)
+    return float(_clustering(h)[0][v])
 
 
 def hc_global(h: Hypergraph) -> float:
@@ -113,8 +110,8 @@ def graph_cc(g: Hypergraph) -> Tuple[Optional[float], Optional[float]]:
     and hc_global is C', both to the bit: every sum is of whole numbers."""
     if not g.is_uniform(2):
         raise ValueError("graph clustering needs a 2-uniform input")
-    eligible = [v for v in range(g.n) if g.degree(v) >= 2]
-    if not eligible:
+    eligible = np.flatnonzero(_degrees(g) > 1)
+    if not len(eligible):
         return None, None
     local, total, n_pairs = _clustering(g)
     return _left_sum(local[eligible].tolist()) / len(eligible), total / n_pairs
@@ -138,8 +135,9 @@ def clustering_report(h: Hypergraph, bins: int = 100) -> Dict:
 
 
 def _clustering(h: Hypergraph) -> Tuple[np.ndarray, float, int]:
-    """(local, total, n_pairs): every vertex's local coefficient, the sum of
-    the extra overlaps of all intersecting pairs and their number.
+    """(local, total, n_pairs), cached on the host: every vertex's local
+    coefficient (read-only), the sum of the extra overlaps of all
+    intersecting pairs and their number.
 
     The pairs that score above 0 are found on the triangles of the cached
     degree orientation, vertices in fewer than two edges left out. Adding
@@ -148,22 +146,20 @@ def _clustering(h: Hypergraph) -> Tuple[np.ndarray, float, int]:
     in ascending (i, j) order, and the global one in (smallest common
     vertex, i, j) order, as intersecting_pairs lists them, each added left
     to right."""
-    order, starts, forward = h._orientation()
-    deg = np.fromiter(map(len, h.incidence), np.int64, h.n)
-    kept = np.repeat(deg[order] > 1, np.diff(starts)) & (deg[forward] > 1)
-    off = np.concatenate(([0], np.cumsum(kept)))[starts]
-    shared = _shared(h)
-    eo, row, vertex = _scores(h, order[:, None], forward[kept], off, shared)
-    total = float(np.cumsum(eo[np.argsort(vertex[_starts(row)], kind="stable")])[-1]) if len(eo) else 0.0
-    sums = _left_sums(eo[row[np.lexsort((row, vertex))]], np.bincount(vertex, minlength=h.n))
-    wedges = deg * (deg - 1) // 2
-    local = np.divide(sums, wedges, out=np.zeros(h.n), where=wedges > 0)
-    return local, total, int(wedges.sum() - (shared[1] - 1).sum())
+    if h._clustered is None:
+        shared = _shared(h)
+        eo, row, vertex = _scores(h, shared)
+        total = float(np.cumsum(eo[np.argsort(vertex[_starts(row)], kind="stable")])[-1]) if len(eo) else 0.0
+        sums = _left_sums(eo[row[np.lexsort((row, vertex))]], np.bincount(vertex, minlength=h.n))
+        deg = _degrees(h)
+        wedges = deg * (deg - 1) // 2
+        local = np.divide(sums, wedges, out=np.zeros(h.n), where=wedges > 0)
+        local.flags.writeable = False
+        h._clustered = (local, total, int(wedges.sum() - (shared[1] - 1).sum()))
+    return h._clustered
 
 
-def _scores(
-    h: Hypergraph, prefix: np.ndarray, cands: np.ndarray, off: np.ndarray, shared: Tuple[np.ndarray, np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scores(h: Hypergraph, shared: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(eo, row, vertex) for the distinct pairs (i, j), i < j, that _keys
     finds, ascending: eo[t] is the t-th pair's extra overlap, and vertex[s]
     an apex (ascending for each pair) at which pair row[s] was found. EO is
@@ -172,7 +168,7 @@ def _scores(
     of two integers, the float Python gives."""
     m, width = len(h.edges), max(h.n, 1)
     span = _KEY_LIMIT // width
-    found = _keys(h, prefix, cands, off, width, span)
+    found = _keys(h, width, span)
     eo, row, vertex = [np.empty(0)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for at in sorted({at for at, _ in found}):
         apex, far = _distinct(found.pop((at, True))), _distinct(found.pop((at, False)))
@@ -193,24 +189,28 @@ def _scores(
     return np.concatenate(eo), np.concatenate(row), np.concatenate(vertex)
 
 
-def _keys(
-    h: Hypergraph, prefix: np.ndarray, cands: np.ndarray, off: np.ndarray, width: int, span: int
-) -> Dict[Tuple[int, bool], np.ndarray]:
+def _keys(h: Hypergraph, width: int, span: int) -> Dict[Tuple[int, bool], np.ndarray]:
     """The triangle pass. At each apex v of each triangle {v, x, y} that
-    census._walk finds below the given nodes, each pair (i, j) of edges with
-    i in E(vx) \\ E(vy) and j in E(vy) \\ E(vx), E(ab) the run of edges
-    holding ab in the pair table, has the apex v and the far vertices x and
-    y. Each (p, vertex), p = i * m + j (i < j, m edges), is kept once as the
-    key (p % span) * width + vertex in window p // span, under (window,
-    whether an apex); a vertex is below width, so keys stay below
-    span * width for any m and n. An apex whose two runs are one and the
-    same edge is dropped first, and an edge in both runs (it holds the
-    whole triangle) from both sides."""
+    census._walk finds along the host's cached degree orientation, vertices
+    in fewer than two edges left out (no triangle through one yields a
+    pair), each pair (i, j) of edges with i in E(vx) \\ E(vy) and j in
+    E(vy) \\ E(vx), E(ab) the run of edges holding ab in the pair table,
+    has the apex v and the far vertices x and y. Each (p, vertex),
+    p = i * m + j (i < j, m edges), is kept once as the key
+    (p % span) * width + vertex in window p // span, under (window, whether
+    an apex); a vertex is below width, so keys stay below span * width for
+    any m and n. An apex whose two runs are one and the same edge is
+    dropped first, and an edge in both runs (it holds the whole triangle)
+    from both sides."""
     keys, offsets, ids = h._pair_table()
     m, count = len(h.edges), np.diff(offsets)
     solo = np.where(count == 1, ids[offsets[:-1]], -1)  # each pair's only edge, if one
+    order, starts, forward = h._orientation()
+    deg = _degrees(h)
+    kept = np.repeat(deg[order] > 1, np.diff(starts)) & (deg[forward] > 1)
+    off = np.concatenate(([0], np.cumsum(kept)))[starts]
     found = {}
-    for pre, w, o in _walk(keys, h.n, prefix, cands, off, 2):
+    for pre, w, o in _walk(keys, h.n, order[:, None], forward[kept], off, 2):
         r, u = np.repeat(pre, np.diff(o), axis=0).T
         ru = np.repeat(_at(h, pre[:, 0], pre[:, 1]), np.diff(o))
         rw = _at(h, r, w)
@@ -248,6 +248,11 @@ def _keys(
                         held.resize(len(held) + len(new), refcheck=False)
                         held[len(held) - len(new) :] = new
     return found
+
+
+def _degrees(h: Hypergraph) -> np.ndarray:
+    """The number of edges holding each vertex, as int64."""
+    return np.fromiter(map(len, h.incidence), np.int64, h.n)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ class Hypergraph:
     or an id outside 0..n-1, raises ValueError.
     """
 
-    __slots__ = ("n", "edges", "incidence", "_edge_set", "_neighbors", "_oriented", "_pairs")
+    __slots__ = ("n", "edges", "incidence", "_edge_set", "_neighbors", "_oriented", "_pairs", "_clustered")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()) -> None:
         n = _integer(n, "vertex count")
@@ -93,6 +93,7 @@ class Hypergraph:
         self._neighbors: Dict[int, frozenset] = {}
         self._oriented: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._pairs: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._clustered: Optional[Tuple[np.ndarray, float, int]] = None  # filled by clustering._clustering
 
     # -- basic accessors -------------------------------------------------
 

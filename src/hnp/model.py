@@ -23,8 +23,6 @@ from .errors import BudgetError, InputError, _integer
 __all__ = [
     "ProbSequence",
     "from_edge_counts",
-    "covering_weight",
-    "expected_covering_edges",
     "covering_probability",
     "sample",
     "DEFAULT_EDGE_BUDGET",
@@ -180,26 +178,6 @@ def from_edge_counts(n: int, counts: Mapping[int, int]) -> ProbSequence:
     if not numeric:
         numeric = {M: 0.0}
     return ProbSequence(M=M, numeric=numeric)
-
-
-def covering_weight(p: ProbSequence, n: int, r: int) -> float:
-    """Power-weighted tail sum p_r + n p_{r+1} + ... + n^(M-r) p_M.
-
-    Simple upper-bound surrogate for the expected number of edges covering
-    a fixed r-set; may exceed 1.
-    """
-    r = _check_r(p, r)
-    return sum(float(n) ** i * p.prob_at(r + i, n) for i in range(p.M - r + 1))
-
-
-def expected_covering_edges(p: ProbSequence, n: int, r: int) -> float:
-    """Binomial-weighted tail sum p_r + n p_{r+1} + C(n,2) p_{r+2} + ...
-
-    Leading-order expected number of edges containing a fixed r-set (the
-    binomials are in n, not n-r); may exceed 1.
-    """
-    r = _check_r(p, r)
-    return sum(math.comb(n, i) * p.prob_at(r + i, n) for i in range(p.M - r + 1))
 
 
 def covering_probability(p: ProbSequence, n: int, r: int) -> float:

@@ -79,8 +79,8 @@ def covering_weight_exponent(p: ProbSequence, r: int) -> Exponent:
     """Exact exponent of the covering-weight tail: max_i (i - alpha_{r+i});
     None (-infinity) when no level from r up is nonzero, as for r > M.
 
-    Shared by the power-weighted and binomial-weighted tails, which have
-    the same growth order.
+    The tail sum_i C(n, i) p_{r+i}, the expected number of edges covering a
+    fixed r-set to leading order, grows as n to this power.
     """
     return _dominant_level(p, r)[1]
 

@@ -6,6 +6,7 @@ import tracemalloc
 from dataclasses import replace
 from importlib import import_module
 from itertools import combinations, islice
+from math import comb
 
 import numpy as np
 import pytest
@@ -253,6 +254,22 @@ class TestCensus:
         p = from_edge_counts(100, {2: 10, 3: 5, 4: 3, 5: 2})
         with pytest.raises(InputError, match="cap must be >= 0, got -1"):
             census(h, 4, p, n=100, cap=-1)
+
+    def test_cap_below_one_edge_raises_before_the_walk(self, monkeypatch):
+        # every 3-subset of the 30-vertex edge is a clique
+        def no_walk(*args):
+            raise AssertionError("the clique walk started")
+
+        monkeypatch.setattr(census_mod, "_walk", no_walk)
+        h = Hypergraph(30, [range(30)])
+        p = from_edge_counts(100, {2: 10, 3: 5})
+        with pytest.raises(CliqueCapError, match="cap of 4059 cliques"):
+            census(h, 3, p, n=100, cap=comb(30, 3) - 1)
+
+    def test_cap_at_one_edge_lists_it(self):
+        h = Hypergraph(30, [range(30)])
+        p = from_edge_counts(100, {2: 10, 3: 5})
+        assert census(h, 3, p, n=100, cap=comb(30, 3)).total_cliques == 4060
 
     def test_k_read_as_an_integer(self):
         h = Hypergraph(5, [(0, 1, 2, 3, 4)])

@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from importlib import import_module
 from itertools import combinations
 
 import numpy as np
@@ -16,8 +17,9 @@ from hnp import (
     hc_local,
     intersecting_pairs,
 )
-from util import oracle_graph_cc, random_hypergraph
+from util import brute_hc_local, oracle_graph_cc, random_hypergraph
 
+clustering_mod = import_module("hnp.clustering")
 TRIANGLE = Hypergraph(3, [(0, 1), (1, 2), (0, 2)])
 
 
@@ -103,10 +105,33 @@ class TestHcLocal:
         path = Hypergraph(3, [(0, 1), (1, 2)])
         assert hc_local(path, 1) == 0.0
 
+    def test_one_pass_per_host(self, monkeypatch):
+        # two 12-vertex edges among 150 edges of 2 to 4 vertices: every
+        # hc_local call and the report read the host's one pass
+        rng = random.Random(26)
+        n = 60
+        edges = [rng.sample(range(n), 12) for _ in range(2)]
+        edges += [rng.sample(range(n), rng.randint(2, 4)) for _ in range(150)]
+        h = Hypergraph(n, edges)
+        calls, scores = [], clustering_mod._scores
+        monkeypatch.setattr(clustering_mod, "_scores", lambda *args: calls.append(args) or scores(*args))
+        local = [hc_local(h, v) for v in range(h.n)]
+        assert len(calls) == 1
+        clustering_report(h)
+        assert len(calls) == 1
+        assert local == [brute_hc_local(h, v) for v in range(h.n)]
+        assert all(type(x) is float for x in local)
+
     @pytest.mark.parametrize("v", [-1, -3, 3, 10])
     def test_vertex_outside_range_rejected(self, v):
         with pytest.raises(ValueError, match="outside 0..2"):
             hc_local(TRIANGLE, v)
+
+    def test_vertex_checked_before_the_pass(self):
+        h = Hypergraph(3, [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(ValueError, match="vertex 3 outside 0..2"):
+            hc_local(h, 3)
+        assert h._clustered is None
 
     @pytest.mark.parametrize("v", [1.5, True])
     def test_vertex_must_be_an_integer(self, v):

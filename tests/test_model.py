@@ -13,8 +13,6 @@ from hnp import (
     InputError,
     ProbSequence,
     covering_probability,
-    covering_weight,
-    expected_covering_edges,
     from_edge_counts,
     sample,
 )
@@ -151,58 +149,28 @@ class TestCoveringFunctionals:
     @pytest.mark.parametrize("r", [2.5, True, "2"])
     def test_size_must_be_an_integer(self, r):
         p = ProbSequence(M=3, numeric={2: 0.1, 3: 0.01})
-        for fn in (covering_probability, covering_weight, expected_covering_edges):
-            with pytest.raises(InputError, match=f"size must be an integer, got {r!r}"):
-                fn(p, 10, r)
+        with pytest.raises(InputError, match=f"size must be an integer, got {r!r}"):
+            covering_probability(p, 10, r)
 
     def test_size_read_as_an_integer(self):
         p = ProbSequence(M=3, numeric={2: 0.1, 3: 0.01})
-        for fn in (covering_probability, covering_weight, expected_covering_edges):
-            assert fn(p, 10, np.int64(2)) == fn(p, 10, 2)
+        assert covering_probability(p, 10, np.int64(2)) == covering_probability(p, 10, 2)
         with pytest.raises(InputError, match="size 4 outside 1..M=3"):
             covering_probability(p, 10, np.int64(4))
-
-    def test_top_level_is_plain_probability(self):
-        p = ProbSequence(M=3, numeric={3: 0.125})
-        assert covering_weight(p, 50, 3) == 0.125
-        assert expected_covering_edges(p, 50, 3) == 0.125
-
-    def test_powerlaw_single_surviving_term(self):
-        p = ProbSequence(M=3, powerlaw={3: (1.0, Fraction(5, 2))})
-        assert covering_weight(p, 100, 1) == pytest.approx(0.1, rel=1e-12)
-
-    def test_bench_covering_weight_r2(self, bench):
-        n = BENCH_N
-        want = (
-            bench.numeric[2]
-            + n * bench.numeric[3]
-            + n**2 * bench.numeric[4]
-            + n**3 * bench.numeric[5]
-        )
-        assert covering_weight(bench, n, 2) == pytest.approx(want, rel=1e-12)
 
     def test_bench_covering_r2_matches_reference(self, bench):
         # reference value derived from the published origination ratios
         assert covering_probability(bench, BENCH_N, 2) == pytest.approx(Q2_REF, rel=5e-3)
-        assert expected_covering_edges(bench, BENCH_N, 2) == pytest.approx(1.90e-3, rel=5e-3)
 
     def test_bench_covering_r3_matches_reference(self, bench):
         assert covering_probability(bench, BENCH_N, 3) == pytest.approx(Q3_REF, rel=5e-3)
-        assert expected_covering_edges(bench, BENCH_N, 3) == pytest.approx(5.56e-7, rel=5e-3)
-
-    def test_probability_tracks_expected_count_when_small(self, bench):
-        # asymptotic agreement: within 0.2% at these densities
-        for r in (2, 3, 4, 5):
-            q = covering_probability(bench, BENCH_N, r)
-            ec = expected_covering_edges(bench, BENCH_N, r)
-            assert q == pytest.approx(ec, rel=2e-3)
 
     def test_ordering_invariants_on_bench(self, bench):
+        # the union bound: q is at most the expected number of edges
+        # covering the set, sum_j C(n - r, j - r) p_j
         for r in range(1, 6):
-            cw = covering_weight(bench, BENCH_N, r)
-            ec = expected_covering_edges(bench, BENCH_N, r)
+            ec = sum(math.comb(BENCH_N - r, j - r) * bench.prob_at(j, BENCH_N) for j in range(r, 6))
             q = covering_probability(bench, BENCH_N, r)
-            assert ec <= cw <= math.factorial(5 - r) * ec + 1e-15
             assert q <= min(1.0, ec) + 1e-15
 
     def test_all_zero_gives_zero(self):
@@ -222,7 +190,7 @@ class TestCoveringFunctionals:
 
     def test_out_of_range_r(self, bench):
         with pytest.raises(InputError):
-            covering_weight(bench, BENCH_N, 6)
+            covering_probability(bench, BENCH_N, 6)
 
 
 class TestSample:
