@@ -13,7 +13,6 @@ aut(pattern) is always an integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from operator import ge
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -279,64 +278,186 @@ def automorphism_count(h: Hypergraph) -> int:
 # -- canonical forms -----------------------------------------------------
 
 
+def _colour_classes(h: Hypergraph, active: List[int]) -> List[List[int]]:
+    """The active vertices split by a short degree/size refinement, classes
+    in sorted colour order. A vertex starts with the colour (degree, sorted
+    sizes of its edges); a round gives it (rank of its colour, sorted ranks
+    of its neighbours' colours), and at most two rounds run, the second only
+    if the first split a class. Colours are kept as their dense ranks, which
+    sort as the colours do."""
+    edges, inc = h.edges, h.incidence
+    nbrs: List[set] = [set() for _ in range(h.n)]
+    for e in edges:
+        for v in e:
+            nbrs[v].update(e)
+    # edges are sorted by size, so an incidence list runs in ascending size
+    colors = [(len(inc[v]), tuple([len(edges[i]) for i in inc[v]])) for v in active]
+    rank = [0] * h.n
+    count = 0
+    for step in range(3):  # the start, then at most two rounds
+        order = {c: i for i, c in enumerate(sorted(set(colors)))}
+        for v, c in zip(active, colors):
+            rank[v] = order[c]
+        if len(order) == count:  # the round split no class
+            break
+        count = len(order)
+        if step < 2:
+            colors = [(rank[v], tuple(sorted([rank[u] for u in nbrs[v] if u != v]))) for v in active]
+
+    classes: List[List[int]] = [[] for _ in range(count)]
+    for v in active:
+        classes[rank[v]].append(v)
+    return classes
+
+
+def _twin_classes(h: Hypergraph, classes: List[List[int]]) -> List[List[List[int]]]:
+    """Each class split into twin classes, in class order: u and w are twins
+    when the transposition (u w) maps the edge set onto itself. That
+    relation is an equivalence, so each vertex is tested against the first
+    member of each twin class found so far."""
+    if all(len(group) == 1 for group in classes):
+        return [[group] for group in classes]
+    inc = h.incidence
+    masks = [sum(1 << v for v in e) for e in h.edges]
+    present = set(masks)
+
+    def moves(u: int, w: int) -> bool:
+        # every edge holding u but not w is an edge again with w for u
+        bu, bw = 1 << u, 1 << w
+        return all(m & bw or m ^ bu ^ bw in present for m in [masks[i] for i in inc[u]])
+
+    out: List[List[List[int]]] = []
+    for group in classes:
+        found: List[List[int]] = []
+        for v in group:
+            for tw in found:
+                if moves(tw[0], v) and moves(v, tw[0]):
+                    tw.append(v)
+                    break
+            else:
+                found.append([v])
+        out.append(found)
+    return out
+
+
 def canonical_form(h: Hypergraph) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     """Canonical key (n, relabelled edges): equal iff hypergraphs isomorphic.
 
-    Brute force over vertex orderings restricted to color classes from a short
-    degree/size refinement; isolated vertices never need permuting. The
-    classes take consecutive blocks of labels in sorted color order, and
-    each labelling permutes every class within its block.
+    The relabelled edges are the minimum, over the labellings of the active
+    vertices that give each colour class of a short degree/size refinement
+    a consecutive block of labels (blocks in sorted colour order), of the
+    edges relabelled and sorted by (size, tuple); isolated vertices get no
+    label. The minimum is found by a depth-first branch and bound (McKay &
+    Piperno, Practical graph isomorphism II, 2014) that hands out labels
+    0, 1, 2, ... in order, each to a vertex of its slot's class:
+    - an edge's relabelled tuple is at least its placed labels followed by
+      L, L+1, ... for its unplaced vertices, L the next label, so the k-th
+      least edge of any labelling below a node is at least the k-th least
+      bound; a child whose sorted bounds are not below the best key so far
+      is cut, and the others are tried in ascending order of their bounds;
+    - of twins, vertices whose transposition is an automorphism, only one
+      is tried at each node, since their subtrees are images of each other
+      (K_n, K_{a,b} and a single edge take one descent);
+    - a step left with one twin class to choose from is taken without a
+      bound, and so is a child whose steps below are all of that kind.
     """
     active = [v for v in range(h.n) if h.incidence[v]]
     if not active:
         return (h.n, ())
-    colors: Dict[int, tuple] = {
-        v: (
-            len(h.incidence[v]),
-            tuple(sorted((len(h.edges[i]) for i in h.incidence[v]))),
-        )
-        for v in active
-    }
-    for _ in range(2):
-        ranks = {c: i for i, c in enumerate(sorted(set(colors.values())))}
-        refined = {
-            v: (
-                ranks[colors[v]],
-                tuple(sorted(ranks[colors[u]] for u in h.neighbors(v))),
-            )
-            for v in active
-        }
-        stable = len(set(refined.values())) == len(set(colors.values()))
-        colors = refined
-        if stable:
-            break
+    inc = h.incidence
+    sizes = [len(e) for e in h.edges]
 
-    groups: Dict[tuple, List[int]] = {}
-    for v in active:
-        groups.setdefault(colors[v], []).append(v)
-    classes = [groups[c] for c in sorted(groups)]
+    # per label: the vertex it goes to when its class is one twin class
+    # (static), else None and the ids of the class's twin classes; twins are
+    # placed in list order, so taken[t] counts the placed members of
+    # twins[t]; ends[label] is the end of the block of label's class
+    static: List[Optional[int]] = []
+    slots: List[List[int]] = []
+    ends: List[int] = []
+    twins: List[List[int]] = []
+    for found in _twin_classes(h, _colour_classes(h, active)):
+        size = sum(map(len, found))
+        if len(found) == 1:
+            static.extend(found[0])
+            slots.extend([[]] * size)
+        else:
+            static.extend([None] * size)
+            slots.extend([list(range(len(twins), len(twins) + len(found)))] * size)
+            twins.extend(found)
+        ends.extend([len(static)] * size)
+    taken = [0] * len(twins)
+    last = len(active)
+    settled = [False] * last + [True]  # every label from here on is static
+    for label in reversed(range(last)):
+        settled[label] = static[label] is not None and settled[label + 1]
 
-    label = [0] * h.n
+    # labels are handed out in ascending order, so each edge's list of
+    # placed labels stays sorted; an edge is keyed as (size, *labels), whose
+    # plain tuple order is the key's (size, tuple) order
+    placed: List[List[int]] = [[] for _ in sizes]
+    best: List[Tuple[int, ...]] = []  # the least sorted key so far
 
-    # depth first: itertools.product would hold every permutation of each
-    # class in memory (42 MB for C9, about 0.5 GB for C10)
-    def relabellings(ci: int, base: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
-        """The sorted relabelled edges under each labelling that gives the
-        classes from ci on the labels from base on, class by class."""
-        if ci == len(classes):
-            yield tuple(
-                sorted(
-                    (tuple(sorted(label[v] for v in e)) for e in h.edges),
-                    key=lambda t: (len(t), t),
+    def search(label: int) -> None:
+        nonlocal best
+        forced: List[int] = []
+        picked: List[int] = []
+        while label < last:
+            v = static[label]
+            if v is None:
+                options = [t for t in slots[label] if taken[t] < len(twins[t])]
+                if len(options) > 1:
+                    break
+                t = options[0]
+                v = twins[t][taken[t]]
+                taken[t] += 1
+                picked.append(t)
+            for i in inc[v]:
+                placed[i].append(label)
+            forced.append(v)
+            label += 1
+        if label == last:
+            key = sorted([(s, *p) for s, p in zip(sizes, placed)])
+            if not best or key < best:
+                best = key
+        else:
+            # a child whose class is left with one twin class, before only
+            # static labels, is a single leaf: it is searched unbounded
+            nxt = label + 1
+            tail = settled[ends[label]]
+            ranked = []
+            for t in options:
+                v = twins[t][taken[t]]
+                if tail and len(options) - (taken[t] + 1 == len(twins[t])) <= 1:
+                    ranked.append(([], t))
+                    continue
+                for i in inc[v]:
+                    placed[i].append(label)
+                ranked.append(
+                    (sorted([(s, *p, *range(nxt, nxt + s - len(p))) for s, p in zip(sizes, placed)]), t)
                 )
-            )
-            return
-        for perm in permutations(classes[ci]):
-            for i, v in enumerate(perm, base):
-                label[v] = i
-            yield from relabellings(ci + 1, base + len(perm))
+                for i in inc[v]:
+                    placed[i].pop()
+            ranked.sort()
+            for bound, t in ranked:
+                if bound and best and bound >= best:
+                    break
+                v = twins[t][taken[t]]
+                for i in inc[v]:
+                    placed[i].append(label)
+                taken[t] += 1
+                search(nxt)
+                taken[t] -= 1
+                for i in inc[v]:
+                    placed[i].pop()
+        for t in picked:
+            taken[t] -= 1
+        for v in forced:
+            for i in inc[v]:
+                placed[i].pop()
 
-    return (h.n, min(relabellings(0, 0)))
+    search(0)
+    del search  # the closure refers to itself: drop the cycle now
+    return (h.n, tuple(t[1:] for t in best))
 
 
 def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> bool:

@@ -284,7 +284,14 @@ def is_subedge_system(h1: Hypergraph, h2: Hypergraph) -> bool:
     subgraph), up to injective vertex identification."""
     if h1.n > MAX_SUBEDGE_VERTICES or h2.n > MAX_SUBEDGE_VERTICES:
         raise GuardError(f"guard is {MAX_SUBEDGE_VERTICES} vertices")
-    if h1.n > h2.n or len(h1.edges) > len(h2.edges):
+    # each h1-edge needs its own h2-edge at least as large, so the k-th
+    # largest h1-edge is at most the k-th largest h2-edge; edges come
+    # sorted by size
+    if (
+        h1.n > h2.n
+        or len(h1.edges) > len(h2.edges)
+        or any(len(f) > len(e) for f, e in zip(reversed(h1.edges), reversed(h2.edges)))
+    ):
         return False
     if not h1.edges:
         return True

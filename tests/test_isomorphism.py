@@ -12,6 +12,7 @@ from hnp import (
     Hypergraph,
     InputError,
     automorphism_count,
+    canonical_form,
     find_strong_copies,
     find_weak_copies,
     from_edge_counts,
@@ -198,6 +199,65 @@ class TestIsomorphic:
             rng.shuffle(perm)
             relabelled = Hypergraph(h.n, [[perm[v] for v in e] for e in h.edges])
             assert is_isomorphic(h, relabelled)
+
+
+def _cycle(n: int, start: int = 0) -> list:
+    return [(start + i, start + (i + 1) % n) for i in range(n)]
+
+
+def _petersen() -> Hypergraph:
+    outer = _cycle(5)
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Hypergraph(10, outer + inner + [(i, i + 5) for i in range(5)])
+
+
+SYMMETRIC = {
+    "C10": Hypergraph(10, _cycle(10)),
+    "C12": Hypergraph(12, _cycle(12)),
+    "K8": Hypergraph(8, combinations(range(8), 2)),
+    "K12": Hypergraph(12, combinations(range(12), 2)),
+    "Petersen": _petersen(),
+    "Q3": Hypergraph(8, [(a, b) for a, b in combinations(range(8), 2) if bin(a ^ b).count("1") == 1]),
+    "K6,6": Hypergraph(12, [(a, b) for a in range(6) for b in range(6, 12)]),
+    "Fano": Hypergraph(
+        7, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+    ),
+    "edge12": Hypergraph(12, [range(12)]),
+}
+
+
+class TestCanonicalForm:
+    """Inputs with large colour classes: cycles, vertex-transitive graphs,
+    twins (K_n, K_{a,b}, one big edge) and a projective plane. A walk over
+    every labelling of each class would take about a minute for C10 and
+    hours for each 12-vertex input."""
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC))
+    def test_ignores_labels(self, name):
+        h = SYMMETRIC[name]
+        perm = list(range(h.n))
+        random.Random(27).shuffle(perm)
+        relabelled = Hypergraph(h.n, [[perm[v] for v in e] for e in h.edges])
+        key = canonical_form(h)
+        assert canonical_form(relabelled) == key
+        assert key[0] == h.n
+        assert sorted(map(len, key[1])) == sorted(map(len, h.edges))
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_complete_graph_key(self, n):
+        # every labelling of K_n gives the same edges
+        assert canonical_form(SYMMETRIC[f"K{n}"]) == (n, tuple(combinations(range(n), 2)))
+
+    def test_single_edge_key(self):
+        assert canonical_form(SYMMETRIC["edge12"]) == (12, (tuple(range(12)),))
+
+    def test_c10_is_not_two_c5(self):
+        # equal degree and edge-size profiles: only the canonical form tells
+        # them apart
+        c10 = SYMMETRIC["C10"]
+        two_c5 = Hypergraph(10, _cycle(5) + _cycle(5, 5))
+        assert canonical_form(c10) != canonical_form(two_c5)
+        assert not is_isomorphic(c10, two_c5)
 
 
 def _digest(lines) -> str:

@@ -4,7 +4,7 @@ the oracles in util.py and against networkx, on random small hypergraphs."""
 
 from collections import Counter
 from importlib import import_module
-from itertools import combinations
+from itertools import combinations, product
 
 import networkx as nx
 import numpy as np
@@ -485,11 +485,47 @@ def test_automorphism_count_matches_oracle(h):
     assert automorphism_count(h) == brute_aut(h)
 
 
-@settings(deadline=None)
-@given(hypergraphs(max_n=7), st.data())
-def test_canonical_form_matches_oracle_and_ignores_labels(h, data):
+@st.composite
+def twin_blowups(draw):
+    """Hypergraphs on at most 7 vertices with twins: each vertex of a base
+    hypergraph is blown up into a group of 1 to 3 vertices, and each base
+    edge becomes either one edge holding every group it meets or every edge
+    holding one vertex of each of them. Either way, the transposition of two
+    vertices of one group maps the edges onto themselves. The ids are then
+    shuffled, so a group is not a run of ids."""
+    groups = []
+    n = 0
+    for _ in range(draw(st.integers(1, 4))):
+        if n == 7:
+            break
+        size = draw(st.integers(1, min(3, 7 - n)))
+        groups.append(range(n, n + size))
+        n += size
+    edges = []
+    for base in draw(st.lists(st.sets(st.sampled_from(groups), min_size=1), min_size=1, max_size=5)):
+        if draw(st.booleans()):
+            edges.append([v for g in base for v in g])
+        else:
+            edges.extend(product(*base))
+    perm = draw(st.permutations(range(n)))
+    return Hypergraph(n, [[perm[v] for v in e] for e in edges])
+
+
+def _canonical_form_agrees(h, data):
     key = canonical_form(h)
     assert key == brute_canonical_form(h)
     perm = data.draw(st.permutations(range(h.n)))
     relabelled = Hypergraph(h.n, [[perm[v] for v in e] for e in h.edges])
     assert canonical_form(relabelled) == key
+
+
+@settings(deadline=None)
+@given(hypergraphs(max_n=7), st.data())
+def test_canonical_form_matches_oracle_and_ignores_labels(h, data):
+    _canonical_form_agrees(h, data)
+
+
+@settings(deadline=None)
+@given(twin_blowups(), st.data())
+def test_canonical_form_with_twins_matches_oracle_and_ignores_labels(h, data):
+    _canonical_form_agrees(h, data)

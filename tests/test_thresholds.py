@@ -3,6 +3,7 @@ import json
 import random
 import time
 from fractions import Fraction as F
+from importlib import import_module
 from itertools import combinations
 
 import numpy as np
@@ -271,6 +272,29 @@ class TestSubedgeSystems:
     def test_edge_matching_is_injective(self):
         # three 2-edges cannot all shrink out of one 3-edge
         assert not is_subedge_system(TRIANGLE, Hypergraph(3, [(0, 1, 2)]))
+
+    def test_edge_sizes_decide_before_the_search(self, monkeypatch):
+        # each h1-edge needs its own h2-edge at least as large, so the k-th
+        # largest h1-edge must fit in the k-th largest h2-edge; where one
+        # does not, no embedding is searched for
+        def refuse(*args, **kwargs):
+            raise AssertionError("_embeddings called")
+
+        monkeypatch.setattr(import_module("hnp.thresholds"), "_embeddings", refuse)
+        misfits = [
+            # two 3-edges against one 3-edge and three 2-edges
+            (Hypergraph(4, [(0, 1, 2), (1, 2, 3)]), Hypergraph(5, [(0, 1, 2), (0, 3), (3, 4), (1, 4)])),
+            # a 4-edge against three 3-edges
+            (Hypergraph(4, [(0, 1, 2, 3)]), Hypergraph(4, [(0, 1, 2), (1, 2, 3), (0, 2, 3)])),
+            # more h1-edges than h2-edges
+            (TRIANGLE, Hypergraph(3, [(0, 1, 2)])),
+        ]
+        for h1, h2 in misfits:
+            assert not brute_is_subedge(h1, h2)
+            assert not is_subedge_system(h1, h2)
+        # sizes that fit go on to the search
+        with pytest.raises(AssertionError, match="_embeddings called"):
+            is_subedge_system(Hypergraph(3, [(0, 1), (0, 1, 2)]), Hypergraph(4, [(0, 1, 2), (1, 2, 3)]))
 
     def test_vertex_guard(self):
         # the search engine itself accepts 12 vertices; subedge systems stop at 10
