@@ -286,10 +286,6 @@ def _colour_classes(h: Hypergraph, active: List[int]) -> List[List[int]]:
     if the first split a class. Colours are kept as their dense ranks, which
     sort as the colours do."""
     edges, inc = h.edges, h.incidence
-    nbrs: List[set] = [set() for _ in range(h.n)]
-    for e in edges:
-        for v in e:
-            nbrs[v].update(e)
     # edges are sorted by size, so an incidence list runs in ascending size
     colors = [(len(inc[v]), tuple([len(edges[i]) for i in inc[v]])) for v in active]
     rank = [0] * h.n
@@ -302,7 +298,7 @@ def _colour_classes(h: Hypergraph, active: List[int]) -> List[List[int]]:
             break
         count = len(order)
         if step < 2:
-            colors = [(rank[v], tuple(sorted([rank[u] for u in nbrs[v] if u != v]))) for v in active]
+            colors = [(rank[v], tuple(sorted([rank[u] for u in h.neighbors(v)]))) for v in active]
 
     classes: List[List[int]] = [[] for _ in range(count)]
     for v in active:
@@ -359,7 +355,7 @@ def canonical_form(h: Hypergraph) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
       is tried at each node, since their subtrees are images of each other
       (K_n, K_{a,b} and a single edge take one descent);
     - a step left with one twin class to choose from is taken without a
-      bound, and so is a child whose steps below are all of that kind.
+      bound.
     """
     active = [v for v in range(h.n) if h.incidence[v]]
     if not active:
@@ -370,10 +366,9 @@ def canonical_form(h: Hypergraph) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     # per label: the vertex it goes to when its class is one twin class
     # (static), else None and the ids of the class's twin classes; twins are
     # placed in list order, so taken[t] counts the placed members of
-    # twins[t]; ends[label] is the end of the block of label's class
+    # twins[t]
     static: List[Optional[int]] = []
     slots: List[List[int]] = []
-    ends: List[int] = []
     twins: List[List[int]] = []
     for found in _twin_classes(h, _colour_classes(h, active)):
         size = sum(map(len, found))
@@ -384,12 +379,8 @@ def canonical_form(h: Hypergraph) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
             static.extend([None] * size)
             slots.extend([list(range(len(twins), len(twins) + len(found)))] * size)
             twins.extend(found)
-        ends.extend([len(static)] * size)
     taken = [0] * len(twins)
     last = len(active)
-    settled = [False] * last + [True]  # every label from here on is static
-    for label in reversed(range(last)):
-        settled[label] = static[label] is not None and settled[label + 1]
 
     # labels are handed out in ascending order, so each edge's list of
     # placed labels stays sorted; an edge is keyed as (size, *labels), whose
@@ -420,16 +411,10 @@ def canonical_form(h: Hypergraph) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
             if not best or key < best:
                 best = key
         else:
-            # a child whose class is left with one twin class, before only
-            # static labels, is a single leaf: it is searched unbounded
             nxt = label + 1
-            tail = settled[ends[label]]
             ranked = []
             for t in options:
                 v = twins[t][taken[t]]
-                if tail and len(options) - (taken[t] + 1 == len(twins[t])) <= 1:
-                    ranked.append(([], t))
-                    continue
                 for i in inc[v]:
                     placed[i].append(label)
                 ranked.append(
@@ -439,7 +424,7 @@ def canonical_form(h: Hypergraph) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
                     placed[i].pop()
             ranked.sort()
             for bound, t in ranked:
-                if bound and best and bound >= best:
+                if best and bound >= best:
                     break
                 v = twins[t][taken[t]]
                 for i in inc[v]:

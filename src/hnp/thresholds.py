@@ -322,12 +322,20 @@ def minimal_two_section_covers(g: Graph) -> List[Hypergraph]:
 
     Candidate hyperedges are the "closed" vertex subsets (equal to the
     union of the g-edges they contain). Covers are enumerated by branching
-    on the first uncovered g-edge, and only into irredundant partial covers
-    (every member covers a g-edge no other member covers); subsets of an
-    irredundant cover are irredundant, so exactly the irredundant covers
-    are reached. They are reduced modulo isomorphism, each class
-    represented by the first of its covers the branching reaches, and
-    filtered by subedge domination. Classes come in canonical-form order.
+    on the first uncovered g-edge, into the candidates holding it (by size,
+    then lexicographically), and only into partial covers whose every
+    member is the union of its private g-edges (those no other member
+    covers). The rule is exact. If a member c is not, the union U of its
+    private g-edges is closed and a proper subset of c; swapping c for U
+    gives a cover that is a subedge system of this one and not isomorphic
+    to it, and an irredundant sub-cover of that one dominates this cover's
+    class. Private sets only shrink as members are added, so every cover
+    below a failing node fails too, and every cover of a minimal class
+    passes at each node on its path. The covers are reduced modulo
+    isomorphism, each class represented by the first of its covers the
+    branching reaches, and filtered by subedge domination, which is
+    transitive, so the classes kept are those the full search keeps.
+    Classes come in canonical-form order.
     """
     if not g.is_uniform(2):
         raise InputError("2-section cover search needs a 2-uniform input")
@@ -335,45 +343,45 @@ def minimal_two_section_covers(g: Graph) -> List[Hypergraph]:
         raise GuardError(f"{g.n} vertices, guard is {MAX_COVER_VERTICES}")
     if any(not g.incidence[v] for v in range(g.n)):
         raise InputError("input graph must have no isolated vertices")
-    pairs = [set(e) for e in g.edges]
-    m = len(pairs)
+    # g-edges as vertex bitmasks; a set of g-edges is a bitmask over their
+    # ids, and span[s] is the union of the g-edges in s (2^15 entries for K6)
+    pairs = [sum(1 << v for v in e) for e in g.edges]
+    span = [0]
+    for pr in pairs:
+        span += [s | pr for s in span]
 
-    candidates: List[Tuple[Tuple[int, ...], frozenset]] = []  # (edge, covered edge ids)
-    verts = list(range(g.n))
+    candidates: List[Tuple[int, ...]] = []
+    holds: List[int] = []  # the g-edges each candidate holds
     for size in range(2, g.n + 1):
-        for sub in combinations(verts, size):
-            s = set(sub)
-            covered = frozenset(i for i, pr in enumerate(pairs) if pr <= s)
-            if not covered:
-                continue
-            union = set()
-            for i in covered:
-                union |= pairs[i]
-            if union == s:
-                candidates.append((sub, covered))
+        for sub in combinations(range(g.n), size):
+            s = sum(1 << v for v in sub)
+            held = sum(1 << i for i, pr in enumerate(pairs) if pr & s == pr)
+            if held and span[held] == s:
+                candidates.append(sub)
+                holds.append(held)
+    by_edge = [[c for c, held in enumerate(holds) if held >> i & 1] for i in range(len(pairs))]
 
-    all_edges = frozenset(range(m))
+    all_edges = (1 << len(pairs)) - 1
     covers: Dict[frozenset, None] = {}  # insertion-ordered: first reached first
 
-    def rec(chosen: Tuple[int, ...], covered: frozenset, once: frozenset) -> None:
-        """once: the g-edges covered by exactly one member of chosen. A new
-        member covers the uncovered target, so it always has a g-edge of
-        its own and is never in chosen already."""
+    def rec(chosen: Tuple[int, ...], covered: int, once: int) -> None:
+        """once: the g-edges covered by exactly one member of chosen."""
         if covered == all_edges:
             covers[frozenset(chosen)] = None
             return
-        target = min(all_edges - covered)
-        for ci, (_, cov) in enumerate(candidates):
-            if target in cov:
-                once2 = (once - cov) | (cov - covered)
-                if all(candidates[c][1] & once2 for c in chosen):
-                    rec(chosen + (ci,), covered | cov, once2)
+        target = (covered + 1 & ~covered).bit_length() - 1  # the first uncovered g-edge
+        for ci in by_edge[target]:
+            held = holds[ci]
+            once2 = once & ~held | held & ~covered
+            nxt = chosen + (ci,)
+            if all(span[holds[c] & once2] == span[holds[c]] for c in nxt):
+                rec(nxt, covered | held, once2)
 
-    rec((), frozenset(), frozenset())
+    rec((), 0, 0)
 
     reps: Dict[tuple, Hypergraph] = {}
     for cover in covers:
-        hyp = Hypergraph._normalised(g.n, [candidates[ci][0] for ci in cover])
+        hyp = Hypergraph._normalised(g.n, [candidates[ci] for ci in cover])
         reps.setdefault(canonical_form(hyp), hyp)
 
     # distinct classes are not isomorphic, and two hypergraphs on g.n

@@ -32,8 +32,16 @@ from util import (
 
 
 def _graph_classes():
-    """The 33 graph classes on 2..5 vertices, then C6."""
-    return graph_classes() + [Graph(6, [(i, (i + 1) % 6) for i in range(6)])]
+    """The 33 graph classes on 2..5 vertices, then C6, P6, the star K1,5,
+    K4 with a pendant path of two edges, and two triangles joined by an
+    edge."""
+    return graph_classes() + [
+        Graph(6, [(i, (i + 1) % 6) for i in range(6)]),
+        Graph(6, [(i, i + 1) for i in range(5)]),
+        Graph(6, [(0, i) for i in range(1, 6)]),
+        Graph(6, list(combinations(range(4), 2)) + [(3, 4), (4, 5)]),
+        Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]),
+    ]
 
 
 @pytest.mark.parametrize("g", _graph_classes(), ids=lambda g: str(g.edges))

@@ -396,8 +396,34 @@ class TestMinimalCovers:
         with pytest.raises(InputError):
             minimal_two_section_covers(Graph(3, [(0, 1)]))
 
+    def test_only_covers_that_can_be_minimal_are_canonicalised(self, monkeypatch):
+        # the branching keeps a partial cover only if every member is the
+        # union of its private g-edges (those no other member covers); a
+        # cover that fails is dominated, so it never reaches canonical_form
+        # (the irredundancy test alone lets 549 K5 covers and 430 C6 covers
+        # through)
+        thresholds = import_module("hnp.thresholds")
+        original, calls = thresholds.canonical_form, []
+
+        def counting(h):
+            calls.append(h)
+            return original(h)
+
+        monkeypatch.setattr(thresholds, "canonical_form", counting)
+        k5 = Graph(5, combinations(range(5), 2))
+        covers = minimal_two_section_covers(k5)
+        assert len(calls) == 167
+        for cover in covers:
+            for e in cover.edges:
+                others = [set(o) for o in cover.edges if o != e]
+                private = [set(f) for f in k5.edges if set(f) <= set(e) and not any(set(f) <= o for o in others)]
+                assert set().union(*private) == set(e)
+        calls.clear()
+        minimal_two_section_covers(Graph(6, [(i, (i + 1) % 6) for i in range(6)]))
+        assert len(calls) == 68
+
     def test_k7_guard(self):
-        # K6 takes tens of seconds; K7 would not finish
+        # K6 takes about a second; K7 takes minutes
         with pytest.raises(GuardError, match="7 vertices, guard is 6"):
             minimal_two_section_covers(Graph(7, combinations(range(7), 2)))
 
