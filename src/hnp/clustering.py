@@ -76,8 +76,7 @@ def intersecting_pairs(h: Hypergraph) -> Iterator[Tuple[int, int]]:
     """All unordered pairs of distinct edges sharing a vertex, each exactly
     once: a pair is emitted at its smallest common vertex."""
     edge_sets = [set(e) for e in h.edges]
-    for v in range(h.n):
-        ids = h.incidence[v]
+    for v, ids in enumerate(h.incidence):
         for i, j in combinations(ids, 2):
             common = edge_sets[i] & edge_sets[j]
             if min(common) == v:
@@ -110,7 +109,7 @@ def graph_cc(g: Hypergraph) -> Tuple[Optional[float], Optional[float]]:
     and hc_global is C', both to the bit: every sum is of whole numbers."""
     if not g.is_uniform(2):
         raise ValueError("graph clustering needs a 2-uniform input")
-    eligible = np.flatnonzero(_degrees(g) > 1)
+    eligible = np.flatnonzero(g._degrees() > 1)
     if not len(eligible):
         return None, None
     local, total, n_pairs = _clustering(g)
@@ -147,11 +146,10 @@ def _clustering(h: Hypergraph) -> Tuple[np.ndarray, float, int]:
     vertex, i, j) order, as intersecting_pairs lists them, each added left
     to right."""
     if h._clustered is None:
-        shared = _shared(h)
-        eo, row, vertex = _scores(h, shared)
+        shared, deg = _shared(h), h._degrees()
+        eo, row, vertex = _scores(h, shared, deg)
         total = float(np.cumsum(eo[np.argsort(vertex[_starts(row)], kind="stable")])[-1]) if len(eo) else 0.0
         sums = _left_sums(eo[row[np.lexsort((row, vertex))]], np.bincount(vertex, minlength=h.n))
-        deg = _degrees(h)
         wedges = deg * (deg - 1) // 2
         local = np.divide(sums, wedges, out=np.zeros(h.n), where=wedges > 0)
         local.flags.writeable = False
@@ -159,16 +157,19 @@ def _clustering(h: Hypergraph) -> Tuple[np.ndarray, float, int]:
     return h._clustered
 
 
-def _scores(h: Hypergraph, shared: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scores(
+    h: Hypergraph, shared: Tuple[np.ndarray, np.ndarray], deg: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(eo, row, vertex) for the distinct pairs (i, j), i < j, that _keys
     finds, ascending: eo[t] is the t-th pair's extra overlap, and vertex[s]
     an apex (ascending for each pair) at which pair row[s] was found. EO is
     the far vertices over |e_i| + |e_j| - 2 s, s the vertices the pair
     shares as shared gives them (1 if it is not there): one true division
-    of two integers, the float Python gives."""
+    of two integers, the float Python gives. deg holds the vertex degrees,
+    as h._degrees gives them."""
     m, width = len(h.edges), max(h.n, 1)
     span = _KEY_LIMIT // width
-    found = _keys(h, width, span)
+    found = _keys(h, deg, width, span)
     eo, row, vertex = [np.empty(0)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for at in sorted({at for at, _ in found}):
         apex, far = _distinct(found.pop((at, True))), _distinct(found.pop((at, False)))
@@ -189,7 +190,9 @@ def _scores(h: Hypergraph, shared: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.nd
     return np.concatenate(eo), np.concatenate(row), np.concatenate(vertex)
 
 
-def _keys(h: Hypergraph, width: int, span: int) -> Dict[Tuple[int, bool], np.ndarray]:
+def _keys(
+    h: Hypergraph, deg: np.ndarray, width: int, span: int
+) -> Dict[Tuple[int, bool], np.ndarray]:
     """The triangle pass. At each apex v of each triangle {v, x, y} that
     census._walk finds along the host's cached degree orientation, vertices
     in fewer than two edges left out (no triangle through one yields a
@@ -201,12 +204,12 @@ def _keys(h: Hypergraph, width: int, span: int) -> Dict[Tuple[int, bool], np.nda
     an apex); a vertex is below width, so keys stay below span * width for
     any m and n. An apex whose two runs are one and the same edge is
     dropped first, and an edge in both runs (it holds the whole triangle)
-    from both sides."""
+    from both sides. deg holds the vertex degrees, as h._degrees gives
+    them."""
     keys, offsets, ids = h._pair_table()
     m, count = len(h.edges), np.diff(offsets)
     solo = np.where(count == 1, ids[offsets[:-1]], -1)  # each pair's only edge, if one
     order, starts, forward = h._orientation()
-    deg = _degrees(h)
     kept = np.repeat(deg[order] > 1, np.diff(starts)) & (deg[forward] > 1)
     off = np.concatenate(([0], np.cumsum(kept)))[starts]
     found = {}
@@ -248,11 +251,6 @@ def _keys(h: Hypergraph, width: int, span: int) -> Dict[Tuple[int, bool], np.nda
                         held.resize(len(held) + len(new), refcheck=False)
                         held[len(held) - len(new) :] = new
     return found
-
-
-def _degrees(h: Hypergraph) -> np.ndarray:
-    """The number of edges holding each vertex, as int64."""
-    return np.fromiter(map(len, h.incidence), np.int64, h.n)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

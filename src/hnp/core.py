@@ -6,18 +6,21 @@ equality. After construction a hypergraph is immutable and safe for
 concurrent reads.
 
 Every hypergraph is built by `Hypergraph._build`, which orders the edges by
-(size, tuple) and lists each vertex's edge ids. The public constructor
-validates and normalises arbitrary input first. Producers inside the package
-whose edges are already normalised (distinct sorted tuples of int ids in
-0..n-1) skip that step through the private classmethod
-`Hypergraph._normalised(n, edges)`; passing it anything else gives a
-corrupt hypergraph.
+(size, tuple) and stores them; it builds nothing else. Each vertex's edge
+ids (`incidence`) are listed on first read and then cached, and the vertex
+degrees are one count over the edges (`Hypergraph._degrees`), so a host that
+is only sampled, read, 2-sectioned, censused or clustered never lists them.
+The public constructor validates and normalises arbitrary input first.
+Producers inside the package whose edges are already normalised (distinct
+sorted tuples of int ids in 0..n-1) skip that step through the private
+classmethod `Hypergraph._normalised(n, edges)`; passing it anything else
+gives a corrupt hypergraph.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 from operator import index
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -42,9 +45,13 @@ class Hypergraph:
     tuples of int ids, deduplicated as sets. A non-integer n (a boolean
     too: InputError) or a negative one, or an edge that is empty, contains a repeated vertex, a non-integer id
     or an id outside 0..n-1, raises ValueError.
+
+    Construction only sorts and stores the edges. `incidence` is built on
+    its first read and then cached; the vertex degrees come from one
+    bincount over the edges without it.
     """
 
-    __slots__ = ("n", "edges", "incidence", "_edge_set", "_neighbors", "_oriented", "_pairs", "_clustered")
+    __slots__ = ("n", "edges", "_incidence", "_edge_set", "_neighbors", "_oriented", "_pairs", "_clustered")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()) -> None:
         n = _integer(n, "vertex count")
@@ -84,11 +91,7 @@ class Hypergraph:
         es.sort(key=len)
         self.n: int = n
         self.edges: Tuple[Tuple[int, ...], ...] = tuple(es)
-        inc = [[] for _ in range(n)]
-        for i, e in enumerate(es):
-            for v in e:
-                inc[v].append(i)
-        self.incidence: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, inc))
+        self._incidence: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._edge_set: Optional[frozenset] = None
         self._neighbors: Dict[int, frozenset] = {}
         self._oriented: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
@@ -104,9 +107,29 @@ class Hypergraph:
             raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
         return v
 
+    @property
+    def incidence(self) -> Tuple[Tuple[int, ...], ...]:
+        """incidence[v]: the ids of the edges holding v, ascending (built on
+        first read, then cached). Edges are ordered by size, so each list
+        runs in ascending edge size. Callers that read it in a loop bind it
+        once: each read is a property call."""
+        if self._incidence is None:
+            inc = [[] for _ in range(self.n)]
+            for i, e in enumerate(self.edges):
+                for v in e:
+                    inc[v].append(i)
+            self._incidence = tuple(map(tuple, inc))
+        return self._incidence
+
     def degree(self, v: int) -> int:
         """Number of hyperedges containing v."""
         return len(self.incidence[self._vertex(v)])
+
+    def _degrees(self) -> np.ndarray:
+        """The number of edges holding each vertex, as int64: one bincount
+        over the flattened edges (not cached)."""
+        flat = np.fromiter(chain.from_iterable(self.edges), np.int64, sum(map(len, self.edges)))
+        return np.bincount(flat, minlength=self.n)
 
     @property
     def edge_set(self) -> frozenset:
@@ -246,10 +269,10 @@ def induced_strong(
     returned alongside.
     """
     kept, mapping = _mapping(s, h.n)
-    sset = set(kept)
+    sset, inc = set(kept), h.incidence
     cand = set()
     for v in kept:
-        cand.update(h.incidence[v])
+        cand.update(inc[v])
     edges = []
     for i in sorted(cand):
         e = h.edges[i]
@@ -262,10 +285,10 @@ def induced_weak(h: Hypergraph, s: Iterable[int]) -> Tuple[Hypergraph, Dict[int,
     """Substructure on s whose edges are the distinct nonempty intersections
     e ∩ s over all edges e of h (empty edge dropped, duplicates merged)."""
     kept, mapping = _mapping(s, h.n)
-    sset = set(kept)
+    sset, inc = set(kept), h.incidence
     cand = set()
     for v in kept:
-        cand.update(h.incidence[v])
+        cand.update(inc[v])
     edges = set()
     for i in cand:
         inter = tuple(mapping[v] for v in h.edges[i] if v in sset)
@@ -291,4 +314,4 @@ def profiles(h: Hypergraph) -> Tuple[Counter, Counter]:
     vertices appear under degree 0); the size histogram maps edge size ->
     number of edges.
     """
-    return Counter(len(inc) for inc in h.incidence), h.size_counts()
+    return Counter(h._degrees().tolist()), h.size_counts()

@@ -27,6 +27,16 @@ class ParsedEdgeList:
     dropped_oversize: int = 0
 
 
+class _Ids(dict):
+    """Token -> id map that gives each unseen token the next dense id."""
+
+    __slots__ = ()
+
+    def __missing__(self, token: str) -> int:
+        self[token] = new = len(self)
+        return new
+
+
 def read_edge_list(path: str, max_edge_size: int | None = None) -> ParsedEdgeList:
     """Parse an edge-list file into a hypergraph.
 
@@ -40,17 +50,16 @@ def read_edge_list(path: str, max_edge_size: int | None = None) -> ParsedEdgeLis
     """
     if max_edge_size is not None and _integer(max_edge_size, "max_edge_size") < 1:
         raise InputError(f"max_edge_size must be >= 1, got {max_edge_size}")
-    token_to_id: Dict[str, int] = {}
-    new_id = token_to_id.setdefault
+    ids = _Ids()
+    id_of = ids.__getitem__
     edges = set()
     duplicates = 0
     dropped = 0
     with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            tokens = raw.split()
+            if not tokens or tokens[0][0] == "#":
                 continue
-            tokens = line.split()
             if len(set(tokens)) != len(tokens):
                 seen = set()
                 dup = next(t for t in tokens if t in seen or seen.add(t))
@@ -60,14 +69,14 @@ def read_edge_list(path: str, max_edge_size: int | None = None) -> ParsedEdgeLis
                 continue
             # a repeated line (as a set) has all its tokens mapped already,
             # so it gives no new ids and the same sorted id tuple
-            e = tuple(sorted([new_id(t, len(token_to_id)) for t in tokens]))
+            e = tuple(sorted(map(id_of, tokens)))
             if e in edges:
                 duplicates += 1
                 continue
             edges.add(e)
     return ParsedEdgeList(
-        hypergraph=Hypergraph._normalised(len(token_to_id), edges),
-        token_to_id=token_to_id,
+        hypergraph=Hypergraph._normalised(len(ids), edges),
+        token_to_id=dict(ids),
         duplicate_edges=duplicates,
         dropped_oversize=dropped,
     )

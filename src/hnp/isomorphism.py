@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import ge
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .core import Hypergraph, profiles
 from .errors import GuardError, InputError
@@ -45,18 +45,21 @@ class Embedding:
     witnesses: Optional[Tuple[int, ...]] = None
 
 
-def _size_profile(h: Hypergraph, v: int) -> Tuple[int, ...]:
-    """The sizes of the edges at v in descending order: edges are ordered by
-    size, so an incidence list runs in ascending size. Its length is v's
-    degree."""
-    return tuple(len(h.edges[i]) for i in reversed(h.incidence[v]))
+def _size_profile(
+    edges: Sequence[Tuple[int, ...]], inc: Sequence[Tuple[int, ...]], v: int
+) -> Tuple[int, ...]:
+    """The sizes of the edges at v in descending order, given a hypergraph's
+    edges and incidence: edges are ordered by size, so an incidence list
+    runs in ascending size. Its length is v's degree."""
+    return tuple(len(edges[i]) for i in reversed(inc[v]))
 
 
 def _pattern_order(pattern: Hypergraph, first: Tuple[int, ...] = ()) -> List[int]:
     """Vertex order: the vertices of first as given, then high (degree,
     incident-size profile) first, preferring vertices adjacent to
     already-ordered ones."""
-    profile = [_size_profile(pattern, v) for v in range(pattern.n)]
+    edges, inc = pattern.edges, pattern.incidence
+    profile = [_size_profile(edges, inc, v) for v in range(pattern.n)]
     order: List[int] = list(first)
     placed = set(first)
     while len(order) < pattern.n:
@@ -113,7 +116,8 @@ def _embeddings(
     rank = [0] * n
     for step, w in enumerate(order):
         rank[w] = step
-    inc, nbrs = host.incidence, host.neighbors
+    edges, inc, nbrs = host.edges, host.incidence, host.neighbors
+    pinc = pattern.incidence
 
     # per step: the steps of the placed pattern neighbours, the pinned host
     # vertex or None, the degree and incidence-size profile to dominate,
@@ -122,7 +126,7 @@ def _embeddings(
         [rank[x] for x in pattern.neighbors(w) if rank[x] < step] for step, w in enumerate(order)
     ]
     pins = [fixed.get(w) for w in order]
-    degs = [len(pattern.incidence[w]) for w in order]
+    degs = [len(pinc[w]) for w in order]
     checks: List[List[Tuple[int, Tuple[int, ...]]]] = [[] for _ in range(n)]
     for fi, f in enumerate(pattern.edges):
         steps = tuple(sorted(rank[v] for v in f))
@@ -133,10 +137,12 @@ def _embeddings(
         # number of incident edges of each size up to the largest pattern edge
         top = range(len(pattern.edges[-1]) + 1 if pattern.edges else 1)
 
-        def profile(h: Hypergraph, v: int) -> Tuple[int, ...]:
-            return tuple(map([len(h.edges[i]) for i in h.incidence[v]].count, top))
+        def profile(
+            edges: Sequence[Tuple[int, ...]], inc: Sequence[Tuple[int, ...]], v: int
+        ) -> Tuple[int, ...]:
+            return tuple(map([len(edges[i]) for i in inc[v]].count, top))
 
-    needs = [profile(pattern, w) for w in order]
+    needs = [profile(pattern.edges, pinc, w) for w in order]
     fits: List[Dict[int, bool]] = [{} for _ in range(n)]
     roots: Dict[int, List[int]] = {}
 
@@ -164,7 +170,7 @@ def _embeddings(
                 continue
             good = ok.get(u)
             if good is None:
-                good = ok[u] = len(inc[u]) >= d and all(map(ge, profile(host, u), need))
+                good = ok[u] = len(inc[u]) >= d and all(map(ge, profile(edges, inc, u), need))
             if good:
                 out.append(u)
         return iter(out)
@@ -357,10 +363,10 @@ def canonical_form(h: Hypergraph) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     - a step left with one twin class to choose from is taken without a
       bound.
     """
-    active = [v for v in range(h.n) if h.incidence[v]]
+    inc = h.incidence
+    active = [v for v in range(h.n) if inc[v]]
     if not active:
         return (h.n, ())
-    inc = h.incidence
     sizes = [len(e) for e in h.edges]
 
     # per label: the vertex it goes to when its class is one twin class

@@ -1,22 +1,31 @@
 import json
 import math
+import pickle
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hnp import (
     Graph,
     Hypergraph,
     InputError,
+    census,
+    clustering_report,
+    from_edge_counts,
     induced_strong,
     induced_weak,
     profiles,
+    read_edge_list,
+    sample,
     two_section,
+    write_edge_list,
 )
 from hnp.core import _left_sum
-from util import random_hypergraph
+from util import brute_incidence, random_hypergraph
 
 
 class TestHypergraph:
@@ -102,6 +111,69 @@ class TestHypergraph:
             with pytest.raises(InputError, match=f"vertex must be an integer, got {v!r}"):
                 ask(v)
         assert set(h._neighbors) == {0, 1}
+
+
+@st.composite
+def sparse_hosts(draw):
+    """Hosts with size-1 edges and isolated vertices: the edges use the
+    first n vertices, and up to 3 more are left bare."""
+    n = draw(st.integers(0, 8))
+    edges = []
+    if n:
+        vertex = st.integers(0, n - 1)
+        edges = draw(st.lists(st.sets(vertex, min_size=1, max_size=5), max_size=12))
+        edges += [{v} for v in draw(st.lists(vertex, max_size=3))]
+    return Hypergraph(n + draw(st.integers(0, 3)), edges)
+
+
+class TestLazyIncidence:
+    @settings(deadline=None)
+    @given(sparse_hosts())
+    def test_incidence_and_degrees_match_oracle(self, h):
+        want = brute_incidence(h)
+        degrees = [len(ids) for ids in want]
+        assert h._degrees().dtype == np.int64
+        assert h._degrees().tolist() == degrees
+        assert profiles(h)[0] == Counter(degrees)
+        assert h._incidence is None  # the degree count does not build it
+        assert [h.degree(v) for v in range(h.n)] == degrees
+        assert h.incidence == want
+        assert h.incidence is h._incidence  # built once, then cached
+        assert all(type(i) is int for ids in h.incidence for i in ids)
+
+    def test_incidence_is_read_only(self):
+        h = Hypergraph(3, [(0, 1), (1, 2)])
+        with pytest.raises(AttributeError):
+            h.incidence = ((), (), ())
+        assert h.incidence == ((0,), (0, 1), (1,))
+
+    @pytest.mark.parametrize("source", ["sample", "file"])
+    def test_census_clustering_and_profiles_never_build_incidence(self, source, tmp_path):
+        n = 200
+        p = from_edge_counts(n, {2: 300, 3: 120, 4: 40, 5: 20})
+        h = sample(n, p, seed=29)
+        if source == "file":
+            path = str(tmp_path / "host.edges")
+            write_edge_list(h, path)
+            h = read_edge_list(path).hypergraph
+        assert h._incidence is None
+        for k in (3, 4, 5):
+            assert census(h, k, p).total_cliques > 0
+        assert clustering_report(h)["n_intersecting_pairs"] > 0
+        g = two_section(h)
+        assert profiles(h)[1] == h.size_counts() and profiles(g)[0]
+        assert h._incidence is None and g._incidence is None
+
+    def test_pickle_round_trip_before_and_after_incidence_is_read(self):
+        h = Hypergraph(6, [(0,), (0, 1), (1, 2, 3), (3, 4)])  # vertex 5 isolated
+        for read in (False, True):
+            if read:
+                h.incidence
+            back = pickle.loads(pickle.dumps(h))
+            assert back == h and type(back) is Hypergraph
+            assert (back._incidence is None) is not read
+            assert back.incidence == h.incidence == brute_incidence(h)
+            assert [back.degree(v) for v in range(6)] == [2, 2, 1, 2, 1, 0]
 
 
 def test_left_sum_adds_left_to_right():

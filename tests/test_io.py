@@ -21,27 +21,31 @@ def test_round_trip(tmp_path):
 
 def test_dedup_and_token_mapping(tmp_path):
     path = tmp_path / "toy.edges"
-    path.write_text("a b\nb a\na b c\n", encoding="utf-8")
+    path.write_text("b a\na b\nc a b\n", encoding="utf-8")
     parsed = read_edge_list(str(path))
     assert parsed.hypergraph.n == 3
     assert parsed.duplicate_edges == 1
     assert sorted(len(e) for e in parsed.hypergraph.edges) == [2, 3]
-    assert parsed.token_to_id == {"a": 0, "b": 1, "c": 2}
+    # a plain dict, in first-seen order
+    assert type(parsed.token_to_id) is dict
+    assert list(parsed.token_to_id.items()) == [("b", 0), ("a", 1), ("c", 2)]
 
 
 def test_comments_and_blank_lines(tmp_path):
     path = tmp_path / "c.edges"
-    path.write_text("# header\n\na b\n  \n# trailing\nb c\n", encoding="utf-8")
+    path.write_text("# header\n\na b\n  \n  # indented\n\t#x y\n# trailing\nb c\nc #d\n", encoding="utf-8")
     parsed = read_edge_list(str(path))
-    assert parsed.hypergraph.n == 3
-    assert len(parsed.hypergraph.edges) == 2
+    # only a line whose first token starts with '#' is a comment
+    assert parsed.token_to_id == {"a": 0, "b": 1, "c": 2, "#d": 3}
+    assert parsed.hypergraph.edges == ((0, 1), (1, 2), (2, 3))
 
 
 def test_repeated_token_rejected_with_line_number(tmp_path):
     path = tmp_path / "bad.edges"
     path.write_text("a b\nx y x\n", encoding="utf-8")
-    with pytest.raises(InputError, match=r":2"):
+    with pytest.raises(InputError) as info:
         read_edge_list(str(path))
+    assert str(info.value) == f"{path}:2: repeated token 'x' in hyperedge"
 
 
 def test_oversize_dropped_and_counted(tmp_path):

@@ -319,6 +319,12 @@ def _edges_at(h: Hypergraph, v: int):
     return [i for i, e in enumerate(h.edges) if v in e]
 
 
+def brute_incidence(h: Hypergraph):
+    """incidence one vertex at a time: the ids of the edges holding v,
+    ascending, found by scanning every edge."""
+    return tuple(tuple(_edges_at(h, v)) for v in range(h.n))
+
+
 def brute_hc_local(h: Hypergraph, v: int) -> float:
     """hc_local by scoring every one of the C(d, 2) pairs of edges at v from
     the definition, added left to right."""
