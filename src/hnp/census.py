@@ -3,7 +3,9 @@
 Lists every K_k copy in the 2-section, classifies each by the signature of
 the weak subhypergraph induced on its vertices, and compares observed
 signature frequencies/ranks against the theoretical origination
-distribution.
+distribution. The cliques come from the 2-section walk in `core` (`_walk`,
+along the host's degree orientation), and each clique pair is found in the
+pair table by the host's one pair lookup (`Hypergraph._pair_at`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 # two_section is not called here; the benchmark's traced run rebinds hnp.census.two_section
-from .core import Hypergraph, induced_weak, two_section
+from .core import _SIGN_BLOCK, Hypergraph, _spans, _walk, _within, induced_weak, two_section
 from .errors import CliqueCapError, InputError, _integer
 from .model import ProbSequence
 from .signatures import (
@@ -50,12 +52,6 @@ def _checked(k: int, cap: int) -> Tuple[int, int]:
     return k, cap
 
 
-# Cliques are listed and signed by array operations over the host's pair
-# table, on at most _SIGN_BLOCK candidate pairs, clique pairs or (clique, pair,
-# shared edge) rows at a time (one node or clique may exceed it alone).
-_SIGN_BLOCK = 1 << 14
-
-
 def _clique_blocks(h: Hypergraph, k: int, cap: int) -> Iterator[np.ndarray]:
     """Every k-set forming a clique in two_section(h), each exactly once, in
     walk order, as the sorted rows of int64 arrays of at most
@@ -66,8 +62,7 @@ def _clique_blocks(h: Hypergraph, k: int, cap: int) -> Iterator[np.ndarray]:
     names the cap. k and cap are as _checked returns them."""
     order, starts, forward = h._orientation()
     block, emitted = _SIGN_BLOCK // comb(k, 2), 0
-    walk = _walk(h._pair_table()[0], h.n, order[:, None], forward, starts, k - 1)
-    for prefix, cands, off in walk:
+    for prefix, cands, off in _walk(h, order[:, None], forward, starts, k - 1):
         cliques = np.column_stack((np.repeat(prefix, np.diff(off), axis=0), cands))
         cliques.sort(axis=1)
         stop = len(cands)
@@ -80,60 +75,16 @@ def _clique_blocks(h: Hypergraph, k: int, cap: int) -> Iterator[np.ndarray]:
         emitted += stop
 
 
-def _walk(
-    keys: np.ndarray, n: int, prefix: np.ndarray, cands: np.ndarray, off: np.ndarray, need: int
-) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The last-depth nodes below the given ones, in depth-first order, in
-    groups (prefix, cands, off): node i is the clique prefix[i], need
-    vertices short, with the candidates cands[off[i]:off[i + 1]]. Each
-    candidate u with need - 1 later ones or more opens a child prefix + [u],
-    whose candidates are the later ones adjacent to u (binary search in the
-    pair keys a * n + b, a < b). Groups of consecutive nodes testing at most
-    _SIGN_BLOCK pairs (or one node's) are each walked to the end in turn."""
-    if need == 1:
-        yield prefix, cands, off
-        return
-    m = np.diff(off)
-    opened = np.maximum(m - need + 1, 0)  # children of each node
-    tests = opened * (m - 1) - opened * (opened - 1) // 2  # pairs each node tests
-    for lo, hi in _spans(np.concatenate(([0], np.cumsum(tests))), _SIGN_BLOCK):
-        parent = np.repeat(np.arange(lo, hi), opened[lo:hi])
-        at = off[parent] + _within(opened[lo:hi])  # where each child's vertex is in cands
-        later = off[parent + 1] - at - 1
-        child = np.repeat(np.arange(len(at)), later)
-        u, w = cands[at], cands[at[child] + 1 + _within(later)]
-        pair = np.minimum(u[child], w) * n + np.maximum(u[child], w)
-        hit = keys.take(np.searchsorted(keys, pair), mode="clip") == pair
-        counts = np.bincount(child[hit], minlength=len(at))
-        prefix_u = np.column_stack((prefix[parent], u))
-        yield from _walk(keys, n, prefix_u, w[hit], np.append(0, np.cumsum(counts)), need - 1)
-
-
-def _within(runs: np.ndarray) -> np.ndarray:
-    """For consecutive runs of the given lengths, each item's index in its run."""
-    return np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
-
-
-def _spans(before: np.ndarray, limit: int) -> Iterator[Tuple[int, int]]:
-    """Consecutive (lo, hi) covering the items whose running totals from 0
-    are before, each with before[hi] - before[lo] <= limit or hi = lo + 1."""
-    lo, end = 0, len(before) - 1
-    while lo < end:
-        hi = max(lo + 1, int(np.searchsorted(before, before[lo] + limit, "right")) - 1)
-        yield lo, hi
-        lo = hi
-
-
 def _signatures(h: Hypergraph, cliques: np.ndarray) -> np.ndarray:
     """The signature (e_2 ... e_k) of each sorted row s of cliques: the
     number of distinct sets e & s of each size from 2 to k. Each pair of s
     is looked up in the pair table and expanded to its run of edge ids;
     sorted, the (clique, edge, pair bits) rows put each (clique, edge) in
     one run, whose OR is the mask of the columns of s in e."""
-    keys, offsets, ids = h._pair_table()
+    _, offsets, ids = h._pair_table()
     c, k = cliques.shape
     left, right = zip(*combinations(range(k), 2))
-    at = np.searchsorted(keys, cliques[:, left] * h.n + cliques[:, right])
+    at = h._pair_at(cliques[:, left], cliques[:, right])[0]
     start, count = offsets[at], offsets[at + 1] - offsets[at]
     before = np.concatenate(([0], np.cumsum(count.sum(axis=1))))  # rows of the cliques before each
     m = len(h.edges)

@@ -15,11 +15,12 @@ Every coefficient is read off one pass over the triangles of the
 2-section. A pair (i, j) scores above 0 exactly when some x in D_ij and y
 in D_ji are adjacent, and then {v, x, y} is a triangle at every common
 vertex v (e_i holds vx but not y, e_j holds vy but not x). So the
-triangles that census._walk lists give each pair that scores above 0 with
+triangles that core._walk lists give each pair that scores above 0 with
 its common vertices and its far vertices, the members of D_ij and D_ji
 that EO's numerator counts; every other pair scores exactly 0.0. A
 triangle through a vertex in only one edge yields no pair: that edge holds
-both of the vertex's pairs, and the third one too.
+both of the vertex's pairs, and the third one too. Vertex pairs are looked
+up in the pair table by the host's one lookup, Hypergraph._pair_at.
 
 Each host runs the pass once, on first use, and keeps every vertex's local
 coefficient, the global sum and the pair count; clustering_report,
@@ -34,8 +35,7 @@ from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .census import _SIGN_BLOCK, _spans, _walk, _within
-from .core import Hypergraph, _left_sum
+from .core import _SIGN_BLOCK, Hypergraph, _left_sum, _spans, _starts, _walk, _within
 from .errors import _integer
 
 __all__ = [
@@ -52,8 +52,8 @@ _KEY_LIMIT = 2**63 - 1  # no key of the triangle pass exceeds it, so int64 holds
 
 def extra_overlap(h: Hypergraph, ei: int, ej: int) -> float:
     """Extra overlap of the edges with ids ei, ej (must differ), from its
-    definition: each x in D_ij and y in D_ji are looked up as a pair in the
-    pair-table keys.
+    definition: each x in D_ij and y in D_ji are looked up as a pair by
+    h._pair_at.
 
     Nested edges score 0 (one difference is empty, so the numerator is 0);
     both differences empty is impossible since edges are deduplicated.
@@ -67,8 +67,7 @@ def extra_overlap(h: Hypergraph, ei: int, ej: int) -> float:
         raise ValueError("extra overlap needs two distinct edges")
     a, b = np.array(h.edges[ei]), np.array(h.edges[ej])
     x, y = np.setdiff1d(a, b, assume_unique=True), np.setdiff1d(b, a, assume_unique=True)
-    keys, pair = h._pair_table()[0], np.minimum.outer(x, y) * h.n + np.maximum.outer(x, y)
-    hit = (keys.take(np.searchsorted(keys, pair), mode="clip") if len(keys) else -1) == pair
+    hit = h._pair_at(x[:, None], y)[1]
     return (int(hit.any(axis=1).sum()) + int(hit.any(axis=0).sum())) / (len(x) + len(y))
 
 
@@ -146,30 +145,39 @@ def _clustering(h: Hypergraph) -> Tuple[np.ndarray, float, int]:
     vertex, i, j) order, as intersecting_pairs lists them, each added left
     to right."""
     if h._clustered is None:
-        shared, deg = _shared(h), h._degrees()
-        eo, row, vertex = _scores(h, shared, deg)
+        deg = h._degrees()
+        eo, row, vertex = _scores(h, deg)
         total = float(np.cumsum(eo[np.argsort(vertex[_starts(row)], kind="stable")])[-1]) if len(eo) else 0.0
         sums = _left_sums(eo[row[np.lexsort((row, vertex))]], np.bincount(vertex, minlength=h.n))
         wedges = deg * (deg - 1) // 2
         local = np.divide(sums, wedges, out=np.zeros(h.n), where=wedges > 0)
         local.flags.writeable = False
-        h._clustered = (local, total, int(wedges.sum() - (shared[1] - 1).sum()))
+        h._clustered = (local, total, int(wedges.sum()) - _overcount(h))
     return h._clustered
 
 
-def _scores(
-    h: Hypergraph, shared: Tuple[np.ndarray, np.ndarray], deg: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scores(h: Hypergraph, deg: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(eo, row, vertex) for the distinct pairs (i, j), i < j, that _keys
     finds, ascending: eo[t] is the t-th pair's extra overlap, and vertex[s]
     an apex (ascending for each pair) at which pair row[s] was found. EO is
-    the far vertices over |e_i| + |e_j| - 2 s, s the vertices the pair
-    shares as shared gives them (1 if it is not there): one true division
-    of two integers, the float Python gives. deg holds the vertex degrees,
-    as h._degrees gives them."""
+    the far vertices over |e_i| + |e_j| - 2 s, s the pair's apexes: one
+    true division of two integers, the float Python gives. deg holds the
+    vertex degrees, as h._degrees gives them.
+
+    A pair's apexes are exactly the s vertices it shares. An apex v lies
+    in both edges (i holds vx, j holds vy). A pair is found only when some
+    x in e_i \\ e_j is adjacent to some y in e_j \\ e_i, and then each
+    common vertex v is an apex: it lies in two edges, so it is in the
+    walk's input, and {v, x, y} is a triangle, at whose apex v i is in
+    E(vx) \\ E(vy) and j in E(vy) \\ E(vx). _keys drops a triangle only
+    when its root's two pairs are held by one and the same edge alone, but
+    at every root one of them is also held by i (i lacks y) or by j (j
+    lacks x); and the both-runs exclusion keeps i and j, as neither holds
+    the triangle."""
     m, width = len(h.edges), max(h.n, 1)
     span = _KEY_LIMIT // width
     found = _keys(h, deg, width, span)
+    size = np.fromiter(map(len, h.edges), np.int64, m)
     eo, row, vertex = [np.empty(0)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for at in sorted({at for at, _ in found}):
         apex, far = _distinct(found.pop((at, True))), _distinct(found.pop((at, False)))
@@ -177,16 +185,10 @@ def _scores(
         pair = apex[first] // width + at * span
         vertex.append(apex % width)
         row.append(np.cumsum(first) - 1 + sum(map(len, eo)))
+        shared = np.diff(np.append(np.flatnonzero(first), len(apex)))
         far = np.diff(np.append(np.flatnonzero(_starts(far // width)), len(far)))
-        size = np.zeros(m, np.int64)  # the size of each edge in a pair
-        used = np.flatnonzero(np.bincount(np.concatenate(np.divmod(pair, m)), minlength=m))
-        size[used] = [len(h.edges[e]) for e in used.tolist()]
-        den = size[pair // m] + size[pair % m] - 2
-        place = np.searchsorted(shared[0], pair)  # less 2 (s - 1) where s > 1
-        hit = np.append(shared[0], -1)[place] == pair
-        den[hit] -= 2 * shared[1][place[hit]] - 2
-        eo.append(far / den)
-        del apex, far, first, pair, den, place, hit  # before the outputs are copied
+        eo.append(far / (size[pair // m] + size[pair % m] - 2 * shared))
+        del apex, far, first, pair, shared  # before the outputs are copied
     return np.concatenate(eo), np.concatenate(row), np.concatenate(vertex)
 
 
@@ -194,7 +196,7 @@ def _keys(
     h: Hypergraph, deg: np.ndarray, width: int, span: int
 ) -> Dict[Tuple[int, bool], np.ndarray]:
     """The triangle pass. At each apex v of each triangle {v, x, y} that
-    census._walk finds along the host's cached degree orientation, vertices
+    core._walk finds along the host's cached degree orientation, vertices
     in fewer than two edges left out (no triangle through one yields a
     pair), each pair (i, j) of edges with i in E(vx) \\ E(vy) and j in
     E(vy) \\ E(vx), E(ab) the run of edges holding ab in the pair table,
@@ -202,30 +204,30 @@ def _keys(
     p = i * m + j (i < j, m edges), is kept once as the key
     (p % span) * width + vertex in window p // span, under (window, whether
     an apex); a vertex is below width, so keys stay below span * width for
-    any m and n. An apex whose two runs are one and the same edge is
-    dropped first, and an edge in both runs (it holds the whole triangle)
-    from both sides. deg holds the vertex degrees, as h._degrees gives
-    them."""
-    keys, offsets, ids = h._pair_table()
+    any m and n. A triangle whose root's two pairs are held by one and the
+    same edge alone is dropped first, and an edge in both runs (it holds
+    the whole triangle) from both sides; an apex whose two runs are one and
+    the same edge yields only such an edge. deg holds the vertex degrees,
+    as h._degrees gives them."""
+    _, offsets, ids = h._pair_table()
     m, count = len(h.edges), np.diff(offsets)
     solo = np.where(count == 1, ids[offsets[:-1]], -1)  # each pair's only edge, if one
     order, starts, forward = h._orientation()
     kept = np.repeat(deg[order] > 1, np.diff(starts)) & (deg[forward] > 1)
     off = np.concatenate(([0], np.cumsum(kept)))[starts]
     found = {}
-    for pre, w, o in _walk(keys, h.n, order[:, None], forward[kept], off, 2):
+    for pre, w, o in _walk(h, order[:, None], forward[kept], off, 2):
         r, u = np.repeat(pre, np.diff(o), axis=0).T
-        ru = np.repeat(_at(h, pre[:, 0], pre[:, 1]), np.diff(o))
-        rw = _at(h, r, w)
+        ru = np.repeat(h._pair_at(pre[:, 0], pre[:, 1])[0], np.diff(o))
+        rw = h._pair_at(r, w)[0]
         # ru and rw held by one and the same edge alone: it holds the
-        # triangle, so at each apex one run lies within the other
+        # triangle, so at each apex one run lies within the other (this
+        # spares the products for the triangles inside a large edge)
         live = (solo[ru] < 0) | (solo[ru] != solo[rw])
         r, u, w, ru, rw = r[live], u[live], w[live], ru[live], rw[live]
-        uw = _at(h, u, w)
+        uw = h._pair_at(u, w)[0]
         # each apex, its two far vertices and the runs of its two pairs
         for v, x, y, one, two in ((r, u, w, ru, rw), (u, r, w, ru, uw), (w, r, u, rw, uw)):
-            live = (solo[one] < 0) | (solo[one] != solo[two])
-            v, x, y, one, two = v[live], x[live], y[live], one[live], two[live]
             s1, c1, s2, c2 = offsets[one], count[one], offsets[two], count[two]
             size = c1.astype(np.int64) * c2
             for lo, hi in _spans(np.concatenate(([0], np.cumsum(size))), _SIGN_BLOCK):
@@ -259,18 +261,6 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[_starts(values)]
 
 
-def _starts(values: np.ndarray) -> np.ndarray:
-    """Whether each value of a sorted array starts a run of equal values."""
-    new = np.ones(len(values), bool)
-    np.not_equal(values[1:], values[:-1], out=new[1:])
-    return new
-
-
-def _at(h: Hypergraph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Where each pair of 2-section neighbours (a[t], b[t]) is in the pair keys."""
-    return np.searchsorted(h._pair_table()[0], np.minimum(a, b) * h.n + np.maximum(a, b))
-
-
 def _left_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """For consecutive runs of values of the given lengths, each run's sum
     added left to right (0.0 for an empty run). Runs of lengths in
@@ -292,12 +282,12 @@ def _left_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _shared(h: Hypergraph) -> Tuple[np.ndarray, np.ndarray]:
-    """(pairs, s): the pairs (i, j), i < j, of edges sharing s >= 2
-    vertices, as ascending keys i * m + j (m edges), and s, read off the
-    runs of the pair table: such a pair lies in C(s, 2) of them. Each run's
-    pairs are listed in blocks of at most _SIGN_BLOCK (or one run's) and
-    tallied, then summed."""
+def _overcount(h: Hypergraph) -> int:
+    """The sum of s - 1 over the pairs of edges sharing s >= 2 vertices:
+    the sum of C(deg, 2) over the vertices counts such a pair s times. Read
+    off the runs of the pair table, in C(s, 2) of which such a pair lies.
+    Each run's pairs are listed in blocks of at most _SIGN_BLOCK (or one
+    run's) and tallied, then summed."""
     _, offsets, ids = h._pair_table()
     m, count = len(h.edges), np.diff(offsets)
     start, count = offsets[:-1][count > 1].astype(np.int64), count[count > 1].astype(np.int64)
@@ -310,6 +300,6 @@ def _shared(h: Hypergraph) -> Tuple[np.ndarray, np.ndarray]:
         block, counts = np.unique(block, return_counts=True)
         pairs.append(block)
         tally.append(counts)
-    pairs, index = np.unique(np.concatenate(pairs), return_inverse=True)
+    index = np.unique(np.concatenate(pairs), return_inverse=True)[1]
     shared = np.bincount(index, np.concatenate(tally))  # C(s, 2) for each pair
-    return pairs, (1 + np.sqrt(1 + 8 * shared).round().astype(np.int64)) // 2
+    return int(((1 + np.sqrt(1 + 8 * shared).round().astype(np.int64)) // 2 - 1).sum())

@@ -15,6 +15,10 @@ Producers inside the package whose edges are already normalised (distinct
 sorted tuples of int ids in 0..n-1) skip that step through the private
 classmethod `Hypergraph._normalised(n, edges)`; passing it anything else
 gives a corrupt hypergraph.
+
+The 2-section kernel of the census and clustering lives here too: the
+cached pair table and degree orientation, the one pair lookup
+(`Hypergraph._pair_at`) and the per-depth clique walk (`_walk`).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain, combinations
 from operator import index
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -198,9 +202,18 @@ class Hypergraph:
             order = np.lexsort((ids, keys))
             keys, ids = keys[order], ids[order]
             del order
-            first = np.flatnonzero(np.diff(keys, prepend=-1))
+            first = np.flatnonzero(_starts(keys))
             self._pairs = (keys[first], np.append(first, len(keys)).astype(np.int32), ids)
         return self._pairs
+
+    def _pair_at(self, a, b) -> Tuple[np.ndarray, np.ndarray]:
+        """(at, hit) for the vertex pairs (a, b), a and b arrays that
+        broadcast: where each pair's key is, or would go, in the pair keys,
+        and whether it is there (all False on an empty table)."""
+        keys = self._pair_table()[0]
+        pair = np.minimum(a, b) * self.n + np.maximum(a, b)
+        at = np.searchsorted(keys, pair)
+        return at, (keys.take(at, mode="clip") == pair if len(keys) else np.zeros(np.shape(at), bool))
 
     def size_counts(self) -> Counter:
         """Counter mapping edge size r to the number of edges of that size."""
@@ -233,6 +246,62 @@ class Graph(Hypergraph):
         for e in self.edges:
             if len(e) != 2:
                 raise ValueError(f"graph edge {e} does not have size 2")
+
+
+# The walk, the census's signing and clustering work on at most _SIGN_BLOCK
+# candidate pairs, clique pairs or rows at a time (one node or clique may
+# exceed it alone).
+_SIGN_BLOCK = 1 << 14
+
+
+def _walk(
+    h: Hypergraph, prefix: np.ndarray, cands: np.ndarray, off: np.ndarray, need: int
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The last-depth nodes below the given ones in the 2-section of h, in
+    depth-first order, in groups (prefix, cands, off): node i is the clique
+    prefix[i], need vertices short, with the candidates
+    cands[off[i]:off[i + 1]]. Each candidate u with need - 1 later ones or
+    more opens a child prefix + [u], whose candidates are the later ones
+    adjacent to u (h._pair_at). Groups of consecutive nodes testing at most
+    _SIGN_BLOCK pairs (or one node's) are each walked to the end in turn."""
+    if need == 1:
+        yield prefix, cands, off
+        return
+    m = np.diff(off)
+    opened = np.maximum(m - need + 1, 0)  # children of each node
+    tests = opened * (m - 1) - opened * (opened - 1) // 2  # pairs each node tests
+    for lo, hi in _spans(np.concatenate(([0], np.cumsum(tests))), _SIGN_BLOCK):
+        parent = np.repeat(np.arange(lo, hi), opened[lo:hi])
+        at = off[parent] + _within(opened[lo:hi])  # where each child's vertex is in cands
+        later = off[parent + 1] - at - 1
+        child = np.repeat(np.arange(len(at)), later)
+        u, w = cands[at], cands[at[child] + 1 + _within(later)]
+        hit = h._pair_at(u[child], w)[1]
+        counts = np.bincount(child[hit], minlength=len(at))
+        prefix_u = np.column_stack((prefix[parent], u))
+        yield from _walk(h, prefix_u, w[hit], np.append(0, np.cumsum(counts)), need - 1)
+
+
+def _within(runs: np.ndarray) -> np.ndarray:
+    """For consecutive runs of the given lengths, each item's index in its run."""
+    return np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
+
+
+def _spans(before: np.ndarray, limit: int) -> Iterator[Tuple[int, int]]:
+    """Consecutive (lo, hi) covering the items whose running totals from 0
+    are before, each with before[hi] - before[lo] <= limit or hi = lo + 1."""
+    lo, end = 0, len(before) - 1
+    while lo < end:
+        hi = max(lo + 1, int(np.searchsorted(before, before[lo] + limit, "right")) - 1)
+        yield lo, hi
+        lo = hi
+
+
+def _starts(values: np.ndarray) -> np.ndarray:
+    """Whether each value of a sorted array starts a run of equal values."""
+    new = np.ones(len(values), bool)
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return new
 
 
 def two_section(h: Hypergraph) -> Graph:

@@ -369,22 +369,13 @@ def canonical_form(h: Hypergraph) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
         return (h.n, ())
     sizes = [len(e) for e in h.edges]
 
-    # per label: the vertex it goes to when its class is one twin class
-    # (static), else None and the ids of the class's twin classes; twins are
-    # placed in list order, so taken[t] counts the placed members of
-    # twins[t]
-    static: List[Optional[int]] = []
+    # per label: the ids of its class's twin classes; twins are placed in
+    # list order, so taken[t] counts the placed members of twins[t]
     slots: List[List[int]] = []
     twins: List[List[int]] = []
     for found in _twin_classes(h, _colour_classes(h, active)):
-        size = sum(map(len, found))
-        if len(found) == 1:
-            static.extend(found[0])
-            slots.extend([[]] * size)
-        else:
-            static.extend([None] * size)
-            slots.extend([list(range(len(twins), len(twins) + len(found)))] * size)
-            twins.extend(found)
+        slots.extend([list(range(len(twins), len(twins) + len(found)))] * sum(map(len, found)))
+        twins.extend(found)
     taken = [0] * len(twins)
     last = len(active)
 
@@ -399,15 +390,13 @@ def canonical_form(h: Hypergraph) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
         forced: List[int] = []
         picked: List[int] = []
         while label < last:
-            v = static[label]
-            if v is None:
-                options = [t for t in slots[label] if taken[t] < len(twins[t])]
-                if len(options) > 1:
-                    break
-                t = options[0]
-                v = twins[t][taken[t]]
-                taken[t] += 1
-                picked.append(t)
+            options = [t for t in slots[label] if taken[t] < len(twins[t])]
+            if len(options) > 1:
+                break
+            t = options[0]
+            v = twins[t][taken[t]]
+            taken[t] += 1
+            picked.append(t)
             for i in inc[v]:
                 placed[i].append(label)
             forced.append(v)

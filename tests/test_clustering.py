@@ -53,6 +53,11 @@ class TestExtraOverlap:
                 assert a == extra_overlap(h, j, i)
                 assert 0.0 <= a <= 1.0
 
+    def test_no_pair_in_the_two_section(self):
+        # only size-1 edges: the pair table is empty, so every lookup misses
+        h = Hypergraph(2, [(0,), (1,)])
+        assert extra_overlap(h, 0, 1) == 0.0
+
     def test_identical_edges_rejected(self):
         with pytest.raises(ValueError):
             extra_overlap(TRIANGLE, 0, 0)

@@ -2,6 +2,7 @@
 clustering report, graph clustering coefficients and pattern search against
 the oracles in util.py and against networkx, on random small hypergraphs."""
 
+from bisect import bisect_left
 from collections import Counter
 from importlib import import_module
 from itertools import combinations, product
@@ -44,7 +45,9 @@ from util import (
     brute_is_subedge,
     brute_observed_signature,
     brute_orientation,
+    brute_overcount,
     brute_pair_table,
+    brute_pairs,
     brute_strong_maps,
     brute_two_section,
     brute_weak_maps,
@@ -226,6 +229,27 @@ def test_pair_table_matches_oracle(h):
 
 
 @settings(deadline=None)
+@given(PAIR_HOSTS, st.data())
+def test_pair_lookup_matches_oracle(h, data):
+    """_pair_at on a column of vertices against a row: a pair of the
+    2-section is a hit, any other pair (a vertex with itself among them) a
+    miss, and at counts the 2-section's pairs before it."""
+    pairs = sorted(brute_pairs(h))
+    vertices = st.lists(st.integers(0, h.n - 1), max_size=5) if h.n else st.just([])
+    a, b = data.draw(vertices), data.draw(vertices)
+    for x, y in data.draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []:
+        a.append(x)
+        b.append(y)
+    at, hit = h._pair_at(np.array(a, np.int64)[:, None], np.array(b, np.int64))
+    assert at.shape == hit.shape == (len(a), len(b)) and hit.dtype == bool
+    for s, x in enumerate(a):
+        for t, y in enumerate(b):
+            pair = (min(x, y), max(x, y))
+            assert hit[s, t] == (pair in pairs)
+            assert at[s, t] == bisect_left(pairs, pair)
+
+
+@settings(deadline=None)
 @given(PAIR_HOSTS)
 def test_two_section_matches_oracle(h):
     g, want = two_section(h), brute_two_section(h)
@@ -312,6 +336,26 @@ def test_clustering_matches_oracle_on_big_edge_hosts(h, data):
         assert extra_overlap(h, i, j) == brute_extra_overlap(h, i, j)
     g = two_section(h)
     assert graph_cc(g) == brute_graph_cc(g)
+
+
+@st.composite
+def nested_hosts(draw):
+    """Hosts on up to 10 vertices with edges of up to 6 vertices and edges
+    made of most of another's vertices plus a few more, so that two edges
+    share up to 5 vertices."""
+    n = draw(st.integers(1, 10))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.sets(vertex, min_size=1, max_size=6), min_size=1, max_size=8))
+    for e in draw(st.lists(st.sampled_from(edges), max_size=6)):
+        inner = draw(st.sets(st.sampled_from(sorted(e)), min_size=1))
+        edges.append(inner | set(draw(st.lists(vertex, max_size=6 - len(inner)))))
+    return Hypergraph(n, edges)
+
+
+@settings(deadline=None)
+@given(st.one_of(nested_hosts(), PAIR_HOSTS))
+def test_overcount_matches_oracle(h):
+    assert clustering_mod._overcount(h) == brute_overcount(h)
 
 
 @settings(deadline=None)

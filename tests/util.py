@@ -269,6 +269,18 @@ def brute_pair_table(h: Hypergraph):
     return keys, offsets, ids
 
 
+def brute_pairs(h: Hypergraph) -> set:
+    """The pairs (a, b), a < b, of vertices sharing an edge."""
+    return {pair for e in h.edges for pair in combinations(e, 2)}
+
+
+def brute_overcount(h: Hypergraph) -> int:
+    """The sum of s - 1 over the pairs of edges sharing s >= 2 vertices,
+    from the intersection of every pair of edges."""
+    shared = (len(set(a) & set(b)) for a, b in combinations(h.edges, 2))
+    return sum(s - 1 for s in shared if s >= 2)
+
+
 def brute_two_section(h: Hypergraph) -> Graph:
     """The 2-section from the pairs of every edge, through the public
     constructor."""
