@@ -4,15 +4,14 @@ Lists every K_k copy in the 2-section, classifies each by the signature of
 the weak subhypergraph induced on its vertices, and compares observed
 signature frequencies/ranks against the theoretical origination
 distribution. The cliques come from the 2-section walk in `core` (`_walk`,
-along the host's degree orientation), and each clique pair is found in the
-pair table by the host's one pair lookup (`Hypergraph._pair_at`).
+along the host's degree orientation) with the places of their pairs in the
+pair table, which the walk found, so signing them looks nothing up.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -52,43 +51,44 @@ def _checked(k: int, cap: int) -> Tuple[int, int]:
     return k, cap
 
 
-def _clique_blocks(h: Hypergraph, k: int, cap: int) -> Iterator[np.ndarray]:
+def _clique_blocks(h: Hypergraph, k: int, cap: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Every k-set forming a clique in two_section(h), each exactly once, in
-    walk order, as the sorted rows of int64 arrays of at most
-    _SIGN_BLOCK // C(k, 2) rows each. The walk's roots are the vertices of
-    the host's cached degree orientation, with their forward neighbours
-    as candidates. A node that takes the clique count past the cap adds
-    nothing: the rows before its run are handed over, then CliqueCapError
-    names the cap. k and cap are as _checked returns them."""
-    order, starts, forward = h._orientation()
+    walk order, in blocks (cliques, places) of at most _SIGN_BLOCK // C(k, 2)
+    rows: each clique as a sorted int64 row, with the places in the pair keys
+    of its pairs that the walk found (01, 02, 12, 03, ... in the walk's order
+    of its vertices). The walk's roots are the vertices of the host's cached
+    degree orientation, with their forward neighbours as candidates. A node
+    that takes the clique count past the cap adds nothing: the rows before its
+    run are handed over, then CliqueCapError names the cap. k and cap are as
+    _checked returns them."""
+    order, starts, forward, place = h._orientation()
     block, emitted = _SIGN_BLOCK // comb(k, 2), 0
-    for prefix, cands, off in _walk(h, order[:, None], forward, starts, k - 1):
-        cliques = np.column_stack((np.repeat(prefix, np.diff(off), axis=0), cands))
-        cliques.sort(axis=1)
+    vertex = np.cumsum(np.arange(k))  # the vertex columns of a clique's row, its pair places between
+    for prefix, cands, off in _walk(h, order[:, None], np.column_stack((forward, place)), starts, k - 1):
+        node = np.repeat(np.arange(len(prefix)), np.diff(off))
         stop = len(cands)
         if emitted + stop > cap:  # to the start of the run holding clique cap + 1
             stop = int(off[np.searchsorted(off, cap - emitted, "right") - 1])
-        for lo in range(0, stop, block):
-            yield cliques[lo : min(stop, lo + block)]
+        for lo, hi in _spans(np.arange(stop + 1), block):
+            rows = np.column_stack((prefix[node[lo:hi]], cands[lo:hi]))
+            yield np.sort(rows[:, vertex], axis=1), np.delete(rows, vertex, axis=1)
         if stop < len(cands):
             raise CliqueCapError(cap)
         emitted += stop
 
 
-def _signatures(h: Hypergraph, cliques: np.ndarray) -> np.ndarray:
-    """The signature (e_2 ... e_k) of each sorted row s of cliques: the
-    number of distinct sets e & s of each size from 2 to k. Each pair of s
-    is looked up in the pair table and expanded to its run of edge ids;
-    sorted, the (clique, edge, pair bits) rows put each (clique, edge) in
-    one run, whose OR is the mask of the columns of s in e."""
+def _signatures(h: Hypergraph, places: np.ndarray, k: int) -> np.ndarray:
+    """The signature (e_2 ... e_k) of each k-clique s, given the places in
+    the pair keys of its pairs (01, 02, 12, 03, ...): the number of distinct
+    sets e & s of each size from 2 to k. Each pair is expanded to its run of
+    edge ids; sorted, the (clique, edge, pair bits) rows put each (clique,
+    edge) in one run, whose OR is the mask of the columns of s in e."""
     _, offsets, ids = h._pair_table()
-    c, k = cliques.shape
-    left, right = zip(*combinations(range(k), 2))
-    at = h._pair_at(cliques[:, left], cliques[:, right])[0]
-    start, count = offsets[at], offsets[at + 1] - offsets[at]
+    c = len(places)
+    start, count = offsets[places], offsets[places + 1] - offsets[places]
     before = np.concatenate(([0], np.cumsum(count.sum(axis=1))))  # rows of the cliques before each
     m = len(h.edges)
-    bits = [1 << a | 1 << b for a, b in zip(left, right)]
+    bits = [1 << a | 1 << b for b in range(k) for a in range(b)]
     tags = np.arange(c, dtype=np.int64)[:, None] * m << 5 | bits  # clique * m << 5 | pair bits
     present = np.zeros((c, 1 << k), dtype=bool)  # present[i, mask]: an edge meets clique i in mask
     for lo, hi in _spans(before, _SIGN_BLOCK):  # at most _SIGN_BLOCK rows, or one clique
@@ -115,7 +115,7 @@ def list_k_cliques(
     call.
     """
     k, cap = _checked(k, cap)
-    return (tuple(row) for cliques in _clique_blocks(h, k, cap) for row in cliques.tolist())
+    return (tuple(row) for cliques, _ in _clique_blocks(h, k, cap) for row in cliques.tolist())
 
 
 def observed_signature(h: Hypergraph, s: Sequence[int]) -> Signature:
@@ -214,8 +214,8 @@ def census(
         raise CliqueCapError(cap)
     radix = [comb(k, r) + 1 for r in range(2, k + 1)]  # e_r is at most C(k, r)
     tallies: Counter = Counter()
-    for cliques in _clique_blocks(h, k, cap):
-        sizes = _signatures(h, cliques)
+    for cliques, places in _clique_blocks(h, k, cap):
+        sizes = _signatures(h, places, k)
         codes = np.ravel_multi_index(sizes.T, radix)
         _, first, inverse, counts = np.unique(
             codes, return_index=True, return_inverse=True, return_counts=True

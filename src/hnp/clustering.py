@@ -15,12 +15,12 @@ Every coefficient is read off one pass over the triangles of the
 2-section. A pair (i, j) scores above 0 exactly when some x in D_ij and y
 in D_ji are adjacent, and then {v, x, y} is a triangle at every common
 vertex v (e_i holds vx but not y, e_j holds vy but not x). So the
-triangles that core._walk lists give each pair that scores above 0 with
-its common vertices and its far vertices, the members of D_ij and D_ji
-that EO's numerator counts; every other pair scores exactly 0.0. A
-triangle through a vertex in only one edge yields no pair: that edge holds
-both of the vertex's pairs, and the third one too. Vertex pairs are looked
-up in the pair table by the host's one lookup, Hypergraph._pair_at.
+triangles that core._walk lists, with the places of their three pairs in
+the pair table, give each pair that scores above 0 with its common
+vertices and its far vertices, the members of D_ij and D_ji that EO's
+numerator counts; every other pair scores exactly 0.0. A triangle through
+a vertex in only one edge yields no pair: that edge holds both of the
+vertex's pairs, and the third one too.
 
 Each host runs the pass once, on first use, and keeps every vertex's local
 coefficient, the global sum and the pair count; clustering_report,
@@ -212,20 +212,17 @@ def _keys(
     _, offsets, ids = h._pair_table()
     m, count = len(h.edges), np.diff(offsets)
     solo = np.where(count == 1, ids[offsets[:-1]], -1)  # each pair's only edge, if one
-    order, starts, forward = h._orientation()
+    order, starts, forward, place = h._orientation()
     kept = np.repeat(deg[order] > 1, np.diff(starts)) & (deg[forward] > 1)
     off = np.concatenate(([0], np.cumsum(kept)))[starts]
     found = {}
-    for pre, w, o in _walk(h, order[:, None], forward[kept], off, 2):
-        r, u = np.repeat(pre, np.diff(o), axis=0).T
-        ru = np.repeat(h._pair_at(pre[:, 0], pre[:, 1])[0], np.diff(o))
-        rw = h._pair_at(r, w)[0]
+    for pre, cands, o in _walk(h, order[:, None], np.column_stack((forward, place))[kept], off, 2):
+        node = np.repeat(np.arange(len(pre)), np.diff(o))
         # ru and rw held by one and the same edge alone: it holds the
         # triangle, so at each apex one run lies within the other (this
         # spares the products for the triangles inside a large edge)
-        live = (solo[ru] < 0) | (solo[ru] != solo[rw])
-        r, u, w, ru, rw = r[live], u[live], w[live], ru[live], rw[live]
-        uw = h._pair_at(u, w)[0]
+        live = (solo[pre[node, 2]] < 0) | (solo[pre[node, 2]] != solo[cands[:, 1]])
+        (r, u, ru), (w, rw, uw) = pre[node[live]].T, cands[live].T
         # each apex, its two far vertices and the runs of its two pairs
         for v, x, y, one, two in ((r, u, w, ru, rw), (u, r, w, ru, uw), (w, r, u, rw, uw)):
             s1, c1, s2, c2 = offsets[one], count[one], offsets[two], count[two]

@@ -98,7 +98,7 @@ class Hypergraph:
         self._incidence: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._edge_set: Optional[frozenset] = None
         self._neighbors: Dict[int, frozenset] = {}
-        self._oriented: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._oriented: Optional[Tuple[np.ndarray, ...]] = None
         self._pairs: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._clustered: Optional[Tuple[np.ndarray, float, int]] = None  # filled by clustering._clustering
 
@@ -158,29 +158,29 @@ class Hypergraph:
             self._neighbors[v] = cached
         return cached
 
-    def _orientation(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(order, starts, forward), int64 arrays, for the 2-section (cached).
-        order is the degree order, ascending with ties to the smallest id;
-        the neighbours of order[i] placed after it are
-        forward[starts[i]:starts[i + 1]], in order.
+    def _orientation(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(order, starts, forward, place), int64 arrays, for the 2-section
+        (cached). order is the degree order, ascending with ties to the
+        smallest id; the neighbours of order[i] placed after it are
+        forward[starts[i]:starts[i + 1]], in order, and place[j] is where the
+        pair of order[i] and forward[j] is in the pair keys.
 
         Read off the pair table: the degrees are counts of the pairs' ends,
         and one stable sort of them gives the order. Listing K_k along a
         degree order takes O(k a(G)^(k-2) m) time, a(G) the arboricity
-        (Chiba & Nishizeki 1985). Each pair, as the positions i < j of its
-        ends in the order, is keyed i * n + j, and one sort of the keys
-        gives the forward runs."""
+        (Chiba & Nishizeki 1985). One argsort of the pairs' keys i * n + j,
+        i < j the positions of their ends in the order, gives the forward runs."""
         if self._oriented is None:
             n = self.n
             low, high = np.divmod(self._pair_table()[0], max(n, 1))
             deg = np.bincount(low, minlength=n) + np.bincount(high, minlength=n)
             order = np.argsort(deg, kind="stable")
             pos = np.argsort(order)  # each vertex's place in the order
-            a, b = pos[low], pos[high]
-            first, later = np.divmod(np.sort(np.minimum(a, b) * n + np.maximum(a, b)), n)
-            forward = order[later]
-            starts = np.concatenate(([0], np.cumsum(np.bincount(first, minlength=n))))
-            self._oriented = (order, starts, forward)
+            a, b = np.sort((pos[low], pos[high]), axis=0)  # each pair's ends' positions, a < b
+            place = np.argsort(a * n + b)
+            forward = order[b[place]]
+            starts = np.concatenate(([0], np.cumsum(np.bincount(a, minlength=n))))
+            self._oriented = (order, starts, forward, place)
         return self._oriented
 
     def _pair_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -259,11 +259,14 @@ def _walk(
 ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The last-depth nodes below the given ones in the 2-section of h, in
     depth-first order, in groups (prefix, cands, off): node i is the clique
-    prefix[i], need vertices short, with the candidates
-    cands[off[i]:off[i + 1]]. Each candidate u with need - 1 later ones or
-    more opens a child prefix + [u], whose candidates are the later ones
-    adjacent to u (h._pair_at). Groups of consecutive nodes testing at most
-    _SIGN_BLOCK pairs (or one node's) are each walked to the end in turn."""
+    prefix[i], need vertices short, with the candidates cands[off[i]:off[i + 1]].
+    A prefix row is v0, v1, p01, v2, p02, p12, ...: each vertex, then the
+    places in the pair keys of its pairs with those before it. A candidate's
+    row is the candidate and its pairs' places with them. Each candidate u
+    with need - 1 later ones or more opens a child prefix + [u], whose
+    candidates are the later ones adjacent to u, found and placed by h._pair_at.
+    Groups of consecutive nodes testing at most _SIGN_BLOCK pairs (or one
+    node's) are each walked to the end in turn."""
     if need == 1:
         yield prefix, cands, off
         return
@@ -275,11 +278,11 @@ def _walk(
         at = off[parent] + _within(opened[lo:hi])  # where each child's vertex is in cands
         later = off[parent + 1] - at - 1
         child = np.repeat(np.arange(len(at)), later)
-        u, w = cands[at], cands[at[child] + 1 + _within(later)]
-        hit = h._pair_at(u[child], w)[1]
-        counts = np.bincount(child[hit], minlength=len(at))
-        prefix_u = np.column_stack((prefix[parent], u))
-        yield from _walk(h, prefix_u, w[hit], np.append(0, np.cumsum(counts)), need - 1)
+        after = at[child] + 1 + _within(later)  # where each tested vertex is in cands
+        place, hit = h._pair_at(cands[at[child], 0], cands[after, 0])
+        off_u = np.append(0, np.cumsum(np.bincount(child[hit], minlength=len(at))))
+        kept = np.column_stack((cands[after[hit]], place[hit]))
+        yield from _walk(h, np.column_stack((prefix[parent], cands[at])), kept, off_u, need - 1)
 
 
 def _within(runs: np.ndarray) -> np.ndarray:

@@ -243,7 +243,7 @@ def _dispatch(
     if mode == "count":
         labelled = sum(1 for _ in _copies(pattern, host, weak))
         return labelled // automorphism_count(pattern)
-    raise ValueError(f"mode must be exists/count/list, got {mode!r}")
+    raise InputError(f"mode must be exists/count/list, got {mode!r}")
 
 
 def find_strong_copies(

@@ -91,7 +91,9 @@ class ProbSequence:
         return None
 
     def prob_at(self, r: int, n: int) -> float:
-        """p_r evaluated at a concrete n (power laws clamped into [0, 1])."""
+        """p_r evaluated at a concrete n (power laws clamped into [0, 1]); n
+        is read as sample reads it."""
+        n = _vertex_count(n)
         if r > self.M or r < 1:
             return 0.0
         if self.numeric is not None:
@@ -102,7 +104,9 @@ class ProbSequence:
         return min(1.0, c * float(n) ** (-float(alpha)))
 
     def at(self, n: int) -> "ProbSequence":
-        """Numeric sequence obtained by evaluating at n (identity if numeric)."""
+        """Numeric sequence obtained by evaluating at n (identity if numeric);
+        n is read as sample reads it."""
+        n = _vertex_count(n)
         if self.numeric is not None:
             return self
         return ProbSequence(
@@ -150,6 +154,14 @@ class ProbSequence:
         raise InputError("probability sequence needs a 'numeric' or 'powerlaw' key")
 
 
+def _vertex_count(n) -> int:
+    """n read by _integer; below 1 it raises InputError."""
+    n = _integer(n, "n")
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
+    return n
+
+
 def _float(value, name: str) -> float:
     """A JSON number as a float; a string, boolean or null is not read as one."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -160,6 +172,8 @@ def _float(value, name: str) -> float:
 def from_edge_counts(n: int, counts: Mapping[int, int]) -> ProbSequence:
     """Numeric sequence with p_i = m_i / C(n, i) matching expected counts."""
     n = _integer(n, "n")
+    if n < 0:
+        raise InputError(f"n must be >= 0, got {n}")
     if not counts:
         raise InputError("no edge counts given")
     numeric: Dict[int, float] = {}
@@ -224,9 +238,7 @@ def sample(n: int, p: ProbSequence, seed: int) -> Hypergraph:
     edge count, exceeds DEFAULT_EDGE_BUDGET, and InputError for a seed that
     is not an integer >= 0.
     """
-    n = _integer(n, "n")
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    n = _vertex_count(n)
     if not p.is_numeric:
         raise InputError("sampling requires a numeric probability sequence")
     seed = _integer(seed, "seed")

@@ -108,7 +108,7 @@ class TestListKCliques:
         tracemalloc.start()
         try:
             blocks = census_mod._clique_blocks(h, 5, census_mod.DEFAULT_CLIQUE_CAP)
-            total = sum(len(cliques) for cliques in blocks)
+            total = sum(len(cliques) for cliques, _ in blocks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

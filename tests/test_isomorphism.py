@@ -169,6 +169,13 @@ class TestEmptyPattern:
             automorphism_count(Hypergraph(0))
 
 
+@pytest.mark.parametrize("find", [find_strong_copies, find_weak_copies])
+def test_bad_mode_is_an_input_error(find):
+    # as a bad weight_mode is; InputError is still a ValueError
+    with pytest.raises(InputError, match="mode must be exists/count/list, got 'all'"):
+        find(EDGE2, TRIANGLE, mode="all")
+
+
 class TestIsomorphic:
     def test_relabels(self):
         a = Hypergraph(4, [(0, 1), (1, 2), (0, 2, 3)])

@@ -93,6 +93,29 @@ class TestProbSequence:
         with pytest.raises(InputError, match="size must be an integer"):
             ProbSequence(M=3, **{mode: {r: level}})
 
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (0, "n must be >= 1, got 0"),
+            (-3, "n must be >= 1, got -3"),
+            (1.5, "n must be an integer, got 1.5"),
+            (True, "n must be an integer, got True"),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["numeric", "powerlaw"])
+    def test_n_must_be_an_integer_at_least_one(self, n, message, mode):
+        level = 0.3 if mode == "numeric" else (1.0, Fraction(1, 2))
+        p = ProbSequence(M=3, **{mode: {2: level}})
+        with pytest.raises(InputError, match=message):
+            p.at(n)
+        with pytest.raises(InputError, match=message):
+            p.prob_at(2, n)
+
+    def test_n_read_as_an_integer(self):
+        p = ProbSequence(M=3, powerlaw={2: (1.0, Fraction(1, 2))})
+        assert p.at(np.int64(100)) == p.at(100) == ProbSequence(M=3, numeric={2: 0.1})
+        assert p.prob_at(2, np.int64(100)) == p.prob_at(2, 100) == 0.1
+
     def test_size_keys_read_as_integers(self):
         p = ProbSequence(M=3, numeric={np.int64(2): 0.3})
         assert [type(r) for r in p.numeric] == [int]
@@ -139,6 +162,10 @@ class TestFromEdgeCounts:
         with pytest.raises(InputError, match=message):
             from_edge_counts(10, counts)
 
+    def test_negative_n_is_an_input_error(self):
+        with pytest.raises(InputError, match="n must be >= 0, got -5"):
+            from_edge_counts(-5, {2: 1})
+
     def test_sizes_and_counts_read_as_integers(self):
         p = from_edge_counts(10, {np.int64(2): np.int32(3)})
         assert p == from_edge_counts(10, {2: 3}) and [type(r) for r in p.numeric] == [int]
@@ -176,6 +203,11 @@ class TestCoveringFunctionals:
     def test_all_zero_gives_zero(self):
         p = ProbSequence(M=3, numeric={3: 0.0})
         assert covering_probability(p, 30, 1) == 0.0
+
+    def test_certain_level_with_no_superset_is_skipped(self):
+        # p_4 = 1, but a 2-set of 3 vertices lies in no 4-set: C(1, 2) = 0
+        p = ProbSequence(M=4, numeric={2: 0.3, 4: 1.0})
+        assert covering_probability(p, 3, 2) == 0.3
 
     def test_certain_level_gives_one(self):
         p = ProbSequence(M=3, numeric={2: 1.0})

@@ -6,6 +6,7 @@ from bisect import bisect_left
 from collections import Counter
 from importlib import import_module
 from itertools import combinations, product
+from math import comb
 
 import networkx as nx
 import numpy as np
@@ -154,6 +155,28 @@ def test_census_cap_raises_exactly_past_the_clique_count(h, data):
 
 
 @settings(deadline=None)
+@given(st.one_of(hypergraphs(), hub_hypergraphs()), st.data())
+def test_clique_blocks_carry_their_pair_places(h, data):
+    """Each listed clique comes with the places in the pair keys of its
+    C(k, 2) pairs, in whole listings and in listings a cap stops partway."""
+    keys = h._pair_table()[0].tolist()
+    for k in KS:
+        count = sum(1 for _ in list_k_cliques(h, k))
+        cap = data.draw(st.integers(0, count))
+        listed = 0
+        try:
+            for cliques, places in census_mod._clique_blocks(h, k, cap):
+                assert places.shape == (len(cliques), comb(k, 2))
+                for row, at in zip(cliques.tolist(), places.tolist()):
+                    assert {keys[p] for p in at} == {a * h.n + b for a, b in combinations(row, 2)}
+                listed += len(cliques)
+        except CliqueCapError:
+            assert listed <= cap < count
+        else:
+            assert listed == count
+
+
+@settings(deadline=None)
 @given(
     st.one_of(hypergraphs(), hub_hypergraphs()),
     st.lists(
@@ -200,12 +223,13 @@ PAIR_HOSTS = st.one_of(
 def test_degree_order_matches_oracle(h):
     oriented = h._orientation()
     assert h._neighbors == {}  # read off the pair table, not the neighbour sets
-    assert [a.dtype for a in oriented] == [np.int64] * 3
-    assert tuple(tuple(a.tolist()) for a in oriented) == brute_orientation(h)
+    assert [a.dtype for a in oriented] == [np.int64] * 4
+    assert tuple(tuple(a.tolist()) for a in oriented[:3]) == brute_orientation(h)
+    assert_places(h, oriented)
     assert h._orientation() is oriented
     # Chiba & Nishizeki: a vertex's later neighbours all have at least its
     # degree, so their degrees sum to at least the square of its out-degree
-    _, starts, forward = oriented
+    _, starts, forward, _ = oriented
     assert int(np.diff(starts).max(initial=0)) ** 2 <= 2 * len(forward)
 
 
@@ -216,7 +240,17 @@ def test_degree_order_matches_oracle_on_a_tied_host():
     h = sample(n, from_edge_counts(n, {2: 3600, 3: 1300, 4: 630, 5: 340}), seed=2024)
     oriented = h._orientation()
     assert h._neighbors == {}
-    assert tuple(tuple(a.tolist()) for a in oriented) == brute_orientation(h)
+    assert tuple(tuple(a.tolist()) for a in oriented[:3]) == brute_orientation(h)
+    assert_places(h, oriented)
+
+
+def assert_places(h, oriented):
+    """keys[place[j]] is the key of forward pair j, the pair of forward[j]
+    and the vertex whose run holds it."""
+    order, starts, forward, place = oriented
+    tail = np.repeat(order, np.diff(starts))
+    keys = h._pair_table()[0]
+    assert keys[place].tolist() == (np.minimum(tail, forward) * h.n + np.maximum(tail, forward)).tolist()
 
 
 @settings(deadline=None)

@@ -199,6 +199,14 @@ class TestOrigination:
         with pytest.raises(InputError):
             origination_distribution(4, p, 100)
 
+    def test_certain_level_kills_signatures_missing_it(self):
+        # p_2 = 1 covers every pair (q_2 = 1), so only signatures with all
+        # three pairs keep mass, split by q_3 = p_3 = 0.1
+        p = ProbSequence(M=3, numeric={2: 1.0, 3: 0.1})
+        table = origination_distribution(3, p, 10)
+        mass = {sig: prob for sig, (_, prob) in table.entries.items() if prob}
+        assert mass == {(3, 0): pytest.approx(0.9), (3, 1): pytest.approx(0.1)}
+
     def test_zero_probability_levels_kill_signatures(self):
         # only 2-edges exist: a 4-set can never extend to a 3- or 4-edge,
         # so the all-pairs signature is the only one with mass

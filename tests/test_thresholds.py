@@ -255,6 +255,14 @@ class TestClassifyInducedWeak:
             with pytest.raises(InputError, match="requires a power-law sequence"):
                 classify_induced_weak(h, ProbSequence(M=2, numeric={2: 0.5}))
 
+    def test_borderline_covering_weight_is_inconclusive(self):
+        # the missing pair {0, 2} has covering weight n^0 and p_2 does not
+        # vanish, so neither absence nor the weak verdict follows
+        path = Hypergraph(3, [(0,), (1,), (2,), (0, 1), (1, 2)])
+        v = classify_induced_weak(path, ProbSequence(M=2, powerlaw={2: (0.5, F(0))}))
+        assert (v.outcome, v.exponent, v.witness) == ("inconclusive", 0, None)
+        assert "borderline" in v.reason
+
 
 class TestSubedgeSystems:
     def test_single_edge_in_superset_edge(self):
