@@ -162,18 +162,18 @@ def test_clique_blocks_carry_their_pair_places(h, data):
     keys = h._pair_table()[0].tolist()
     for k in KS:
         count = sum(1 for _ in list_k_cliques(h, k))
-        cap = data.draw(st.integers(0, count))
-        listed = 0
-        try:
-            for cliques, places in census_mod._clique_blocks(h, k, cap):
-                assert places.shape == (len(cliques), comb(k, 2))
-                for row, at in zip(cliques.tolist(), places.tolist()):
-                    assert {keys[p] for p in at} == {a * h.n + b for a, b in combinations(row, 2)}
-                listed += len(cliques)
-        except CliqueCapError:
-            assert listed <= cap < count
-        else:
-            assert listed == count
+        for cap in (census_mod.DEFAULT_CLIQUE_CAP, data.draw(st.integers(0, max(count - 1, 0)))):
+            listed = 0
+            try:
+                for cliques, places in census_mod._clique_blocks(h, k, cap):
+                    assert places.shape == (len(cliques), comb(k, 2))
+                    for row, at in zip(cliques.tolist(), places.tolist()):
+                        assert {keys[p] for p in at} == {a * h.n + b for a, b in combinations(row, 2)}
+                    listed += len(cliques)
+            except CliqueCapError:
+                assert listed <= cap < count
+            else:
+                assert listed == count
 
 
 @settings(deadline=None)
