@@ -146,7 +146,7 @@ def _clustering(h: Hypergraph) -> Tuple[np.ndarray, float, int]:
     to right."""
     if h._clustered is None:
         deg = h._degrees()
-        eo, row, vertex = _scores(h, deg)
+        eo, row, vertex = _scores(h)
         total = float(np.cumsum(eo[np.argsort(vertex[_starts(row)], kind="stable")])[-1]) if len(eo) else 0.0
         sums = _left_sums(eo[row[np.lexsort((row, vertex))]], np.bincount(vertex, minlength=h.n))
         wedges = deg * (deg - 1) // 2
@@ -156,13 +156,12 @@ def _clustering(h: Hypergraph) -> Tuple[np.ndarray, float, int]:
     return h._clustered
 
 
-def _scores(h: Hypergraph, deg: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scores(h: Hypergraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(eo, row, vertex) for the distinct pairs (i, j), i < j, that _keys
     finds, ascending: eo[t] is the t-th pair's extra overlap, and vertex[s]
     an apex (ascending for each pair) at which pair row[s] was found. EO is
     the far vertices over |e_i| + |e_j| - 2 s, s the pair's apexes: one
-    true division of two integers, the float Python gives. deg holds the
-    vertex degrees, as h._degrees gives them.
+    true division of two integers, the float Python gives.
 
     A pair's apexes are exactly the s vertices it shares. An apex v lies
     in both edges (i holds vx, j holds vy). A pair is found only when some
@@ -176,7 +175,7 @@ def _scores(h: Hypergraph, deg: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.
     the triangle."""
     m, width = len(h.edges), max(h.n, 1)
     span = _KEY_LIMIT // width
-    found = _keys(h, deg, width, span)
+    found = _keys(h, width, span)
     size = np.fromiter(map(len, h.edges), np.int64, m)
     eo, row, vertex = [np.empty(0)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for at in sorted({at for at, _ in found}):
@@ -192,9 +191,7 @@ def _scores(h: Hypergraph, deg: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.
     return np.concatenate(eo), np.concatenate(row), np.concatenate(vertex)
 
 
-def _keys(
-    h: Hypergraph, deg: np.ndarray, width: int, span: int
-) -> Dict[Tuple[int, bool], np.ndarray]:
+def _keys(h: Hypergraph, width: int, span: int) -> Dict[Tuple[int, bool], np.ndarray]:
     """The triangle pass. At each apex v of each triangle {v, x, y} that
     core._walk finds along the host's cached degree orientation, vertices
     in fewer than two edges left out (no triangle through one yields a
@@ -207,12 +204,12 @@ def _keys(
     any m and n. A triangle whose root's two pairs are held by one and the
     same edge alone is dropped first, and an edge in both runs (it holds
     the whole triangle) from both sides; an apex whose two runs are one and
-    the same edge yields only such an edge. deg holds the vertex degrees,
-    as h._degrees gives them."""
+    the same edge yields only such an edge."""
     _, offsets, ids = h._pair_table()
     m, count = len(h.edges), np.diff(offsets)
     solo = np.where(count == 1, ids[offsets[:-1]], -1)  # each pair's only edge, if one
     order, starts, forward, place = h._orientation()
+    deg = h._degrees()
     kept = np.repeat(deg[order] > 1, np.diff(starts)) & (deg[forward] > 1)
     off = np.concatenate(([0], np.cumsum(kept)))[starts]
     found = {}

@@ -6,10 +6,10 @@ equality. After construction a hypergraph is immutable and safe for
 concurrent reads.
 
 Every hypergraph is built by `Hypergraph._build`, which orders the edges by
-(size, tuple) and stores them; it builds nothing else. Each vertex's edge
-ids (`incidence`) are listed on first read and then cached, and the vertex
-degrees are one count over the edges (`Hypergraph._degrees`), so a host that
-is only sampled, read, 2-sectioned, censused or clustered never lists them.
+(size, tuple) and stores them; it builds nothing else. Its vertex tables
+(edge ids `incidence`, neighbour sets `_adjacency`, degrees `_degrees`) are
+each built whole on first use and cached: a host only sampled, read,
+2-sectioned, censused or clustered lists no edge ids or neighbour sets.
 The public constructor validates and normalises arbitrary input first.
 Producers inside the package whose edges are already normalised (distinct
 sorted tuples of int ids in 0..n-1) skip that step through the private
@@ -50,12 +50,12 @@ class Hypergraph:
     too: InputError) or a negative one, or an edge that is empty, contains a repeated vertex, a non-integer id
     or an id outside 0..n-1, raises ValueError.
 
-    Construction only sorts and stores the edges. `incidence` is built on
-    its first read and then cached; the vertex degrees come from one
-    bincount over the edges without it.
+    Construction only sorts and stores the edges. `incidence`, the
+    neighbour sets and the degrees are each built whole on first use and
+    cached; the degrees are one bincount over the edges, not `incidence`.
     """
 
-    __slots__ = ("n", "edges", "_incidence", "_edge_set", "_neighbors", "_oriented", "_pairs", "_clustered")
+    __slots__ = ("n", "edges", "_incidence", "_edge_set", "_neighbors", "_degree", "_oriented", "_pairs", "_clustered")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()) -> None:
         n = _integer(n, "vertex count")
@@ -97,7 +97,8 @@ class Hypergraph:
         self.edges: Tuple[Tuple[int, ...], ...] = tuple(es)
         self._incidence: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._edge_set: Optional[frozenset] = None
-        self._neighbors: Dict[int, frozenset] = {}
+        self._neighbors: Optional[Tuple[frozenset, ...]] = None
+        self._degree: Optional[np.ndarray] = None
         self._oriented: Optional[Tuple[np.ndarray, ...]] = None
         self._pairs: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._clustered: Optional[Tuple[np.ndarray, float, int]] = None  # filled by clustering._clustering
@@ -127,13 +128,16 @@ class Hypergraph:
 
     def degree(self, v: int) -> int:
         """Number of hyperedges containing v."""
-        return len(self.incidence[self._vertex(v)])
+        return int(self._degrees()[self._vertex(v)])
 
     def _degrees(self) -> np.ndarray:
-        """The number of edges holding each vertex, as int64: one bincount
-        over the flattened edges (not cached)."""
-        flat = np.fromiter(chain.from_iterable(self.edges), np.int64, sum(map(len, self.edges)))
-        return np.bincount(flat, minlength=self.n)
+        """The number of edges holding each vertex: one bincount over the
+        flattened edges, a read-only int64 array (built once, then cached)."""
+        if self._degree is None:
+            flat = np.fromiter(chain.from_iterable(self.edges), np.int64, sum(map(len, self.edges)))
+            self._degree = np.bincount(flat, minlength=self.n)
+            self._degree.flags.writeable = False
+        return self._degree
 
     @property
     def edge_set(self) -> frozenset:
@@ -143,20 +147,20 @@ class Hypergraph:
         return self._edge_set
 
     def neighbors(self, v: int) -> frozenset:
-        """Vertices sharing at least one edge with v, excluding v (cached).
-        v is checked as in degree, but an int found in the cache is not."""
-        if type(v) is not int:  # a boolean or a float can equal a cached id as a key
-            v = self._vertex(v)
-        cached = self._neighbors.get(v)
-        if cached is None:
-            v = self._vertex(v)
-            acc = set()
-            for i in self.incidence[v]:
-                acc.update(self.edges[i])
-            acc.discard(v)
-            cached = frozenset(acc)
-            self._neighbors[v] = cached
-        return cached
+        """Vertices sharing at least one edge with v, excluding v."""
+        return self._adjacency()[self._vertex(v)]
+
+    def _adjacency(self) -> Tuple[frozenset, ...]:
+        """Every vertex's neighbours, from one pass over the edges (cached)."""
+        if self._neighbors is None:
+            adj = [set() for _ in range(self.n)]
+            for e in self.edges:
+                for v in e:
+                    adj[v].update(e)
+            for v, s in enumerate(adj):
+                s.discard(v)
+            self._neighbors = tuple(map(frozenset, adj))
+        return self._neighbors
 
     def _orientation(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(order, starts, forward, place), int64 arrays, for the 2-section
@@ -220,6 +224,7 @@ class Hypergraph:
         return Counter(len(e) for e in self.edges)
 
     def is_uniform(self, r: int) -> bool:
+        r = _integer(r, "edge size")
         return all(len(e) == r for e in self.edges)
 
     # -- value semantics -------------------------------------------------

@@ -58,7 +58,7 @@ def _pattern_order(pattern: Hypergraph, first: Tuple[int, ...] = ()) -> List[int
     """Vertex order: the vertices of first as given, then high (degree,
     incident-size profile) first, preferring vertices adjacent to
     already-ordered ones."""
-    edges, inc = pattern.edges, pattern.incidence
+    edges, inc, adj = pattern.edges, pattern.incidence, pattern._adjacency()
     profile = [_size_profile(edges, inc, v) for v in range(pattern.n)]
     order: List[int] = list(first)
     placed = set(first)
@@ -68,7 +68,7 @@ def _pattern_order(pattern: Hypergraph, first: Tuple[int, ...] = ()) -> List[int
         for v in range(pattern.n):
             if v in placed:
                 continue
-            anchored = len(pattern.neighbors(v) & placed)
+            anchored = len(adj[v] & placed)
             key = (anchored, len(profile[v]), profile[v], -v)
             if best_key is None or key > best_key:
                 best, best_key = v, key
@@ -116,15 +116,13 @@ def _embeddings(
     rank = [0] * n
     for step, w in enumerate(order):
         rank[w] = step
-    edges, inc, nbrs = host.edges, host.incidence, host.neighbors
-    pinc = pattern.incidence
+    edges, inc, nbrs = host.edges, host.incidence, host._adjacency()
+    pinc, padj = pattern.incidence, pattern._adjacency()
 
     # per step: the steps of the placed pattern neighbours, the pinned host
     # vertex or None, the degree and incidence-size profile to dominate,
     # and the pattern edges completed there (id, steps of its vertices)
-    anchors = [
-        [rank[x] for x in pattern.neighbors(w) if rank[x] < step] for step, w in enumerate(order)
-    ]
+    anchors = [[rank[x] for x in padj[w] if rank[x] < step] for step, w in enumerate(order)]
     pins = [fixed.get(w) for w in order]
     degs = [len(pinc[w]) for w in order]
     checks: List[List[Tuple[int, Tuple[int, ...]]]] = [[] for _ in range(n)]
@@ -155,9 +153,9 @@ def _embeddings(
         d, need = degs[step], needs[step]
         if pins[step] is not None:
             u = pins[step]
-            pool = [u] if all(u in nbrs(image[a]) for a in anchors[step]) else []
+            pool = [u] if all(u in nbrs[image[a]] for a in anchors[step]) else []
         elif anchors[step]:
-            placed = [nbrs(image[a]) for a in anchors[step]]
+            placed = [nbrs[image[a]] for a in anchors[step]]
             pool = sorted(placed[0].intersection(*placed[1:]))
         else:
             pool = roots.get(d)
@@ -291,7 +289,7 @@ def _colour_classes(h: Hypergraph, active: List[int]) -> List[List[int]]:
     of its neighbours' colours), and at most two rounds run, the second only
     if the first split a class. Colours are kept as their dense ranks, which
     sort as the colours do."""
-    edges, inc = h.edges, h.incidence
+    edges, inc, adj = h.edges, h.incidence, h._adjacency()
     # edges are sorted by size, so an incidence list runs in ascending size
     colors = [(len(inc[v]), tuple([len(edges[i]) for i in inc[v]])) for v in active]
     rank = [0] * h.n
@@ -304,7 +302,7 @@ def _colour_classes(h: Hypergraph, active: List[int]) -> List[List[int]]:
             break
         count = len(order)
         if step < 2:
-            colors = [(rank[v], tuple(sorted([rank[u] for u in h.neighbors(v)]))) for v in active]
+            colors = [(rank[v], tuple(sorted([rank[u] for u in adj[v]]))) for v in active]
 
     classes: List[List[int]] = [[] for _ in range(count)]
     for v in active:

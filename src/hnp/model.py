@@ -83,17 +83,19 @@ class ProbSequence:
         return self.numeric is not None
 
     def alpha(self, r: int) -> Optional[Fraction]:
-        """Decay exponent at size r; None encodes p_r identically 0."""
+        """Decay exponent at size r (read by _integer); None encodes p_r
+        identically 0."""
         if self.powerlaw is None:
             raise InputError("alpha() requires power-law mode")
+        r = _integer(r, "size")
         if r in self.powerlaw:
             return self.powerlaw[r][1]
         return None
 
     def prob_at(self, r: int, n: int) -> float:
-        """p_r evaluated at a concrete n (power laws clamped into [0, 1]); n
-        is read as sample reads it."""
-        n = _vertex_count(n)
+        """p_r evaluated at a concrete n (power laws clamped into [0, 1]); r
+        is read by _integer, and n as sample reads it."""
+        r, n = _integer(r, "size"), _vertex_count(n)
         if r > self.M or r < 1:
             return 0.0
         if self.numeric is not None:

@@ -196,22 +196,26 @@ def signature_weights(k: int, weight_mode: str = "labelled") -> Dict[Signature, 
     return _memo[key]
 
 
+def _signature(sig: Signature) -> Tuple[int, Signature]:
+    """(k, sig as a tuple of ints): k is len(sig) + 1, checked, and each
+    entry is read by _integer."""
+    return _check_k(len(sig) + 1), tuple(_integer(e, "signature entry") for e in sig)
+
+
 def labelled_weight(sig: Signature) -> int:
     """Number of labelled hypergraphs on [k] with edge counts sig whose
     2-section is K_k; k is len(sig) + 1."""
-    k = len(sig) + 1
-    _check_k(k)
+    k, sig = _signature(sig)
     for e, d in zip(sig, _dims(k)):
         if not 0 <= e <= d:
             raise InputError(f"signature {sig} outside the k={k} lattice")
-    return signature_weights(k).get(tuple(sig), 0)
+    return signature_weights(k).get(sig, 0)
 
 
 def labelled_total(sig: Signature) -> int:
     """Number of labelled hypergraphs with edge counts sig, 2-section
     unconstrained: prod_r C(C(k,r), e_r)."""
-    k = len(sig) + 1
-    _check_k(k)
+    k, sig = _signature(sig)
     return math.prod(math.comb(d, e) for d, e in zip(_dims(k), sig))
 
 

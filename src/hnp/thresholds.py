@@ -341,7 +341,7 @@ def minimal_two_section_covers(g: Graph) -> List[Hypergraph]:
         raise InputError("2-section cover search needs a 2-uniform input")
     if g.n > MAX_COVER_VERTICES:
         raise GuardError(f"{g.n} vertices, guard is {MAX_COVER_VERTICES}")
-    if not all(g.incidence):
+    if not g._degrees().all():
         raise InputError("input graph must have no isolated vertices")
     # g-edges as vertex bitmasks; a set of g-edges is a bitmask over their
     # ids, and span[s] is the union of the g-edges in s (2^15 entries for K6)

@@ -331,7 +331,7 @@ def test_working_set_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
-    assert h._neighbors == {}  # no neighbour set is built
+    assert h._neighbors is None  # no neighbour set is built
 
 
 def test_working_set_bounded_on_a_hub_host():
@@ -356,4 +356,4 @@ def test_working_set_bounded_on_a_hub_host():
     finally:
         tracemalloc.stop()
     assert peak < 1.44 * 3 / 1.9 * 2**20
-    assert h._neighbors == {}  # no neighbour set is built
+    assert h._neighbors is None  # no neighbour set is built

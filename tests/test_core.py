@@ -25,7 +25,7 @@ from hnp import (
     write_edge_list,
 )
 from hnp.core import _left_sum
-from util import brute_incidence, random_hypergraph
+from util import _adjacency, brute_incidence, random_hypergraph
 
 
 class TestHypergraph:
@@ -70,6 +70,22 @@ class TestHypergraph:
             Hypergraph(3, [(0, 1), edge])
         assert repr(edge) in str(info.value)
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="vertex count must be >= 0, got -1"):
+            Hypergraph(-1)
+
+    def test_equality_with_other_types_and_repr(self):
+        h = Hypergraph(3, [(0, 1)])
+        assert h.__eq__((3, ((0, 1),))) is NotImplemented and h != (3, ((0, 1),))
+        assert repr(h) == "Hypergraph(n=3, m=1)" and repr(Graph(4)) == "Graph(n=4, m=0)"
+
+    @pytest.mark.parametrize("r", [2.0, True, "2", None])
+    def test_is_uniform_reads_the_size_as_an_integer(self, r):
+        h = Hypergraph(3, [(0, 1), (1, 2)])
+        assert h.is_uniform(np.int64(2)) and not h.is_uniform(3)
+        with pytest.raises(InputError, match=f"edge size must be an integer, got {r!r}"):
+            h.is_uniform(r)
+
     def test_incidence_consistent(self):
         rng = random.Random(7)
         for _ in range(30):
@@ -97,20 +113,19 @@ class TestHypergraph:
         assert [h.neighbors(u) for u in range(3)] == [{1}, {0, 2}, {1}]
         assert [h.degree(u) for u in range(3)] == [1, 2, 1]
         assert h.neighbors(np.int64(1)) == {0, 2} and h.degree(np.int64(1)) == 2
-        h._neighbors.clear()
         for ask in (h.neighbors, h.degree):
             with pytest.raises(ValueError, match=rf"vertex {v} outside 0\.\.2"):
                 ask(v)
-        assert h._neighbors == {}
+        assert h._neighbors == ({1}, {0, 2}, {1})
 
     @pytest.mark.parametrize("v", [True, False, 1.0, "1", None])
     def test_neighbors_and_degree_reject_non_integer_ids(self, v):
         h = Hypergraph(3, [(0, 1), (1, 2)])
-        h.neighbors(0), h.neighbors(1)  # a boolean must not be answered from the cache
+        h.neighbors(0), h.degree(0)  # a boolean must not be answered from the built tables
         for ask in (h.neighbors, h.degree):
             with pytest.raises(InputError, match=f"vertex must be an integer, got {v!r}"):
                 ask(v)
-        assert set(h._neighbors) == {0, 1}
+        assert h._neighbors == ({1}, {0, 2}, {1})
 
 
 @st.composite
@@ -126,7 +141,31 @@ def sparse_hosts(draw):
     return Hypergraph(n + draw(st.integers(0, 3)), edges)
 
 
+@st.composite
+def large_edge_hosts(draw):
+    """Hosts with one edge of 8 to 12 vertices among a few small ones."""
+    n = draw(st.integers(12, 16))
+    vertex = st.integers(0, n - 1)
+    edges = [draw(st.sets(vertex, min_size=8, max_size=12))]
+    edges += draw(st.lists(st.sets(vertex, min_size=1, max_size=3), max_size=6))
+    return Hypergraph(n, edges)
+
+
 class TestLazyIncidence:
+    @settings(deadline=None)
+    @given(st.one_of(sparse_hosts(), large_edge_hosts()))
+    def test_neighbour_table_and_degree_array_match_oracles(self, h):
+        adj, want = _adjacency(h), brute_incidence(h)
+        deg = h._degrees()
+        assert [h.degree(v) for v in range(h.n)] == [len(ids) for ids in want]
+        assert h._incidence is None  # a degree query lists no edge ids
+        table = h._adjacency()
+        got = [h.neighbors(v) for v in range(h.n)]
+        assert got == [adj[v] for v in range(h.n)] and len(table) == h.n
+        assert all(type(s) is frozenset and s is t for s, t in zip(got, table))
+        assert h._degrees() is deg and h._adjacency() is table  # each built once
+        assert not deg.flags.writeable
+
     @settings(deadline=None)
     @given(sparse_hosts())
     def test_incidence_and_degrees_match_oracle(self, h):

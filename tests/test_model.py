@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -127,6 +128,35 @@ class TestProbSequence:
             ProbSequence(M=3, numeric={np.int64(4): 0.3})
 
 
+    @pytest.mark.parametrize("r", [2.0, True, 2.5, "2", None])
+    def test_prob_at_and_alpha_read_the_size_as_an_integer(self, r):
+        p = ProbSequence(M=3, numeric={1: 0.2, 2: 0.3})
+        q = ProbSequence(M=3, powerlaw={1: (1.0, Fraction(1)), 2: (1.0, Fraction(1, 2))})
+        assert p.prob_at(np.int64(2), 10) == 0.3 and q.alpha(np.int64(2)) == Fraction(1, 2)
+        for ask in (lambda: p.prob_at(r, 10), lambda: q.prob_at(r, 10), lambda: q.alpha(r)):
+            with pytest.raises(InputError, match=re.escape(f"size must be an integer, got {r!r}")):
+                ask()
+
+    def test_sizes_outside_the_sequence(self):
+        p = ProbSequence(M=3, numeric={2: 0.3})
+        q = ProbSequence(M=3, powerlaw={2: (1.0, Fraction(1, 2))})
+        assert [p.prob_at(r, 10) for r in (0, 1, 4)] == [0.0, 0.0, 0.0]
+        assert [q.prob_at(r, 10) for r in (0, 3, 4)] == [0.0, 0.0, 0.0]
+        assert q.alpha(3) is None and q.alpha(4) is None
+
+    def test_M_must_be_positive(self):
+        with pytest.raises(InputError, match="M must be >= 1, got 0"):
+            ProbSequence(M=0, numeric={})
+
+    def test_alpha_needs_a_power_law(self):
+        with pytest.raises(InputError, match=re.escape("alpha() requires power-law mode")):
+            ProbSequence(M=2, numeric={2: 0.1}).alpha(2)
+
+    def test_numeric_sequence_at_n_is_itself(self):
+        p = ProbSequence(M=2, numeric={2: 0.1})
+        assert p.at(10) is p
+
+
 class TestFromEdgeCounts:
     def test_bench_p2(self, bench):
         assert bench.numeric[2] == 5975 / math.comb(BENCH_N, 2)
@@ -161,6 +191,21 @@ class TestFromEdgeCounts:
     def test_sizes_and_counts_must_be_integers(self, counts, message):
         with pytest.raises(InputError, match=message):
             from_edge_counts(10, counts)
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ({}, "no edge counts given"),
+            ({0: 1}, "edge size 0 must be >= 1"),
+            ({2: -1}, "count for size 2 must be >= 0"),
+        ],
+    )
+    def test_empty_counts_small_sizes_and_negative_counts(self, counts, message):
+        with pytest.raises(InputError, match=message):
+            from_edge_counts(10, counts)
+
+    def test_all_zero_counts_give_a_zero_sequence(self):
+        assert from_edge_counts(5, {2: 0, 3: 0}) == ProbSequence(M=3, numeric={3: 0.0})
 
     def test_negative_n_is_an_input_error(self):
         with pytest.raises(InputError, match="n must be >= 0, got -5"):

@@ -130,6 +130,23 @@ class TestWeights:
             labelled_weight((7, 0, 0))
 
 
+class TestSignatureEntries:
+    @pytest.mark.parametrize("entry", [1.5, 1.0, True, "1", None])
+    def test_entries_must_be_integers(self, entry):
+        for ask in (labelled_weight, labelled_total):
+            with pytest.raises(InputError, match="signature entry must be an integer"):
+                ask((entry, 2, 0))
+
+    def test_entries_read_as_integers(self):
+        sig = tuple(map(np.int64, (6, 0, 0)))
+        assert labelled_weight(sig) == labelled_weight((6, 0, 0)) == 1
+        assert labelled_total(sig) == labelled_total((6, 0, 0)) == 1
+
+    def test_bad_weight_mode(self):
+        with pytest.raises(InputError, match="weight_mode must be labelled or aut, got 'bogus'"):
+            signature_weights(4, "bogus")
+
+
 class TestWeightTablesPinned:
     @pytest.mark.parametrize(
         "mode, k, rows, digest",

@@ -91,6 +91,10 @@ class TestExponents:
         assert covering_weight_exponent(PEX, 2) == F(-7, 10)
         assert covering_weight_exponent(PEX, 3) == F(-17, 10)
 
+    def test_covering_weight_exponent_needs_a_positive_size(self):
+        with pytest.raises(InputError, match="edge size 0 must be >= 1"):
+            covering_weight_exponent(PEX, 0)
+
     def test_weak_equals_strong_for_single_level(self):
         p = ProbSequence(M=2, powerlaw={2: (1.0, F(9, 11))})
         h = Hypergraph(4, [(0, 1), (1, 2), (2, 3)])
