@@ -22,10 +22,11 @@ numerator counts; every other pair scores exactly 0.0. A triangle through
 a vertex in only one edge yields no pair: that edge holds both of the
 vertex's pairs, and the third one too.
 
-Each host runs the pass once, on first use, and keeps every vertex's local
-coefficient, the global sum and the pair count; clustering_report,
-hc_global, graph_cc and hc_local all read them, so hc_local costs the
-whole pass on its first call on a host and a lookup after that.
+Each host runs the pass (`_clustering`) once, on first use, and keeps every
+vertex's local coefficient, the global sum and the pair count among its
+tables (`core._kept`); clustering_report, hc_global, graph_cc and hc_local
+all read them, so hc_local costs the whole pass on its first call on a
+host and a lookup after that.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .core import _SIGN_BLOCK, Hypergraph, _left_sum, _spans, _starts, _walk, _within
+from .core import _SIGN_BLOCK, Hypergraph, _kept, _left_sum, _spans, _starts, _walk, _within
 from .errors import _integer
 
 __all__ = [
@@ -132,28 +133,25 @@ def clustering_report(h: Hypergraph, bins: int = 100) -> Dict:
     }
 
 
+@_kept
 def _clustering(h: Hypergraph) -> Tuple[np.ndarray, float, int]:
-    """(local, total, n_pairs), cached on the host: every vertex's local
-    coefficient (read-only), the sum of the extra overlaps of all
-    intersecting pairs and their number.
+    """(local, total, n_pairs): every vertex's local coefficient, the sum of
+    the extra overlaps of all intersecting pairs and their number.
 
-    The pairs that score above 0 are found on the triangles of the cached
+    The pairs that score above 0 are found on the triangles of the host's
     degree orientation, vertices in fewer than two edges left out. Adding
     0.0 to a sum of non-negative floats leaves it unchanged bit for bit, so
     the sums over those pairs equal the sums over all pairs: each vertex's
     in ascending (i, j) order, and the global one in (smallest common
     vertex, i, j) order, as intersecting_pairs lists them, each added left
     to right."""
-    if h._clustered is None:
-        deg = h._degrees()
-        eo, row, vertex = _scores(h)
-        total = float(np.cumsum(eo[np.argsort(vertex[_starts(row)], kind="stable")])[-1]) if len(eo) else 0.0
-        sums = _left_sums(eo[row[np.lexsort((row, vertex))]], np.bincount(vertex, minlength=h.n))
-        wedges = deg * (deg - 1) // 2
-        local = np.divide(sums, wedges, out=np.zeros(h.n), where=wedges > 0)
-        local.flags.writeable = False
-        h._clustered = (local, total, int(wedges.sum()) - _overcount(h))
-    return h._clustered
+    deg = h._degrees()
+    eo, row, vertex = _scores(h)
+    total = float(np.cumsum(eo[np.argsort(vertex[_starts(row)], kind="stable")])[-1]) if len(eo) else 0.0
+    sums = _left_sums(eo[row[np.lexsort((row, vertex))]], np.bincount(vertex, minlength=h.n))
+    wedges = deg * (deg - 1) // 2
+    local = np.divide(sums, wedges, out=np.zeros(h.n), where=wedges > 0)
+    return local, total, int(wedges.sum()) - _overcount(h)
 
 
 def _scores(h: Hypergraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -193,7 +191,7 @@ def _scores(h: Hypergraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _keys(h: Hypergraph, width: int, span: int) -> Dict[Tuple[int, bool], np.ndarray]:
     """The triangle pass. At each apex v of each triangle {v, x, y} that
-    core._walk finds along the host's cached degree orientation, vertices
+    core._walk finds along the host's degree orientation, vertices
     in fewer than two edges left out (no triangle through one yields a
     pair), each pair (i, j) of edges with i in E(vx) \\ E(vy) and j in
     E(vy) \\ E(vx), E(ab) the run of edges holding ab in the pair table,

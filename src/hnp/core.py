@@ -6,27 +6,30 @@ equality. After construction a hypergraph is immutable and safe for
 concurrent reads.
 
 Every hypergraph is built by `Hypergraph._build`, which orders the edges by
-(size, tuple) and stores them; it builds nothing else. Its vertex tables
-(edge ids `incidence`, neighbour sets `_adjacency`, degrees `_degrees`) are
-each built whole on first use and cached: a host only sampled, read,
-2-sectioned, censused or clustered lists no edge ids or neighbour sets.
-The public constructor validates and normalises arbitrary input first.
+(size, tuple) and stores them; it builds nothing else. Each table derived
+from a host (`incidence`, neighbour sets, degrees, pair table, orientation,
+clustering pass) is built whole on first use by a builder under `_kept`,
+kept in the host's `_tables` with its arrays read-only, and never pickled:
+a host only sampled, read, 2-sectioned, censused or clustered lists no
+edge ids or neighbour sets. The public constructor validates and
+normalises arbitrary input first.
 Producers inside the package whose edges are already normalised (distinct
 sorted tuples of int ids in 0..n-1) skip that step through the private
 classmethod `Hypergraph._normalised(n, edges)`; passing it anything else
 gives a corrupt hypergraph.
 
 The 2-section kernel of the census and clustering lives here too: the
-cached pair table and degree orientation, the one pair lookup
+pair table and degree orientation, the one pair lookup
 (`Hypergraph._pair_at`) and the per-depth clique walk (`_walk`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import wraps
 from itertools import chain, combinations
 from operator import index
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -42,20 +45,35 @@ __all__ = [
 ]
 
 
+def _kept(build):
+    """build(h), a table of the host h, built on the first call on h and kept
+    in h._tables under build's name; each numpy array in it is read-only."""
+    @wraps(build)
+    def kept(h):
+        if build.__name__ not in h._tables:
+            table = build(h)
+            for a in table if isinstance(table, tuple) else (table,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+            h._tables[build.__name__] = table
+        return h._tables[build.__name__]
+    return kept
+
+
 class Hypergraph:
     """Immutable hypergraph on vertex set {0, ..., n-1}.
 
     The constructor stores n as an int and normalizes edges to sorted
     tuples of int ids, deduplicated as sets. A non-integer n (a boolean
     too: InputError) or a negative one, or an edge that is empty, contains a repeated vertex, a non-integer id
-    or an id outside 0..n-1, raises ValueError.
+    (a boolean too) or an id outside 0..n-1, raises ValueError.
 
     Construction only sorts and stores the edges. `incidence`, the
     neighbour sets and the degrees are each built whole on first use and
-    cached; the degrees are one bincount over the edges, not `incidence`.
+    kept; the degrees are one bincount over the edges, not `incidence`.
     """
 
-    __slots__ = ("n", "edges", "_incidence", "_edge_set", "_neighbors", "_degree", "_oriented", "_pairs", "_clustered")
+    __slots__ = ("n", "edges", "_tables")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()) -> None:
         n = _integer(n, "vertex count")
@@ -64,7 +82,10 @@ class Hypergraph:
         seen = set()
         for e in edges:
             try:
-                t = tuple(sorted(map(index, e)))
+                ids = tuple(e)
+                if bool in map(type, ids):
+                    raise TypeError
+                t = tuple(sorted(map(index, ids)))
             except TypeError:
                 raise ValueError(
                     f"hyperedge {e!r} is not a collection of integer vertex ids"
@@ -95,13 +116,10 @@ class Hypergraph:
         es.sort(key=len)
         self.n: int = n
         self.edges: Tuple[Tuple[int, ...], ...] = tuple(es)
-        self._incidence: Optional[Tuple[Tuple[int, ...], ...]] = None
-        self._edge_set: Optional[frozenset] = None
-        self._neighbors: Optional[Tuple[frozenset, ...]] = None
-        self._degree: Optional[np.ndarray] = None
-        self._oriented: Optional[Tuple[np.ndarray, ...]] = None
-        self._pairs: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._clustered: Optional[Tuple[np.ndarray, float, int]] = None  # filled by clustering._clustering
+        self._tables: Dict[str, object] = {}  # filled by the builders under _kept
+
+    def __reduce__(self):
+        return self._normalised, (self.n, self.edges)
 
     # -- basic accessors -------------------------------------------------
 
@@ -113,58 +131,53 @@ class Hypergraph:
         return v
 
     @property
+    @_kept
     def incidence(self) -> Tuple[Tuple[int, ...], ...]:
-        """incidence[v]: the ids of the edges holding v, ascending (built on
-        first read, then cached). Edges are ordered by size, so each list
-        runs in ascending edge size. Callers that read it in a loop bind it
-        once: each read is a property call."""
-        if self._incidence is None:
-            inc = [[] for _ in range(self.n)]
-            for i, e in enumerate(self.edges):
-                for v in e:
-                    inc[v].append(i)
-            self._incidence = tuple(map(tuple, inc))
-        return self._incidence
+        """incidence[v]: the ids of the edges holding v, ascending. Edges are
+        ordered by size, so each list runs in ascending edge size. Callers
+        that read it in a loop bind it once: each read is a property call."""
+        inc = [[] for _ in range(self.n)]
+        for i, e in enumerate(self.edges):
+            for v in e:
+                inc[v].append(i)
+        return tuple(map(tuple, inc))
 
     def degree(self, v: int) -> int:
         """Number of hyperedges containing v."""
         return int(self._degrees()[self._vertex(v)])
 
+    @_kept
     def _degrees(self) -> np.ndarray:
         """The number of edges holding each vertex: one bincount over the
-        flattened edges, a read-only int64 array (built once, then cached)."""
-        if self._degree is None:
-            flat = np.fromiter(chain.from_iterable(self.edges), np.int64, sum(map(len, self.edges)))
-            self._degree = np.bincount(flat, minlength=self.n)
-            self._degree.flags.writeable = False
-        return self._degree
+        flattened edges, an int64 array."""
+        flat = np.fromiter(chain.from_iterable(self.edges), np.int64, sum(map(len, self.edges)))
+        return np.bincount(flat, minlength=self.n)
 
     @property
+    @_kept
     def edge_set(self) -> frozenset:
-        """Edges as a frozenset of frozensets (cached)."""
-        if self._edge_set is None:
-            self._edge_set = frozenset(frozenset(e) for e in self.edges)
-        return self._edge_set
+        """Edges as a frozenset of frozensets."""
+        return frozenset(frozenset(e) for e in self.edges)
 
     def neighbors(self, v: int) -> frozenset:
         """Vertices sharing at least one edge with v, excluding v."""
         return self._adjacency()[self._vertex(v)]
 
+    @_kept
     def _adjacency(self) -> Tuple[frozenset, ...]:
-        """Every vertex's neighbours, from one pass over the edges (cached)."""
-        if self._neighbors is None:
-            adj = [set() for _ in range(self.n)]
-            for e in self.edges:
-                for v in e:
-                    adj[v].update(e)
-            for v, s in enumerate(adj):
-                s.discard(v)
-            self._neighbors = tuple(map(frozenset, adj))
-        return self._neighbors
+        """Every vertex's neighbours, from one pass over the edges."""
+        adj = [set() for _ in range(self.n)]
+        for e in self.edges:
+            for v in e:
+                adj[v].update(e)
+        for v, s in enumerate(adj):
+            s.discard(v)
+        return tuple(map(frozenset, adj))
 
+    @_kept
     def _orientation(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(order, starts, forward, place), int64 arrays, for the 2-section
-        (cached). order is the degree order, ascending with ties to the
+        """(order, starts, forward, place), int64 arrays, for the 2-section.
+        order is the degree order, ascending with ties to the
         smallest id; the neighbours of order[i] placed after it are
         forward[starts[i]:starts[i + 1]], in order, and place[j] is where the
         pair of order[i] and forward[j] is in the pair keys.
@@ -174,41 +187,38 @@ class Hypergraph:
         degree order takes O(k a(G)^(k-2) m) time, a(G) the arboricity
         (Chiba & Nishizeki 1985). One argsort of the pairs' keys i * n + j,
         i < j the positions of their ends in the order, gives the forward runs."""
-        if self._oriented is None:
-            n = self.n
-            low, high = np.divmod(self._pair_table()[0], max(n, 1))
-            deg = np.bincount(low, minlength=n) + np.bincount(high, minlength=n)
-            order = np.argsort(deg, kind="stable")
-            pos = np.argsort(order)  # each vertex's place in the order
-            a, b = np.sort((pos[low], pos[high]), axis=0)  # each pair's ends' positions, a < b
-            place = np.argsort(a * n + b)
-            forward = order[b[place]]
-            starts = np.concatenate(([0], np.cumsum(np.bincount(a, minlength=n))))
-            self._oriented = (order, starts, forward, place)
-        return self._oriented
+        n = self.n
+        low, high = np.divmod(self._pair_table()[0], max(n, 1))
+        deg = np.bincount(low, minlength=n) + np.bincount(high, minlength=n)
+        order = np.argsort(deg, kind="stable")
+        pos = np.argsort(order)  # each vertex's place in the order
+        a, b = np.sort((pos[low], pos[high]), axis=0)  # each pair's ends' positions, a < b
+        place = np.argsort(a * n + b)
+        forward = order[b[place]]
+        starts = np.concatenate(([0], np.cumsum(np.bincount(a, minlength=n))))
+        return order, starts, forward, place
 
+    @_kept
     def _pair_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(keys, offsets, ids) for the 2-section (cached): keys holds a * n + b
+        """(keys, offsets, ids) for the 2-section: keys holds a * n + b
         for each pair a < b of vertices sharing an edge, ascending (int64),
         and the ids of the edges holding the pair keys[i] are
         ids[offsets[i]:offsets[i + 1]], ascending (both int32). Each edge
         size is one slice of the edges and one array, each of its column
         pairs one array of keys; a single lexsort orders them all."""
-        if self._pairs is None:
-            n, keys, ids, lo = self.n, [np.empty(0, np.int64)], [np.empty(0, np.int32)], 0
-            for r, m in sorted(self.size_counts().items()):
-                block = np.array(self.edges[lo : lo + m], dtype=np.int64)
-                for a, b in combinations(range(r), 2):
-                    keys.append(block[:, a] * n + block[:, b])
-                    ids.append(np.arange(lo, lo + m, dtype=np.int32))
-                lo += m
-            keys, ids = np.concatenate(keys), np.concatenate(ids)
-            order = np.lexsort((ids, keys))
-            keys, ids = keys[order], ids[order]
-            del order
-            first = np.flatnonzero(_starts(keys))
-            self._pairs = (keys[first], np.append(first, len(keys)).astype(np.int32), ids)
-        return self._pairs
+        n, keys, ids, lo = self.n, [np.empty(0, np.int64)], [np.empty(0, np.int32)], 0
+        for r, m in sorted(self.size_counts().items()):
+            block = np.array(self.edges[lo : lo + m], dtype=np.int64)
+            for a, b in combinations(range(r), 2):
+                keys.append(block[:, a] * n + block[:, b])
+                ids.append(np.arange(lo, lo + m, dtype=np.int32))
+            lo += m
+        keys, ids = np.concatenate(keys), np.concatenate(ids)
+        order = np.lexsort((ids, keys))
+        keys, ids = keys[order], ids[order]
+        del order
+        first = np.flatnonzero(_starts(keys))
+        return keys[first], np.append(first, len(keys)).astype(np.int32), ids
 
     def _pair_at(self, a, b) -> Tuple[np.ndarray, np.ndarray]:
         """(at, hit) for the vertex pairs (a, b), a and b arrays that
@@ -330,48 +340,35 @@ def _left_sum(values: Iterable[float]) -> float:
     return total
 
 
-def _mapping(s: Iterable[int], n: int) -> Tuple[Tuple[int, ...], Dict[int, int]]:
+def _traces(h: Hypergraph, s: Iterable[int]) -> Tuple[int, Dict[int, int], Dict[Tuple[int, ...], int]]:
+    """(size, mapping, first) for s: its size as a set, the old->new id
+    mapping in sorted order of s, and the id of the first edge e with each
+    distinct nonempty trace e ∩ s, relabelled. Edges are ordered by (size,
+    tuple), so an edge inside s is the first edge with its own trace."""
     kept = sorted({_integer(v, "vertex") for v in s})
-    if kept and (kept[0] < 0 or kept[-1] >= n):
-        raise ValueError(f"vertex subset not within 0..{n - 1}")
-    return tuple(kept), {v: i for i, v in enumerate(kept)}
+    if kept and (kept[0] < 0 or kept[-1] >= h.n):
+        raise ValueError(f"vertex subset not within 0..{h.n - 1}")
+    mapping, inc, first = {v: i for i, v in enumerate(kept)}, h.incidence, {}
+    for i in sorted(set().union(*(inc[v] for v in kept))):
+        first.setdefault(tuple(mapping[v] for v in h.edges[i] if v in mapping), i)
+    return len(kept), mapping, first
 
 
-def induced_strong(
-    h: Hypergraph, s: Iterable[int]
-) -> Tuple[Hypergraph, Dict[int, int]]:
+def induced_strong(h: Hypergraph, s: Iterable[int]) -> Tuple[Hypergraph, Dict[int, int]]:
     """Substructure on s keeping exactly the edges fully inside s.
 
     Vertices are re-indexed in sorted order of s; the old->new id mapping is
     returned alongside.
     """
-    kept, mapping = _mapping(s, h.n)
-    sset, inc = set(kept), h.incidence
-    cand = set()
-    for v in kept:
-        cand.update(inc[v])
-    edges = []
-    for i in sorted(cand):
-        e = h.edges[i]
-        if all(v in sset for v in e):
-            edges.append(tuple(mapping[v] for v in e))
-    return Hypergraph._normalised(len(kept), edges), mapping
+    size, mapping, first = _traces(h, s)
+    return Hypergraph._normalised(size, [t for t, i in first.items() if len(t) == len(h.edges[i])]), mapping
 
 
 def induced_weak(h: Hypergraph, s: Iterable[int]) -> Tuple[Hypergraph, Dict[int, int]]:
     """Substructure on s whose edges are the distinct nonempty intersections
     e ∩ s over all edges e of h (empty edge dropped, duplicates merged)."""
-    kept, mapping = _mapping(s, h.n)
-    sset, inc = set(kept), h.incidence
-    cand = set()
-    for v in kept:
-        cand.update(inc[v])
-    edges = set()
-    for i in cand:
-        inter = tuple(mapping[v] for v in h.edges[i] if v in sset)
-        if inter:
-            edges.add(inter)
-    return Hypergraph._normalised(len(kept), edges), mapping
+    size, mapping, first = _traces(h, s)
+    return Hypergraph._normalised(size, list(first)), mapping
 
 
 def _compacted(edges: Sequence[Tuple[int, ...]]) -> Tuple[Hypergraph, Dict[int, int]]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, Tuple
 
 import numpy as np
@@ -46,7 +47,7 @@ Signature = Tuple[int, ...]
 MIN_K = 2
 MAX_K = 5
 
-_memo: Dict[Tuple[int, str], Dict[Signature, int]] = {}
+_memo: Dict[Tuple[int, str], Mapping[Signature, int]] = {}  # read-only views
 
 
 def _check_k(k: int) -> int:
@@ -178,21 +179,21 @@ def _aut_weights(k: int) -> Dict[Signature, int]:
     return _burnside_weights(k, _conjugacy_classes(k))
 
 
-def signature_weights(k: int, weight_mode: str = "labelled") -> Dict[Signature, int]:
+def signature_weights(k: int, weight_mode: str = "labelled") -> Mapping[Signature, int]:
     """Weights of all feasible signatures on k vertices.
 
     weight_mode "labelled" counts labelled hypergraphs (the default, and
     the weighting the origination distribution uses); "aut" sums aut(H)
     over the class instead. Computed exactly in-process (k=5 takes tens
-    of milliseconds) and kept for the life of the process; nothing is
-    read from or written to disk.
+    of milliseconds) and kept, read-only, for the life of the process;
+    nothing is read from or written to disk.
     """
     k = _check_k(k)
     if weight_mode not in ("labelled", "aut"):
         raise InputError(f"weight_mode must be labelled or aut, got {weight_mode!r}")
     key = (k, weight_mode)
     if key not in _memo:
-        _memo[key] = _labelled_weights(k) if weight_mode == "labelled" else _aut_weights(k)
+        _memo[key] = MappingProxyType(_labelled_weights(k) if weight_mode == "labelled" else _aut_weights(k))
     return _memo[key]
 
 
@@ -213,9 +214,11 @@ def labelled_weight(sig: Signature) -> int:
 
 
 def labelled_total(sig: Signature) -> int:
-    """Number of labelled hypergraphs with edge counts sig, 2-section
-    unconstrained: prod_r C(C(k,r), e_r)."""
+    """Number of labelled hypergraphs with edge counts sig (a negative entry
+    raises InputError), 2-section unconstrained: prod_r C(C(k,r), e_r)."""
     k, sig = _signature(sig)
+    if min(sig) < 0:
+        raise InputError(f"signature {sig} has a negative entry")
     return math.prod(math.comb(d, e) for d, e in zip(_dims(k), sig))
 
 

@@ -136,7 +136,7 @@ class TestHcLocal:
         h = Hypergraph(3, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(ValueError, match="vertex 3 outside 0..2"):
             hc_local(h, 3)
-        assert h._clustered is None
+        assert "_clustering" not in h._tables
 
     @pytest.mark.parametrize("v", [1.5, True])
     def test_vertex_must_be_an_integer(self, v):
@@ -331,7 +331,7 @@ def test_working_set_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
-    assert h._neighbors is None  # no neighbour set is built
+    assert "_adjacency" not in h._tables  # no neighbour set is built
 
 
 def test_working_set_bounded_on_a_hub_host():
@@ -356,4 +356,4 @@ def test_working_set_bounded_on_a_hub_host():
     finally:
         tracemalloc.stop()
     assert peak < 1.44 * 3 / 1.9 * 2**20
-    assert h._neighbors is None  # no neighbour set is built
+    assert "_adjacency" not in h._tables  # no neighbour set is built

@@ -15,6 +15,8 @@ from hnp import (
     InputError,
     census,
     clustering_report,
+    find_strong_copies,
+    find_weak_copies,
     from_edge_counts,
     induced_strong,
     induced_weak,
@@ -25,7 +27,7 @@ from hnp import (
     write_edge_list,
 )
 from hnp.core import _left_sum
-from util import _adjacency, brute_incidence, random_hypergraph
+from util import _adjacency, brute_incidence, brute_induced, random_hypergraph
 
 
 class TestHypergraph:
@@ -69,6 +71,13 @@ class TestHypergraph:
         with pytest.raises(ValueError, match="is not a collection of integer vertex ids") as info:
             Hypergraph(3, [(0, 1), edge])
         assert repr(edge) in str(info.value)
+
+    @pytest.mark.parametrize("edge", [(True, 2), (0, False), (np.True_, 2)])
+    def test_rejects_boolean_ids(self, edge):
+        for build in (Hypergraph, Graph):
+            with pytest.raises(ValueError, match="is not a collection of integer vertex ids") as info:
+                build(3, [(0, 1), edge])
+            assert repr(edge) in str(info.value)
 
     def test_rejects_negative_vertex_count(self):
         with pytest.raises(ValueError, match="vertex count must be >= 0, got -1"):
@@ -116,7 +125,7 @@ class TestHypergraph:
         for ask in (h.neighbors, h.degree):
             with pytest.raises(ValueError, match=rf"vertex {v} outside 0\.\.2"):
                 ask(v)
-        assert h._neighbors == ({1}, {0, 2}, {1})
+        assert h._tables["_adjacency"] == ({1}, {0, 2}, {1})
 
     @pytest.mark.parametrize("v", [True, False, 1.0, "1", None])
     def test_neighbors_and_degree_reject_non_integer_ids(self, v):
@@ -125,7 +134,7 @@ class TestHypergraph:
         for ask in (h.neighbors, h.degree):
             with pytest.raises(InputError, match=f"vertex must be an integer, got {v!r}"):
                 ask(v)
-        assert h._neighbors == ({1}, {0, 2}, {1})
+        assert h._tables["_adjacency"] == ({1}, {0, 2}, {1})
 
 
 @st.composite
@@ -158,7 +167,7 @@ class TestLazyIncidence:
         adj, want = _adjacency(h), brute_incidence(h)
         deg = h._degrees()
         assert [h.degree(v) for v in range(h.n)] == [len(ids) for ids in want]
-        assert h._incidence is None  # a degree query lists no edge ids
+        assert "incidence" not in h._tables  # a degree query lists no edge ids
         table = h._adjacency()
         got = [h.neighbors(v) for v in range(h.n)]
         assert got == [adj[v] for v in range(h.n)] and len(table) == h.n
@@ -174,10 +183,10 @@ class TestLazyIncidence:
         assert h._degrees().dtype == np.int64
         assert h._degrees().tolist() == degrees
         assert profiles(h)[0] == Counter(degrees)
-        assert h._incidence is None  # the degree count does not build it
+        assert "incidence" not in h._tables  # the degree count does not build it
         assert [h.degree(v) for v in range(h.n)] == degrees
         assert h.incidence == want
-        assert h.incidence is h._incidence  # built once, then cached
+        assert h.incidence is h._tables["incidence"]  # built once, then cached
         assert all(type(i) is int for ids in h.incidence for i in ids)
 
     def test_incidence_is_read_only(self):
@@ -195,13 +204,13 @@ class TestLazyIncidence:
             path = str(tmp_path / "host.edges")
             write_edge_list(h, path)
             h = read_edge_list(path).hypergraph
-        assert h._incidence is None
+        assert "incidence" not in h._tables
         for k in (3, 4, 5):
             assert census(h, k, p).total_cliques > 0
         assert clustering_report(h)["n_intersecting_pairs"] > 0
         g = two_section(h)
         assert profiles(h)[1] == h.size_counts() and profiles(g)[0]
-        assert h._incidence is None and g._incidence is None
+        assert "incidence" not in h._tables and "incidence" not in g._tables
 
     def test_pickle_round_trip_before_and_after_incidence_is_read(self):
         h = Hypergraph(6, [(0,), (0, 1), (1, 2, 3), (3, 4)])  # vertex 5 isolated
@@ -210,9 +219,51 @@ class TestLazyIncidence:
                 h.incidence
             back = pickle.loads(pickle.dumps(h))
             assert back == h and type(back) is Hypergraph
-            assert (back._incidence is None) is not read
+            assert back._tables == {}  # a pickle carries no table
             assert back.incidence == h.incidence == brute_incidence(h)
             assert [back.degree(v) for v in range(6)] == [2, 2, 1, 2, 1, 0]
+
+
+def _arrays(tables):
+    """Every numpy array in a host's kept tables."""
+    items = (a for t in tables.values() for a in (t if isinstance(t, tuple) else (t,)))
+    return [a for a in items if isinstance(a, np.ndarray)]
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def _ask(h):
+    """A census at k=3, the clustering report and a strong and a weak search."""
+    census(h, 3, from_edge_counts(200, {2: 300, 3: 120}), n=200)
+    clustering_report(h)
+    path = Hypergraph(3, [(0, 1), (1, 2)])
+    find_strong_copies(path, h, mode="exists"), find_weak_copies(path, h, mode="exists")
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(sparse_hosts(), large_edge_hosts()))
+def test_tables_are_built_once_read_only_and_never_pickled(h):
+    _ask(h)
+    tables = dict(h._tables)
+    assert {"_pair_table", "_orientation", "_clustering", "_degrees"} <= tables.keys()
+    _ask(h)
+    assert h._tables.keys() == tables.keys()
+    assert all(h._tables[name] is t for name, t in tables.items())  # each built once
+    back = pickle.loads(pickle.dumps(h))
+    assert back == h and type(back) is type(h) and back._tables == {}
+    _ask(back)
+    assert back._tables.keys() == tables.keys()
+    assert all(_same(back._tables[name], t) for name, t in tables.items())
+    for a in _arrays(tables) + _arrays(back._tables):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
 
 
 def test_left_sum_adds_left_to_right():
@@ -283,6 +334,15 @@ class TestInducedWeak:
         for induce in (induced_weak, induced_strong):
             with pytest.raises(InputError, match=f"vertex must be an integer, got {bad!r}"):
                 induce(h, [0, bad])
+
+    @settings(deadline=None)
+    @given(st.one_of(sparse_hosts(), large_edge_hosts()), st.data())
+    def test_strong_and_weak_match_their_definitions(self, h, data):
+        s = data.draw(st.lists(st.integers(0, h.n - 1), max_size=h.n + 2) if h.n else st.just([]))
+        for strong, induce in ((True, induced_strong), (False, induced_weak)):
+            sub, mapping = induce(h, s)
+            assert sub == brute_induced(h, s, strong) and type(sub) is Hypergraph
+            assert mapping == {v: i for i, v in enumerate(sorted(set(s)))}
 
     def test_coinciding_intersections_dedup(self):
         h = Hypergraph(3, [(0, 1, 2), (0, 1)])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from collections import Counter, defaultdict
 from itertools import combinations, permutations
 
@@ -128,6 +129,24 @@ class TestWeights:
     def test_out_of_lattice(self):
         with pytest.raises(InputError):
             labelled_weight((7, 0, 0))
+
+    def test_total_rejects_negative_entries_and_is_0_above_the_lattice(self):
+        for sig in ((-1, 0, 0), (0, 0, -2), (1, 0, -1, 0)):
+            with pytest.raises(InputError, match=rf"signature {re.escape(str(sig))} has a negative entry"):
+                labelled_total(sig)
+        assert labelled_total((7, 0, 0)) == labelled_total((0, 5, 0)) == labelled_total((0, 0, 2)) == 0
+
+    def test_weights_refuse_writes(self):
+        p = from_edge_counts(50, {2: 100, 3: 20})
+        before = origination_distribution(3, p, 50)
+        for mode in ("labelled", "aut"):
+            w = signature_weights(3, mode)
+            with pytest.raises(TypeError):
+                w[(3, 1)] = 10**6
+            with pytest.raises(TypeError):
+                del w[(3, 0)]
+            assert signature_weights(3, mode) is w and w[(3, 0)] > 0
+        assert origination_distribution(3, p, 50) == before
 
 
 class TestSignatureEntries:

@@ -11,7 +11,6 @@ from hnp import (
     canonical_form,
     is_subedge_system,
 )
-from hnp.core import induced_weak
 
 
 def brute_aut(h: Hypergraph) -> int:
@@ -290,11 +289,21 @@ def brute_two_section(h: Hypergraph) -> Graph:
     return Graph(h.n, pairs)
 
 
+def brute_induced(h: Hypergraph, s, strong: bool) -> Hypergraph:
+    """induced_strong (strong) or induced_weak from the definition: e ∩ s
+    for every edge e of h, relabelled in sorted order of s, kept when
+    nonempty (weak) or when it is all of e (strong), through the public
+    constructor."""
+    kept = sorted(set(s))
+    label = {v: i for i, v in enumerate(kept)}
+    traces = [(set(e) & set(kept), e) for e in h.edges]
+    return Hypergraph(len(kept), [[label[v] for v in t] for t, e in traces if (len(t) == len(e) if strong else t)])
+
+
 def brute_observed_signature(h: Hypergraph, s):
     """Signature (e_2 ... e_k) read off the weak substructure induced on s."""
     k = len(s)
-    sub, _ = induced_weak(h, s)
-    counts = Counter(len(e) for e in sub.edges)
+    counts = Counter(len(e) for e in brute_induced(h, s, strong=False).edges)
     return tuple(counts.get(r, 0) for r in range(2, k + 1))
 
 
